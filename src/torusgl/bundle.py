@@ -8,8 +8,13 @@ periodic complex vertex fields.  theta0 realizes a uniform flux
 the j-links plus a wrap-around seam correction on the i-links, making both
 holonomy/flux consistency and the Chern pairing hold exactly.
 
-The covariant difference uses compact (exponential) coupling of the gauge
-field, so lattice gauge transformations leave |D_A u| invariant exactly.
+The gauge field enters only through the compact (exponential) coupling of
+the link variable U_e = exp(-i(theta0_e + h_i A_e)) (Wilson's lattice link),
+and `link_transport` is the one place it is formed: the covariant difference
+here, and the energies, gradients, Hessian products, supercurrent and
+vorticity in `fields` and `vortex`, are all built from its links and
+transported neighbours.  Lattice gauge transformations therefore leave
+|D_A u| invariant exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "BundleData",
     "gauge_one_form",
     "build_background",
+    "link_transport",
     "covariant_difference",
     "curvature",
     "flux_pairing",
@@ -143,12 +149,23 @@ def holonomy_residuals(b: BundleData) -> np.ndarray:
     return res
 
 
-def edge_phases(A: Cochain, b: BundleData) -> np.ndarray:
-    """Total traversal phase per edge: theta0_e + h_i A_e."""
+def link_transport(u: Section, A: Cochain, b: BundleData):
+    """Yield, axis by axis, the link variable and the transported neighbour
+
+        U_e = exp(-i(theta0_e + h_i A_e)),    T_e = u(x + e_i) U_e,
+
+    each of shape `sites`, for the i-edges e = (x, x + e_i).  T_e is u at the
+    head of the edge carried back to its tail, so conj(u) T is the
+    gauge-invariant hopping term every compact-coupling quantity is built on.
+    """
     if A.degree != 1 or A.geom != b.geom:
         raise ValueError("gauge field must be a degree-1 cochain on the bundle geometry")
+    if u.geom != b.geom:
+        raise ValueError("section/bundle geometry mismatch")
     h = b.geom.spacings
-    return b.theta0 + np.stack([h[i] * A.values[i] for i in range(b.geom.dim)])
+    for i in range(b.geom.dim):
+        link = np.exp(-1j * (b.theta0[i] + h[i] * A.values[i]))
+        yield link, np.roll(u.values, -1, axis=i) * link
 
 
 def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:
@@ -156,13 +173,10 @@ def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:
 
         (D_A u)_e = (u(x + e_i) exp(-i(theta0_e + h_i A_e)) - u(x)) / h_i
     """
-    if u.geom != b.geom:
-        raise ValueError("section/bundle geometry mismatch")
-    phases = edge_phases(A, b)
     h = b.geom.spacings
     out = np.empty((b.geom.dim, *b.geom.sites), dtype=np.complex128)
-    for i in range(b.geom.dim):
-        out[i] = (np.roll(u.values, -1, axis=i) * np.exp(-1j * phases[i]) - u.values) / h[i]
+    for i, (_, fwd) in enumerate(link_transport(u, A, b)):
+        out[i] = (fwd - u.values) / h[i]
     return out
 
 

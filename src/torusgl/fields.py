@@ -4,9 +4,10 @@ and the rescaled energy density.
 
 Quadrature: the potential is vertex-collocated, the kinetic term
 edge-collocated, the curvature term plaquette-collocated, all with the full
-cell volume prod(h_i) per sample, matching the lattice inner product.  All
-reductions use plain numpy sums in fixed order, so results are reproducible
-bit-for-bit within a build.
+cell volume prod(h_i) per sample, matching the lattice inner product.  The
+gauge field enters only through the links of `bundle.link_transport`, formed
+once per axis per evaluation.  All reductions use plain numpy sums in fixed
+order, so results are reproducible bit-for-bit within a build.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import BundleData, Section, covariant_difference, curvature, edge_phases
+from .bundle import BundleData, Section, covariant_difference, curvature, link_transport
 from .lattice import Cochain, codifferential, components, exterior_derivative, zero_cochain
-from .vortex import supercurrent
 
 __all__ = [
     "EnergyBreakdown",
@@ -59,16 +59,25 @@ def _check_epsilon(eps: float) -> float:
     return eps
 
 
+def _energy_terms(u: Section, A: Cochain, b: BundleData, dtype=np.float64):
+    """Lattice sums of |D_A u|^2, (1 - |u|^2)^2 and |F_A|^2, each accumulated
+    in `dtype`; the energies weight them by the cell volume."""
+    Du = covariant_difference(u, A, b)
+    kin = np.sum(Du.real**2 + Du.imag**2, dtype=dtype)
+    one_minus = 1.0 - (u.values.real**2 + u.values.imag**2)
+    pot = np.sum(one_minus**2, dtype=dtype)
+    curv = np.sum(curvature(A, b).values ** 2, dtype=dtype)
+    return kin, pot, curv
+
+
 def g_energy(u: Section, A: Cochain, b: BundleData, eps: float) -> EnergyBreakdown:
     """Full gauged energy; exactly gauge invariant by construction."""
     eps = _check_epsilon(eps)
     w = b.geom.cell_volume
-    Du = covariant_difference(u, A, b)
-    kin = 0.5 * w * float(np.sum(Du.real**2 + Du.imag**2))
-    one_minus = 1.0 - (u.values.real**2 + u.values.imag**2)
-    pot = w * float(np.sum(one_minus**2)) / (4.0 * eps * eps)
-    F = curvature(A, b)
-    curv = 0.5 * w * float(np.sum(F.values**2))
+    kin, pot, curv = _energy_terms(u, A, b)
+    kin = 0.5 * w * float(kin)
+    pot = w * float(pot) / (4.0 * eps * eps)
+    curv = 0.5 * w * float(curv)
     return EnergyBreakdown(kin, pot, curv, kin + pot + curv, eps)
 
 
@@ -83,13 +92,8 @@ def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float):
     """
     eps = _check_epsilon(eps)
     w = b.geom.cell_volume
-    Du = covariant_difference(u, A, b)
-    kin = 0.5 * w * np.sum(Du.real**2 + Du.imag**2, dtype=np.longdouble)
-    one_minus = 1.0 - (u.values.real**2 + u.values.imag**2)
-    pot = w * np.sum(one_minus**2, dtype=np.longdouble) / (4.0 * eps * eps)
-    F = curvature(A, b)
-    curv = 0.5 * w * np.sum(F.values**2, dtype=np.longdouble)
-    return kin + pot + curv
+    kin, pot, curv = _energy_terms(u, A, b, np.longdouble)
+    return 0.5 * w * kin + w * pot / (4.0 * eps * eps) + 0.5 * w * curv
 
 
 def e_energy(u: Section, b: BundleData, eps: float) -> EnergyBreakdown:
@@ -112,19 +116,19 @@ def g_gradient(u: Section, A: Cochain, b: BundleData, eps: float):
     geom = b.geom
     w = geom.cell_volume
     h = geom.spacings
-    Du = covariant_difference(u, A, b)
-    phases = edge_phases(A, b)
+    uv = u.values
 
     grad_u = np.zeros(geom.sites, dtype=np.complex128)
-    for i in range(geom.dim):
-        back = np.exp(1j * phases[i]) * Du[i]
-        grad_u += (w / h[i]) * (np.roll(back, +1, axis=i) - Du[i])
-    mod2 = u.values.real**2 + u.values.imag**2
-    grad_u += -(w / (eps * eps)) * (1.0 - mod2) * u.values
+    current = np.empty(geom.shape(1))
+    for i, (link, fwd) in enumerate(link_transport(u, A, b)):
+        Du = (fwd - uv) / h[i]
+        grad_u += (w / h[i]) * (np.roll(np.conj(link) * Du, +1, axis=i) - Du)
+        current[i] = np.imag(np.conj(uv) * fwd) / h[i]
+    mod2 = uv.real**2 + uv.imag**2
+    grad_u += -(w / (eps * eps)) * (1.0 - mod2) * uv
 
-    F = curvature(A, b)
-    grad_A = w * (codifferential(F) - supercurrent(u, A, b))
-    return grad_u, grad_A
+    grad_A = w * (codifferential(curvature(A, b)).values - current)
+    return grad_u, Cochain(geom, 1, grad_A)
 
 
 def g_hessvec(
@@ -137,14 +141,11 @@ def g_hessvec(
     geom = b.geom
     w = geom.cell_volume
     h = geom.spacings
-    phases = edge_phases(A, b)
     uv, dv = u.values, du.values
 
     hess_u = np.zeros(geom.sites, dtype=np.complex128)
     minus_dj = np.empty(geom.shape(1))
-    for i in range(geom.dim):
-        link = np.exp(-1j * phases[i])
-        fwd = np.roll(uv, -1, axis=i) * link
+    for i, (link, fwd) in enumerate(link_transport(u, A, b)):
         dfwd = np.roll(dv, -1, axis=i) * link
         a = dA.values[i]
         Du = (fwd - uv) / h[i]
@@ -176,13 +177,10 @@ def g_energy_change(
     geom = b.geom
     w = geom.cell_volume
     h = geom.spacings
-    phases = edge_phases(A, b)
     uv, dv = u.values, du.values
 
     kin = 0.0
-    for i in range(geom.dim):
-        link = np.exp(-1j * phases[i])
-        fwd = np.roll(uv, -1, axis=i) * link
+    for i, (link, fwd) in enumerate(link_transport(u, A, b)):
         turn = np.expm1(-1j * h[i] * dA.values[i])
         Du = (fwd - uv) / h[i]
         dDu = (np.roll(dv, -1, axis=i) * link * (1.0 + turn) + fwd * turn - dv) / h[i]

@@ -97,12 +97,16 @@ def harmonic_dimension(geom: TorusGeometry, degree: int, tol: float = 1e-10) -> 
     return int(np.count_nonzero(lam < tol)) * ncomp
 
 
-def _spectral_multiply(c: Cochain, multiplier: np.ndarray) -> Cochain:
-    out = np.empty_like(c.values)
-    for comp in range(c.values.shape[0]):
-        spec = np.fft.fftn(c.values[comp]) * multiplier
-        out[comp] = np.fft.ifftn(spec).real
-    return Cochain(c.geom, c.degree, out)
+def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Apply a Fourier multiplier, given per mode on the full site grid and
+    even in each wave number, to every component of a real stacked
+    (components, *sites) array: one rfftn/irfftn pair over the site axes,
+    the multiplier cut to the half spectrum the real transform keeps."""
+    sites = values.shape[1:]
+    axes = tuple(range(1, values.ndim))
+    spec = np.fft.rfftn(values, axes=axes)
+    spec *= multiplier[..., : sites[-1] // 2 + 1]
+    return np.fft.irfftn(spec, s=sites, axes=axes)
 
 
 def green(c: Cochain) -> Cochain:
@@ -111,7 +115,7 @@ def green(c: Cochain) -> Cochain:
     mult = np.zeros_like(lam)
     nonzero = lam > 0.0
     mult[nonzero] = -1.0 / lam[nonzero]
-    return _spectral_multiply(c, mult)
+    return Cochain(c.geom, c.degree, _spectral_multiply(c.values, mult))
 
 
 def hodge_decompose(c: Cochain) -> HodgeParts:
@@ -155,7 +159,7 @@ def solve_london(f: Cochain, method: str = "spectral") -> Cochain:
     """Solve (-Delta + I) v = f.  Unique, no compatibility condition."""
     if method == "spectral":
         lam = stencil_eigenvalues(f.geom)
-        return _spectral_multiply(f, 1.0 / (1.0 + lam))
+        return Cochain(f.geom, f.degree, _spectral_multiply(f.values, 1.0 / (1.0 + lam)))
     if method == "cg":
         return _cg_solve(
             lambda p: -1.0 * laplacian(p) + p,
@@ -179,7 +183,7 @@ def solve_poisson(f: Cochain, method: str = "spectral") -> Cochain:
         mult = np.zeros_like(lam)
         nonzero = lam > 0.0
         mult[nonzero] = 1.0 / lam[nonzero]
-        return _spectral_multiply(f, mult)
+        return Cochain(f.geom, f.degree, _spectral_multiply(f.values, mult))
     if method == "cg":
         mean_free = f - harmonic_projection(f)
         sol = _cg_solve(

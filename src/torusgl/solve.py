@@ -36,6 +36,7 @@ from .bundle import (
 )
 from .fields import (
     EnergyBreakdown,
+    _energy_terms,
     g_energy,
     g_energy_change,
     g_energy_hi,
@@ -43,13 +44,14 @@ from .fields import (
     g_hessvec,
     truncate,
 )
-from .hodge import hodge_decompose, solve_poisson
+from .hodge import _spectral_multiply, solve_poisson
 from .lattice import (
     Cochain,
     TorusGeometry,
     codifferential,
     components,
     exterior_derivative,
+    stencil_eigenvalues,
     zero_cochain,
 )
 from .vortex import (
@@ -210,46 +212,12 @@ def _armijo_search(f, x, fx, d, gTd, alpha, opts):
 
 def _spectral_preconditioner(geom: TorusGeometry):
     """Apply (cell_volume * (-Delta + 1))^-1 component-wise to a packed
-    (Re u, Im u, A) vector: the stencil Laplacian diagonalizes in Fourier
-    space, so this flattens the grid-scale stiffness of the Hessian for the
-    terminal conjugate-gradient phase at the cost of a few FFTs."""
-    from .lattice import stencil_eigenvalues
-
+    vector of site fields, such as (Re u, Im u, A) or a 2-cochain: the
+    stencil Laplacian diagonalizes in Fourier space, so this flattens the
+    grid-scale stiffness of the Hessian for the terminal conjugate-gradient
+    phase at the cost of one real FFT pair."""
     mult = 1.0 / (1.0 + stencil_eigenvalues(geom)) / geom.cell_volume
-    nv = geom.n_sites
-    shape1 = geom.shape(1)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        re = v[:nv].reshape(geom.sites)
-        im = v[nv:2 * nv].reshape(geom.sites)
-        out[:nv] = np.fft.ifftn(np.fft.fftn(re) * mult).real.ravel()
-        out[nv:2 * nv] = np.fft.ifftn(np.fft.fftn(im) * mult).real.ravel()
-        a = v[2 * nv:].reshape(shape1)
-        oa = np.empty_like(a)
-        for comp in range(shape1[0]):
-            oa[comp] = np.fft.ifftn(np.fft.fftn(a[comp]) * mult).real
-        out[2 * nv:] = oa.ravel()
-        return out
-
-    return apply
-
-
-def _cochain_preconditioner(geom: TorusGeometry, degree: int):
-    """Same spectral preconditioner for a packed cochain of one degree."""
-    from .lattice import stencil_eigenvalues
-
-    mult = 1.0 / (1.0 + stencil_eigenvalues(geom)) / geom.cell_volume
-    shape = geom.shape(degree)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        a = v.reshape(shape)
-        out = np.empty_like(a)
-        for comp in range(shape[0]):
-            out[comp] = np.fft.ifftn(np.fft.fftn(a[comp]) * mult).real
-        return out.ravel()
-
-    return apply
+    return lambda v: _spectral_multiply(v.reshape(-1, *geom.sites), mult).ravel()
 
 
 def _projected_cg(hv, g, precond, project, forcing, max_steps):
@@ -597,18 +565,8 @@ def _aux_energy(u: Section, B: Cochain, b: BundleData):
     Extended-precision accumulation, for the same line-search reasons as
     g_energy_hi."""
     w = b.geom.cell_volume
-    Du = covariant_difference(u, B, b)
-    F = curvature(B, b)
-    return w * np.sum(Du.real**2 + Du.imag**2, dtype=np.longdouble) + w * np.sum(
-        F.values**2, dtype=np.longdouble
-    )
-
-
-def _exact_part(psi: Cochain) -> Cochain:
-    parts = hodge_decompose(psi)
-    if parts.exact_potential is None:
-        return zero_cochain(psi.geom, psi.degree)
-    return exterior_derivative(parts.exact_potential)
+    kin, _, curv = _energy_terms(u, B, b, np.longdouble)
+    return w * kin + w * curv
 
 
 def relax_connection(
@@ -617,8 +575,8 @@ def relax_connection(
     b: BundleData,
     opts: MinimizeOptions | None = None,
 ) -> Cochain:
-    """Minimize |D_B u|^2 + |F_B|^2 over B = A + d* psi with psi an exact
-    2-cochain, keeping u fixed.  Never increases the auxiliary energy, hence
+    """Minimize |D_B u|^2 + |F_B|^2 over B = A + d* psi, psi a 2-cochain
+    (only its exact part reaches B), keeping u fixed.  Never increases the auxiliary energy, hence
     never increases g_energy for any epsilon.
 
     Stationarity residual: sup-norm of d(d*F_B - j(u, B)) scaled by the cell
@@ -631,14 +589,16 @@ def relax_connection(
     w = geom.cell_volume
     shape = geom.shape(2)
 
-    def project(x: np.ndarray) -> Cochain:
-        return _exact_part(Cochain(geom, 2, x.reshape(shape)))
+    # d* annihilates psi's coexact and harmonic parts, so only its exact
+    # part reaches B
+    def codiff(x: np.ndarray) -> Cochain:
+        return codifferential(Cochain(geom, 2, x.reshape(shape)))
 
     def f(x: np.ndarray) -> float:
-        return _aux_energy(u, A + codifferential(project(x)), b)
+        return _aux_energy(u, A + codiff(x), b)
 
     def grad(x: np.ndarray) -> np.ndarray:
-        B = A + codifferential(project(x))
+        B = A + codiff(x)
         stat = codifferential(curvature(B, b)) - supercurrent(u, B, b)
         return (2.0 * w) * exterior_derivative(stat).values.ravel()
 
@@ -647,20 +607,20 @@ def relax_connection(
     still = Section(geom, np.zeros(geom.sites))
 
     def hessvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        B = A + codifferential(project(x))
-        _, hB = g_hessvec(u, B, b, 1.0, still, codifferential(project(v)))
+        B = A + codiff(x)
+        _, hB = g_hessvec(u, B, b, 1.0, still, codiff(v))
         return 2.0 * exterior_derivative(hB).values.ravel()
 
     def change(x: np.ndarray, s: np.ndarray) -> float:
-        B = A + codifferential(project(x))
-        parts = g_energy_change(u, B, b, 1.0, still, codifferential(project(s)))
+        B = A + codiff(x)
+        parts = g_energy_change(u, B, b, 1.0, still, codiff(s))
         return 2.0 * (parts.kinetic + parts.curvature)
 
     x0 = np.zeros(int(np.prod(shape)))
-    terminal = _Terminal(hessvec, change, _cochain_preconditioner(geom, 2))
+    terminal = _Terminal(hessvec, change, _spectral_preconditioner(geom))
     x, _, gnorm, _, reason = _ncg_flat(f, grad, x0, 2.0 * w, opts, terminal)
     converged = reason == "converged"
-    B = A + codifferential(project(x))
+    B = A + codiff(x)
     if converged:
         return B
     raise MaxIterationsError(

@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from . import hodge
-from .bundle import BundleData, Section, curvature, edge_phases
+from .bundle import BundleData, Section, curvature, link_transport
 from .lattice import (
     Cochain,
     TorusGeometry,
@@ -66,17 +66,16 @@ class VorticityField:
 
 
 def supercurrent(u: Section, A: Cochain, b: BundleData) -> Cochain:
-    """Pre-Jacobian 1-cochain j_e = Im(conj(u(x)) u(y) e^{-i phase_e}) / h_i.
+    """Pre-Jacobian 1-cochain j_e = Im(conj(u(x)) u(x + e_i) U_e) / h_i, with
+    U_e = exp(-i(theta0_e + h_i A_e)) the link variable.
 
     Exactly gauge invariant; equals minus the gauge-field derivative of the
     kinetic energy density, so critical points satisfy d*F = j.
     """
-    phases = edge_phases(A, b)
     h = b.geom.spacings
     vals = np.empty((b.geom.dim, *b.geom.sites))
-    for i in range(b.geom.dim):
-        hop = np.conj(u.values) * np.roll(u.values, -1, axis=i) * np.exp(-1j * phases[i])
-        vals[i] = hop.imag / h[i]
+    for i, (_, fwd) in enumerate(link_transport(u, A, b)):
+        vals[i] = np.imag(np.conj(u.values) * fwd) / h[i]
     return Cochain(b.geom, 1, vals)
 
 
@@ -92,16 +91,15 @@ def vorticity(u: Section, A: Cochain, b: BundleData, residue_tol: float = 1e-8) 
           - theta0_e - h A_e) + h_i h_j F_ij(p) ),
 
     an exact integer for nonvanishing u; slice sums over closed coordinate
-    2-tori reproduce the Chern numbers exactly.
+    2-tori reproduce the Chern numbers exactly.  The wrapped increment is
+    angle(conj(u(x)) u(x + e_i) U_e), U_e the link variable.
     """
     geom = b.geom
     zero_sites = (np.abs(u.values) == 0.0)
-    phases = edge_phases(A, b)
     # gauge-invariant wrapped phase increment per edge
-    delta = np.empty_like(phases)
-    for i in range(geom.dim):
-        hop = np.conj(u.values) * np.roll(u.values, -1, axis=i) * np.exp(-1j * phases[i])
-        delta[i] = np.angle(hop)
+    delta = np.empty(geom.shape(1))
+    for i, (_, fwd) in enumerate(link_transport(u, A, b)):
+        delta[i] = np.angle(np.conj(u.values) * fwd)
 
     F = curvature(A, b)
     raw = np.empty(geom.shape(2))

@@ -415,3 +415,29 @@ def test_sweep_accepts_field_pair_init(t2_bundle):
     )
     assert all(r.result.converged for r in recs)
     assert all(r.chern_pairing[0, 1] == 1 for r in recs)
+
+
+@pytest.mark.parametrize("sites, lengths", [((10, 7), (1.0, 1.4)), ((6, 5, 4), (1.0, 0.9, 1.1))])
+def test_spectral_preconditioner_is_scaled_london_solve(sites, lengths):
+    """The minimizers' preconditioner applies solve_london to each block of
+    a packed vector, divided by the cell volume: to (Re u, Im u, A) in
+    minimize, and to a 2-cochain in relax_connection."""
+    rng = np.random.default_rng(11)
+    g = tg.TorusGeometry(sites, lengths)
+    w = g.cell_volume
+    precond = tg.solve._spectral_preconditioner(g)
+    u = random_section(g, rng)
+    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    blocks = [
+        tg.Cochain(g, 0, u.values.real[np.newaxis]),
+        tg.Cochain(g, 0, u.values.imag[np.newaxis]),
+        A,
+    ]
+    expected = np.concatenate([tg.solve_london(c).values.ravel() / w for c in blocks])
+    got = precond(tg.solve._pack(u, A))
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    psi = tg.Cochain(g, 2, rng.standard_normal(g.shape(2)))
+    expected = tg.solve_london(psi).values.ravel() / w
+    got = precond(psi.values.ravel())
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
