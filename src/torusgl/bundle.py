@@ -8,13 +8,11 @@ periodic complex vertex fields.  theta0 realizes a uniform flux
 the j-links plus a wrap-around seam correction on the i-links, making both
 holonomy/flux consistency and the Chern pairing hold exactly.
 
-The gauge field enters only through the compact (exponential) coupling of
-the link variable U_e = exp(-i(theta0_e + h_i A_e)) (Wilson's lattice link),
-and `link_transport` is the one place it is formed: the covariant difference
-here, and the energies, gradients, Hessian products, supercurrent and
-vorticity in `fields` and `vortex`, are all built from its links and
-transported neighbours.  Lattice gauge transformations therefore leave
-|D_A u| invariant exactly.
+The gauge field couples compactly, through the link variable
+U_e = exp(-i(theta0_e + h_i A_e)) (Wilson's lattice link), so lattice gauge
+transformations leave |D_A u| invariant exactly.  `link_transport` is the one
+place the link is formed; the covariant difference, energies, gradients,
+Hessian products, supercurrent and vorticity are all built on it.
 """
 
 from __future__ import annotations

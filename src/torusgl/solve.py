@@ -575,9 +575,9 @@ def relax_connection(
     b: BundleData,
     opts: MinimizeOptions | None = None,
 ) -> Cochain:
-    """Minimize |D_B u|^2 + |F_B|^2 over B = A + d* psi, psi a 2-cochain
-    (only its exact part reaches B), keeping u fixed.  Never increases the auxiliary energy, hence
-    never increases g_energy for any epsilon.
+    """Minimize |D_B u|^2 + |F_B|^2 over B = A + d* psi, psi a 2-cochain,
+    keeping u fixed.  Never increases the auxiliary energy, hence never
+    increases g_energy for any epsilon.
 
     Stationarity residual: sup-norm of d(d*F_B - j(u, B)) scaled by the cell
     volume; at convergence B satisfies the discrete London equation.
