@@ -2,15 +2,18 @@
 ansatz, and epsilon-continuation sweeps.
 
 The minimizer is a Polak-Ribiere+ nonlinear conjugate-direction descent with
-backtracking Armijo line search (c = 1e-4, shrink 0.5) and periodic restarts.
-When energy differences fall below the resolution of the energy, a terminal
-Newton phase takes over: conjugate gradients on exact Hessian-vector
-products, slides of pinned vortex cores along their covariant translations,
-and steps accepted on an energy change summed term by term (see
-_newton_polish).  Convergence is declared on the sup-norm of the scale-free
-gradient (the variational derivative, i.e. the raw gradient divided by the
-cell volume), which makes the London residual bound at critical points
-mesh-independent.
+backtracking Armijo line search and periodic restarts, fixed by four module
+constants: _ARMIJO_C (sufficient-decrease constant, 1e-4), _SHRINK
+(backtracking factor, 0.5), _MAX_BACKTRACKS (trials per line search, 60) and
+_RESTART_EVERY (steps between steepest-descent restarts, 50); the terminal
+phase's Newton backtracking uses the first three.  When energy differences
+fall below the resolution of the energy, a terminal Newton phase takes over:
+conjugate gradients on exact Hessian-vector products, slides of pinned
+vortex cores along their covariant translations, and steps accepted on an
+energy change summed term by term (see _newton_polish).  Convergence is
+declared on the sup-norm of the scale-free gradient (the variational
+derivative, i.e. the raw gradient divided by the cell volume), which makes
+the London residual bound at critical points mesh-independent.
 
 A run ends unconverged in one of two ways, named by
 MinimizerResult.stop_reason: "budget" when max_iter runs out (it counts
@@ -103,12 +106,8 @@ class WindingMismatchError(ValueError):
 class MinimizeOptions:
     tol: float = 1e-8              # sup-norm of the scale-free gradient
     max_iter: int = 50000
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    restart_every: int = 50
-    max_backtracks: int = 60
     truncate_each: bool = False
-    log_every: int = 0             # 0 = silent; else print a line every k iterations
+    log_every: int = 0             # 0 = silent; else print a line every k steps
     iterate_hook: object = None    # internal: (x, fx, g) -> (x, fx, g, reset_flag)
 
 
@@ -156,7 +155,12 @@ def _grad_vector(u: Section, A: Cochain, b: BundleData, eps: float) -> np.ndarra
 _EPS_MACH = float(np.finfo(np.float64).eps)
 # energies handed to the optimizer are accumulated in longdouble; on
 # platforms where that is plain float64 the floors fall back gracefully
-_EPS_ENERGY = min(float(np.finfo(np.longdouble).eps), _EPS_MACH)
+_EPS_ENERGY = float(np.finfo(np.longdouble).eps)
+
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
+_RESTART_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ class _Terminal:
     soft_modes: object = None
 
 
-def _armijo_search(f, x, fx, d, gTd, alpha, opts):
+def _armijo_search(f, x, fx, d, gTd, alpha):
     """Backtracking Armijo with one parabolic refinement per trial.
 
     Returns (step, x_new, f_new) or None when no trial can certify a
@@ -189,8 +193,8 @@ def _armijo_search(f, x, fx, d, gTd, alpha, opts):
     """
     step = float(alpha)
     floor = 16.0 * _EPS_ENERGY * (abs(float(fx)) + 1.0)
-    for _ in range(opts.max_backtracks):
-        expected = opts.armijo_c * step * gTd
+    for _ in range(_MAX_BACKTRACKS):
+        expected = _ARMIJO_C * step * gTd
         if abs(expected) <= floor:
             return None
         x_new = x + step * d
@@ -204,9 +208,9 @@ def _armijo_search(f, x, fx, d, gTd, alpha, opts):
                 f_v = f(x_v)
                 if f_v < f_new:
                     step, x_new, f_new = vertex, x_v, f_v
-        if f_new <= fx + opts.armijo_c * step * gTd:
+        if f_new <= fx + _ARMIJO_C * step * gTd:
             return step, x_new, f_new
-        step *= opts.shrink
+        step *= _SHRINK
     return None
 
 
@@ -252,7 +256,7 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps):
     return p, used
 
 
-def _newton_round(grad, t: _Terminal, x, g, opts, budget, project):
+def _newton_round(grad, t: _Terminal, x, g, budget, project):
     """One inexact Newton step in the range of `project`: preconditioned CG
     on exact Hessian-vector products (forcing 0.1), halved until the
     term-by-term energy change certifies an Armijo decrease with the exactly
@@ -263,12 +267,12 @@ def _newton_round(grad, t: _Terminal, x, g, opts, budget, project):
     slope = float(np.dot(g, s))
     if slope < 0.0:
         step = 1.0
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             delta = t.change(x, step * s)
-            if delta <= opts.armijo_c * step * slope:
+            if delta <= _ARMIJO_C * step * slope:
                 x = x + step * s
                 return x, grad(x), delta, used + 1
-            step *= opts.shrink
+            step *= _SHRINK
     return None, g, 0.0, used
 
 
@@ -308,7 +312,7 @@ def _newton_polish(grad, t: _Terminal, x, fx, g, scale, opts, budget):
             return x, fx, g, gnorm, used, "budget"
         R, project = split(x)
         if R is None or float(np.abs(project(g)).max()) / scale > opts.tol:
-            x_new, g, delta, n = _newton_round(grad, t, x, g, opts, budget - used, project)
+            x_new, g, delta, n = _newton_round(grad, t, x, g, budget - used, project)
             used += n
             if x_new is None:
                 return x, fx, g, gnorm, used, "stalled"
@@ -326,7 +330,7 @@ def _newton_polish(grad, t: _Terminal, x, fx, g, scale, opts, budget):
                 if float(np.abs(proj_new(g_new)).max()) / scale <= opts.tol:
                     break
                 x_new, g_new, d_new, n = _newton_round(
-                    grad, t, x_new, g_new, opts, budget - used, proj_new
+                    grad, t, x_new, g_new, budget - used, proj_new
                 )
                 used += n
                 delta += d_new
@@ -367,7 +371,7 @@ def _ncg_flat(f, grad, x0, scale, opts, terminal: _Terminal):
             d = -g
             gTd = float(np.dot(g, d))
             since_restart = 0
-        hit = _armijo_search(f, x, fx, d, gTd, alpha, opts)
+        hit = _armijo_search(f, x, fx, d, gTd, alpha)
         if hit is None:
             if since_restart == 0:
                 break  # energy differences exhausted: hand over to the polish
@@ -379,7 +383,7 @@ def _ncg_flat(f, grad, x0, scale, opts, terminal: _Terminal):
         g_new = grad(x_new)
         beta = max(0.0, float(np.dot(g_new, g_new - g)) / max(float(np.dot(g, g)), 1e-300))
         since_restart += 1
-        if since_restart >= opts.restart_every:
+        if since_restart >= _RESTART_EVERY:
             beta = 0.0
             since_restart = 0
         x, fx, g = x_new, f_new, g_new
@@ -394,8 +398,6 @@ def _ncg_flat(f, grad, x0, scale, opts, terminal: _Terminal):
         gnorm = float(np.abs(g).max()) / scale
         alpha = min(step * 2.0, 1e8)
         iters += 1
-        if opts.log_every and iters % opts.log_every == 0:
-            print(f"iter {iters} value {fx:.12g} grad {gnorm:.3e}")
 
     if gnorm <= opts.tol:
         return x, fx, gnorm, iters, "converged"
@@ -482,12 +484,10 @@ def minimize(
     w = geom.cell_volume
 
     def f(x):
-        uu, aa = _unpack(x, geom)
-        return g_energy_hi(uu, aa, b, eps)
+        return g_energy_hi(*_unpack(x, geom), b, eps)
 
     def grad(x):
-        uu, aa = _unpack(x, geom)
-        return _grad_vector(uu, aa, b, eps)
+        return _grad_vector(*_unpack(x, geom), b, eps)
 
     def hessvec(x, v):
         uu, aa = _unpack(x, geom)
@@ -497,56 +497,50 @@ def minimize(
         return _flat(hu + gu, hA + gA)
 
     def change(x, s):
-        uu, aa = _unpack(x, geom)
-        return g_energy_change(uu, aa, b, eps, *_unpack(s, geom)).total
+        return g_energy_change(*_unpack(x, geom), b, eps, *_unpack(s, geom)).total
 
     def soft_modes(x):
         return _covariant_translations(*_unpack(x, geom), b)
 
-    def trunc_hook(x, fx, g):
-        uu, aa = _unpack(x, geom)
-        ut = truncate(uu)
-        if np.array_equal(ut.values, uu.values):
-            return x, fx, g, False
-        xt = _pack(ut, aa)
-        # truncation never increases the energy, so a computed increase is
-        # rounding and is not passed on
-        return xt, fx + min(change(x, xt - x), 0.0), grad(xt), True
+    caller_hook = opts.iterate_hook
+    steps = 0
 
-    if opts.log_every:
-        counter = {"n": 0}
-        cadence = opts.log_every
-        inner = trunc_hook if opts.truncate_each else None
-
-        def stream_hook(x, fx, gvec, _inner=inner):
-            reset = False
-            if _inner is not None:
-                x, fx, gvec, reset = _inner(x, fx, gvec)
-            counter["n"] += 1
-            if counter["n"] % cadence == 0:
-                uu, aa = _unpack(x, geom)
-                e = g_energy(uu, aa, b, eps)
-                gn = float(np.abs(gvec).max()) / w
-                print(
-                    f"iteration {counter['n']} kinetic {e.kinetic:.17g} "
-                    f"potential {e.potential:.17g} curvature {e.curvature:.17g} "
-                    f"total {e.total:.17g} grad_norm {gn:.17g}"
-                )
-            return x, fx, gvec, reset
-
-        opts = _with_hook(replace(opts, log_every=0), stream_hook)
-    elif opts.truncate_each:
-        opts = _with_hook(opts, trunc_hook)
+    def step_hook(x, fx, g):
+        """Runs after every accepted step: truncation, the caller's hook,
+        then the log_every record."""
+        nonlocal steps
+        reset = False
+        if opts.truncate_each:
+            uu, aa = _unpack(x, geom)
+            ut = truncate(uu)
+            if not np.array_equal(ut.values, uu.values):
+                xt = _pack(ut, aa)
+                # truncation never increases the energy, so a computed
+                # increase is rounding and is not passed on
+                x, fx, g, reset = xt, fx + min(change(x, xt - x), 0.0), grad(xt), True
+        if caller_hook is not None:
+            x, fx, g, caller_reset = caller_hook(x, fx, g)
+            reset = reset or caller_reset
+        steps += 1
+        if opts.log_every and steps % opts.log_every == 0:
+            e = g_energy(*_unpack(x, geom), b, eps)
+            print(
+                f"iteration {steps} kinetic {e.kinetic:.17g} "
+                f"potential {e.potential:.17g} curvature {e.curvature:.17g} "
+                f"total {e.total:.17g} grad_norm {float(np.abs(g).max()) / w:.17g}"
+            )
+        return x, fx, g, reset
 
     terminal = _Terminal(hessvec, change, _spectral_preconditioner(geom), soft_modes)
-    x, _, gnorm, iters, reason = _ncg_flat(f, grad, _pack(u0, A0), w, opts, terminal)
+    x, _, gnorm, iters, reason = _ncg_flat(
+        f, grad, _pack(u0, A0), w, _with_hook(opts, step_hook), terminal
+    )
 
     u_fin, A_fin = _unpack(x, geom)
-    energy = g_energy(u_fin, A_fin, b, eps)
     return MinimizerResult(
         section=u_fin,
         gauge_field=A_fin,
-        energy=energy,
+        energy=g_energy(u_fin, A_fin, b, eps),
         grad_norm=gnorm,
         london_residual=london_residual(u_fin, A_fin, b),
         iterations=iters,
@@ -656,19 +650,15 @@ class AnsatzSpec:
     tuple gives the two transverse coordinates in increasing-axis order.
     windings: integer per line/point; slice totals must match the bundle
     Chern numbers or the ansatz cannot be periodic.
-    core_profile: only "linear" is shipped, f(r) = min(r, 1).
     """
 
     windings: tuple[int, ...]
     positions: tuple[tuple[float, ...], ...]
     axis: int | None = None
-    core_profile: str = "linear"
 
     def __post_init__(self):
         if len(self.windings) != len(self.positions):
             raise ValueError("one winding per position required")
-        if self.core_profile != "linear":
-            raise ValueError(f"unknown core profile {self.core_profile!r}")
 
 
 def _validate_ansatz(spec: AnsatzSpec, b: BundleData) -> tuple[int, int]:
@@ -714,28 +704,14 @@ def vortex_ansatz(
     if geom != b.geom:
         raise ValueError("ansatz geometry must match the bundle geometry")
     n = geom.dim
-    i, j = _validate_ansatz(spec, b)
     h = geom.spacings
-
-    # prescribed integer winding per (i,j)-plaquette, constant along the line axis
-    pair_pos = components(n, 2).index((i, j))
-    W = np.zeros(geom.shape(2))
-    cells = []
-    for (winding, pos) in zip(spec.windings, spec.positions):
-        cell = []
-        for axis, x in zip((i, j), pos):
-            q = int(np.floor(x / h[axis] - 0.5)) % geom.sites[axis]
-            cell.append(q)
-        cells.append(tuple(cell))
-        index = [slice(None)] * n
-        index[i], index[j] = cell[0], cell[1]
-        W[(pair_pos, *index)] += winding
+    prescribed, cores = _prescribed_vorticity(spec, b)
 
     # circulation target per plaquette -> 1-cochain omega with d omega = rho
     rho_vals = np.zeros(geom.shape(2))
     for pos2, (a, bb) in enumerate(components(n, 2)):
         hab = h[a] * h[bb]
-        rho_vals[pos2] = (2.0 * pi * W[pos2] - hab * b.f0.values[pos2]) / hab
+        rho_vals[pos2] = (2.0 * pi * prescribed.windings[pos2] - hab * b.f0.values[pos2]) / hab
     rho = Cochain(geom, 2, rho_vals)
     eta = solve_poisson(rho)
     omega = codifferential(eta)
@@ -765,9 +741,9 @@ def vortex_ansatz(
 
     # distance to the singular set (periodic, transverse to the line axis)
     dist = np.full(geom.sites, np.inf)
-    for cell in cells:
+    for core in cores:
         d2 = np.zeros(geom.sites)
-        for axis, q in zip((i, j), cell):
+        for axis, q in core:
             center = (q + 0.5) * h[axis]
             coord = geom.coordinates(axis)
             dx = np.abs(coord - center)
@@ -799,38 +775,22 @@ def default_initial_pair(
 
 
 def _centered_spec(b: BundleData) -> AnsatzSpec:
+    """|c| unit vortices of the sign of c, c the one nonzero Chern entry,
+    spread along the diagonal of its plane to keep the ansatz periodic."""
     geom = b.geom
-    n = geom.dim
-    if n == 2:
-        c = b.chern_entry(0, 1)
-        i, j = 0, 1
-        axis = None
-    else:
-        nonzero = [(a, bb) for (a, bb) in components(3, 2) if b.chern_entry(a, bb) != 0]
-        if len(nonzero) > 1:
-            raise WindingMismatchError(
-                "default line ansatz needs a single nonzero Chern pair"
-            )
-        i, j = nonzero[0] if nonzero else (0, 1)
-        (axis,) = set(range(3)) - {i, j}
-        c = b.chern_entry(i, j)
-    center = (geom.lengths[i] / 2.0, geom.lengths[j] / 2.0)
-    if c == 0:
-        return AnsatzSpec(windings=(), positions=(), axis=axis)
-    sign = 1 if c > 0 else -1
-    # spread |c| unit vortices along the diagonal to keep the ansatz periodic
+    nonzero = [(a, bb) for (a, bb) in components(geom.dim, 2) if b.chern_entry(a, bb) != 0]
+    if len(nonzero) > 1:
+        raise WindingMismatchError("default line ansatz needs a single nonzero Chern pair")
+    i, j = nonzero[0] if nonzero else (0, 1)
+    c = b.chern_entry(i, j)
     count = abs(c)
-    positions = []
-    for m in range(count):
-        off_i = geom.lengths[i] * (m + 0.5) / count
-        off_j = geom.lengths[j] * (m + 0.5) / count
-        positions.append((off_i, off_j))
-    if count == 1:
-        positions = [center]
     return AnsatzSpec(
-        windings=tuple([sign] * count),
-        positions=tuple(positions),
-        axis=axis,
+        windings=(1 if c > 0 else -1,) * count,
+        positions=tuple(
+            (geom.lengths[i] * (m + 0.5) / count, geom.lengths[j] * (m + 0.5) / count)
+            for m in range(count)
+        ),
+        axis=None if geom.dim == 2 else 3 - i - j,
     )
 
 
@@ -849,40 +809,29 @@ class SweepRecord:
     hminus1_to_target: float
 
 
-def _refine_axis(arr: np.ndarray, axis: int, factor: int) -> np.ndarray:
-    """Periodic linear interpolation onto `factor` times more samples."""
-    N = arr.shape[axis]
-    nxt = np.roll(arr, -1, axis=axis)
-    pieces = []
-    for r in range(factor):
-        t = r / factor
-        pieces.append((1.0 - t) * arr + t * nxt)
-    stacked = np.stack(pieces, axis=axis + 1)
-    new_shape = list(arr.shape)
-    new_shape[axis] = N * factor
-    return stacked.reshape(new_shape)
+def _refine(vals: np.ndarray, coarse: TorusGeometry, fine: TorusGeometry, lead: int):
+    """Periodic linear interpolation of site arrays (site axes start at
+    `lead`) onto a lattice with an integer multiple of the sites per axis."""
+    for axis in range(coarse.dim):
+        factor, rem = divmod(fine.sites[axis], coarse.sites[axis])
+        if rem or factor < 1:
+            raise ValueError("refinement requires integer site-count factors")
+        if factor > 1:
+            ax = axis + lead
+            nxt = np.roll(vals, -1, axis=ax)
+            pieces = [(1.0 - r / factor) * vals + (r / factor) * nxt for r in range(factor)]
+            new_shape = list(vals.shape)
+            new_shape[ax] *= factor
+            vals = np.stack(pieces, axis=ax + 1).reshape(new_shape)
+    return vals
 
 
 def refine_section(u: Section, geom_new: TorusGeometry) -> Section:
-    vals = u.values
-    for axis in range(u.geom.dim):
-        factor, rem = divmod(geom_new.sites[axis], u.geom.sites[axis])
-        if rem or factor < 1:
-            raise ValueError("refinement requires integer site-count factors")
-        if factor > 1:
-            vals = _refine_axis(vals, axis, factor)
-    return Section(geom_new, vals)
+    return Section(geom_new, _refine(u.values, u.geom, geom_new, 0))
 
 
 def refine_cochain(c: Cochain, geom_new: TorusGeometry) -> Cochain:
-    vals = c.values
-    for axis in range(c.geom.dim):
-        factor, rem = divmod(geom_new.sites[axis], c.geom.sites[axis])
-        if rem or factor < 1:
-            raise ValueError("refinement requires integer site-count factors")
-        if factor > 1:
-            vals = _refine_axis(vals, axis + 1, factor)
-    return Cochain(geom_new, c.degree, vals)
+    return Cochain(geom_new, c.degree, _refine(c.values, c.geom, geom_new, 1))
 
 
 def _quarter_rule_geometry(base: TorusGeometry, eps: float) -> TorusGeometry:
@@ -954,7 +903,7 @@ def epsilon_sweep(
         v = vorticity(u, A, cur_bundle)
 
         if spec is not None:
-            target_v = _prescribed_vorticity(spec, cur_bundle)
+            target_v, _ = _prescribed_vorticity(spec, cur_bundle)
             target_density = vorticity_density(target_v)
         elif target_density is None or target_density.geom != cur_geom:
             target_density = vorticity_density(v)
@@ -976,15 +925,20 @@ def epsilon_sweep(
     return records
 
 
-def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData) -> VorticityField:
+def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData):
+    """The prescribed integer plaquette windings, constant along the line
+    axis, and per vortex its core plaquette as ((i, q_i), (j, q_j)) over the
+    transverse plane (i, j)."""
     geom = b.geom
     i, j = _validate_ansatz(spec, b)
     pair_pos = components(geom.dim, 2).index((i, j))
     W = np.zeros(geom.shape(2), dtype=np.int64)
     h = geom.spacings
+    cores = []
     for (winding, pos) in zip(spec.windings, spec.positions):
         index = [slice(None)] * geom.dim
         for axis, x in zip((i, j), pos):
             index[axis] = int(np.floor(x / h[axis] - 0.5)) % geom.sites[axis]
         W[(pair_pos, *index)] += winding
-    return VorticityField(geom, W)
+        cores.append(((i, index[i]), (j, index[j])))
+    return VorticityField(geom, W), cores

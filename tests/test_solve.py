@@ -123,6 +123,36 @@ def test_minimize_truncate_each(t2_bundle):
     assert np.abs(res.section.values).max() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("option", [{"truncate_each": True}, {"log_every": 50}])
+def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, option):
+    """A caller's iterate_hook still runs when truncate_each or log_every is
+    set, sees energies that never increase, and log_every counts the same
+    steps the hook sees."""
+    from torusgl.solve import _with_hook
+
+    g = t2_bundle.geom
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
+    u, A = vortex_ansatz(spec, t2_bundle, g, 0.25)
+    energies = []
+
+    def hook(x, fx, gvec):
+        energies.append(float(fx))
+        return x, fx, gvec, False
+
+    opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=50000, **option), hook)
+    res = tg.minimize(u, A, t2_bundle, 0.25, opts)
+    assert res.converged
+    assert energies, "hook never ran"
+    assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
+    stream = [l for l in capsys.readouterr().out.splitlines() if l.startswith("iteration ")]
+    cadence = option.get("log_every", 0)
+    assert len(stream) == (len(energies) // cadence if cadence else 0)
+    for n, line in enumerate(stream, start=1):
+        words = line.split()
+        assert words[:2] == ["iteration", str(cadence * n)]
+        assert words[2::2] == ["kinetic", "potential", "curvature", "total", "grad_norm"]
+
+
 def test_relax_connection_descends_aux_energy(rng, t2_bundle):
     g = t2_bundle.geom
     u = random_section(g, rng)
