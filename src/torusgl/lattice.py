@@ -271,11 +271,9 @@ def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> N
         + [f"{L:.17g}" for L in geom.lengths]
         + [str(ncomp)]
     )
-    flat = values.reshape(ncomp, -1)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for comp in flat:
-            fh.write(" ".join(f"{v:.17g}" for v in comp) + "\n")
+        np.savetxt(fh, values.reshape(ncomp, -1), fmt="%.17g")
 
 
 def read_field(path) -> tuple[TorusGeometry, int, np.ndarray]:

@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from . import hodge
-from .bundle import BundleData, Section, curvature, link_transport
+from .bundle import BundleData, Section, curvature, link_transport, plaquette_circulation
 from .lattice import (
     Cochain,
     TorusGeometry,
@@ -102,17 +102,12 @@ def vorticity(u: Section, A: Cochain, b: BundleData, residue_tol: float = 1e-8) 
         delta[i] = np.angle(np.conj(u.values) * fwd)
 
     F = curvature(A, b)
+    circ = plaquette_circulation(delta, geom)
     raw = np.empty(geom.shape(2))
     flagged = []
     for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        circ = (
-            delta[i]
-            + np.roll(delta[j], -1, axis=i)
-            - np.roll(delta[i], -1, axis=j)
-            - delta[j]
-        )
         hihj = geom.spacings[i] * geom.spacings[j]
-        raw[pos] = (circ + hihj * F.values[pos]) / (2.0 * np.pi)
+        raw[pos] = (circ[pos] + hihj * F.values[pos]) / (2.0 * np.pi)
         if zero_sites.any():
             corner_zero = (
                 zero_sites

@@ -182,3 +182,20 @@ def test_field_dump_roundtrip(tmp_path, rng):
             assert geom2 == geom
             assert k2 == k
             assert np.array_equal(vals, c.values)
+
+
+def test_field_dump_exact_bytes(tmp_path):
+    """The dump format is pinned byte for byte, signed zero and subnormals
+    included: one header line, then one line per component in C order."""
+    geom = tg.TorusGeometry((4, 4), (1.0, 0.5))
+    comp = np.arange(16.0) / 4.0
+    comp[0], comp[1], comp[15] = -0.0, 5e-324, 1.0 / 3.0
+    path = tmp_path / "pinned.field"
+    write_field(path, geom, 0, np.stack([comp, -comp]).reshape(2, 4, 4))
+    assert path.read_bytes() == (
+        b"0 2 4 4 1 0.5 2\n"
+        b"-0 4.9406564584124654e-324 0.5 0.75 1 1.25 1.5 1.75 2 2.25 2.5 2.75 3 3.25 3.5 "
+        b"0.33333333333333331\n"
+        b"0 -4.9406564584124654e-324 -0.5 -0.75 -1 -1.25 -1.5 -1.75 -2 -2.25 -2.5 -2.75 "
+        b"-3 -3.25 -3.5 -0.33333333333333331\n"
+    )
