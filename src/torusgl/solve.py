@@ -613,9 +613,8 @@ def relax_connection(
     x0 = np.zeros(int(np.prod(shape)))
     terminal = _Terminal(hessvec, change, _spectral_preconditioner(geom))
     x, _, gnorm, _, reason = _ncg_flat(f, grad, x0, 2.0 * w, opts, terminal)
-    converged = reason == "converged"
     B = A + codiff(x)
-    if converged:
+    if reason == "converged":
         return B
     raise MaxIterationsError(
         f"relax_connection ended unconverged ({reason})", best=B, residual=gnorm
@@ -712,9 +711,7 @@ def vortex_ansatz(
     for pos2, (a, bb) in enumerate(components(n, 2)):
         hab = h[a] * h[bb]
         rho_vals[pos2] = (2.0 * pi * prescribed.windings[pos2] - hab * b.f0.values[pos2]) / hab
-    rho = Cochain(geom, 2, rho_vals)
-    eta = solve_poisson(rho)
-    omega = codifferential(eta)
+    omega = codifferential(solve_poisson(Cochain(geom, 2, rho_vals)))
 
     # per-edge phase increments; adjust harmonic constants so both/all three
     # fundamental cycle sums are integer multiples of 2 pi
@@ -893,18 +890,16 @@ def epsilon_sweep(
                 if u.geom != cur_geom:
                     raise ValueError("initial fields must live on the sweep geometry")
         elif entry_geom != cur_geom:
-            new_bundle = build_background(entry_geom, b.chern)
             u = refine_section(u, entry_geom)
             A = refine_cochain(A, entry_geom)
-            cur_geom, cur_bundle = entry_geom, new_bundle
+            cur_geom, cur_bundle = entry_geom, build_background(entry_geom, b.chern)
 
         res = minimize(u, A, cur_bundle, eps, opts)
         u, A = res.section, res.gauge_field
         v = vorticity(u, A, cur_bundle)
 
         if spec is not None:
-            target_v, _ = _prescribed_vorticity(spec, cur_bundle)
-            target_density = vorticity_density(target_v)
+            target_density = vorticity_density(_prescribed_vorticity(spec, cur_bundle)[0])
         elif target_density is None or target_density.geom != cur_geom:
             target_density = vorticity_density(v)
 
