@@ -26,7 +26,7 @@ short to move the state).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import log, pi
+from math import log, pi, sqrt
 
 import numpy as np
 
@@ -163,6 +163,17 @@ _MAX_BACKTRACKS = 60
 _RESTART_EVERY = 50
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b over the last axis of `a` (one value per row of a matrix),
+    summed by einsum's own loop: BLAS splits long dot products across
+    threads, and its partial sums then round differently per thread count."""
+    return np.einsum("...i,i", a, b)
+
+
+def _norm(v: np.ndarray) -> float:
+    return sqrt(float(_dot(v, v)))
+
+
 @dataclass(frozen=True)
 class _Terminal:
     """What the terminal Newton phase needs besides the energy and gradient.
@@ -235,22 +246,22 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps):
     z = project(precond(r))
     d = -z
     p = np.zeros_like(g)
-    rz = float(np.dot(r, z))
-    target = forcing * np.sqrt(float(np.dot(r, r)))
+    rz = float(_dot(r, z))
+    target = forcing * _norm(r)
     used = 0
     while used < max_steps and rz > 0.0:
         Hd = project(hv(d))
         used += 1
-        dHd = float(np.dot(d, Hd))
+        dHd = float(_dot(d, Hd))
         if dHd <= 0.0:
             break
         a = rz / dHd
         p += a * d
         r = r + a * Hd
-        if np.sqrt(float(np.dot(r, r))) <= target:
+        if _norm(r) <= target:
             break
         z = project(precond(r))
-        rz_new = float(np.dot(r, z))
+        rz_new = float(_dot(r, z))
         d = -z + (rz_new / rz) * d
         rz = rz_new
     return p, used
@@ -264,7 +275,7 @@ def _newton_round(grad, t: _Terminal, x, g, budget, project):
     None when no certified decrease exists along the step."""
     hv = lambda v: t.hessvec(x, v)  # noqa: E731
     s, used = _projected_cg(hv, g, t.precond, project, 0.1, min(400, budget))
-    slope = float(np.dot(g, s))
+    slope = float(_dot(g, s))
     if slope < 0.0:
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
@@ -300,7 +311,7 @@ def _newton_polish(grad, t: _Terminal, x, fx, g, scale, opts, budget):
         if t.soft_modes is None:
             return None, lambda v: v
         Q, R = t.soft_modes(x)
-        return R, lambda v: v - Q.T @ (Q @ v)
+        return R, lambda v: v - np.einsum("k,ki", _dot(Q, v), Q)
 
     used = 0
     cells = 0.125
@@ -317,9 +328,9 @@ def _newton_polish(grad, t: _Terminal, x, fx, g, scale, opts, budget):
             if x_new is None:
                 return x, fx, g, gnorm, used, "stalled"
         else:
-            force = -(R @ g)
-            s = (cells / float(np.linalg.norm(force))) * (force @ R)
-            if float(np.linalg.norm(s)) <= _EPS_MACH * float(np.linalg.norm(x)):
+            force = -_dot(R, g)
+            s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
+            if _norm(s) <= _EPS_MACH * _norm(x):
                 return x, fx, g, gnorm, used, "stalled"
             delta = t.change(x, s)
             x_new = x + s
@@ -366,10 +377,10 @@ def _ncg_flat(f, grad, x0, scale, opts, terminal: _Terminal):
     since_restart = 0
 
     while gnorm > opts.tol and iters < opts.max_iter:
-        gTd = float(np.dot(g, d))
+        gTd = float(_dot(g, d))
         if gTd >= 0.0:
             d = -g
-            gTd = float(np.dot(g, d))
+            gTd = float(_dot(g, d))
             since_restart = 0
         hit = _armijo_search(f, x, fx, d, gTd, alpha)
         if hit is None:
@@ -381,7 +392,7 @@ def _ncg_flat(f, grad, x0, scale, opts, terminal: _Terminal):
         step, x_new, f_new = hit
 
         g_new = grad(x_new)
-        beta = max(0.0, float(np.dot(g_new, g_new - g)) / max(float(np.dot(g, g)), 1e-300))
+        beta = max(0.0, float(_dot(g_new, g_new - g)) / max(float(_dot(g, g)), 1e-300))
         since_restart += 1
         if since_restart >= _RESTART_EVERY:
             beta = 0.0
@@ -438,7 +449,7 @@ def _covariant_translations(u: Section, A: Cochain, b: BundleData):
     n = geom.dim
     Du = covariant_difference(u, A, b)
     F = curvature(A, b).values
-    floor = np.sqrt(_EPS_MACH) * (float(np.linalg.norm(_pack(u, A))) + 1.0)
+    floor = sqrt(_EPS_MACH) * (_norm(_pack(u, A)) + 1.0)
     rows, basis = [], []
     for k in range(n):
         dA = np.zeros(geom.shape(1))
@@ -450,8 +461,8 @@ def _covariant_translations(u: Section, A: Cochain, b: BundleData):
         row = geom.spacings[k] * _flat(-Du[k], Cochain(geom, 1, dA))
         z = row.copy()
         for q in basis:
-            z -= np.dot(q, z) * q
-        norm = float(np.linalg.norm(z))
+            z -= _dot(q, z) * q
+        norm = _norm(z)
         if norm > floor:
             rows.append(row)
             basis.append(z / norm)
@@ -502,7 +513,6 @@ def minimize(
     def soft_modes(x):
         return _covariant_translations(*_unpack(x, geom), b)
 
-    caller_hook = opts.iterate_hook
     steps = 0
 
     def step_hook(x, fx, g):
@@ -518,8 +528,8 @@ def minimize(
                 # truncation never increases the energy, so a computed
                 # increase is rounding and is not passed on
                 x, fx, g, reset = xt, fx + min(change(x, xt - x), 0.0), grad(xt), True
-        if caller_hook is not None:
-            x, fx, g, caller_reset = caller_hook(x, fx, g)
+        if opts.iterate_hook is not None:
+            x, fx, g, caller_reset = opts.iterate_hook(x, fx, g)
             reset = reset or caller_reset
         steps += 1
         if opts.log_every and steps % opts.log_every == 0:
@@ -806,7 +816,7 @@ class SweepRecord:
     hminus1_to_target: float
 
 
-def _refine(vals: np.ndarray, coarse: TorusGeometry, fine: TorusGeometry, lead: int):
+def _refine(vals: np.ndarray, coarse: TorusGeometry, fine: TorusGeometry, lead: int) -> np.ndarray:
     """Periodic linear interpolation of site arrays (site axes start at
     `lead`) onto a lattice with an integer multiple of the sites per axis."""
     for axis in range(coarse.dim):
@@ -920,7 +930,7 @@ def epsilon_sweep(
     return records
 
 
-def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData):
+def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData) -> tuple[VorticityField, list]:
     """The prescribed integer plaquette windings, constant along the line
     axis, and per vortex its core plaquette as ((i, q_i), (j, q_j)) over the
     transverse plane (i, j)."""

@@ -209,17 +209,44 @@ def test_minimize_iteration_stream(tmp_path, capsys):
     assert "kinetic" in stream[0] and "grad_norm" in stream[0]
 
 
+def _run_with_threads(command, path, threads):
+    """Run a CLI command in a child process with `threads` kernel threads.
+    Importing the package loads numpy before main() reads --threads, so the
+    thread variables are also set in the child's environment, where BLAS
+    reads them at load time."""
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusgl.cli", command, "--config", str(path),
+         "--threads", threads],
+        capture_output=True,
+        timeout=590,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
 @pytest.mark.slow
 def test_sweep_independent_of_thread_count(tmp_path):
     path = write_config(tmp_path, out=tmp_path / "thr")
-    tables = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "torusgl.cli", "sweep", "--config", str(path),
-             "--threads", threads],
-            capture_output=True,
-            timeout=590,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        tables.append(proc.stdout)
+    tables = [_run_with_threads("sweep", path, threads).stdout for threads in ("1", "2")]
     assert tables[0] == tables[1]
+
+
+@pytest.mark.slow
+def test_minimize_independent_of_thread_count(tmp_path):
+    """T^2 64^2 at eps 0.1 runs long enough (~430 steps on vectors of 16k
+    entries) for threaded BLAS reductions to change the last bits."""
+    text = (
+        T2_CONFIG.replace("sites = 12 12", "sites = 64 64")
+        .replace("epsilons = 0.3 0.25", "epsilons = 0.1")
+        .replace("max_iter = 40000", "max_iter = 200000")
+    )
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"thr{threads}"
+        _run_with_threads("minimize", write_config(tmp_path, text=text, out=out), threads)
+        summaries.append((out / "summary.txt").read_bytes())
+    assert summaries[0] == summaries[1]
