@@ -4,12 +4,10 @@ the built-in invariant selftest, Hodge solver reports, and ansatz emission.
 Config files are plain sectioned key/value text (see `parse_config`); all
 numeric output is printed with 17 significant digits so downstream
 comparisons are byte-stable.  Subcommands: minimize, sweep, selftest,
-hodge-test, ansatz.  Exit codes: 0 success/converged, 1 config error,
-2 not converged: the iteration budget was exhausted, or the terminal Newton
-phase stalled with no certified energy decrease left.
-
-Heavy imports happen inside the subcommands so that --threads can pin the
-kernel thread count through the usual environment variables first.
+hodge-test, ansatz.  Flags: --config, --out, --seed.  Exit codes:
+0 success/converged, 1 config error, 2 not converged: the iteration budget
+was exhausted, or the Newton loop stalled with no certified energy decrease
+left.
 """
 
 from __future__ import annotations
@@ -17,7 +15,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .bundle import build_background, curvature
+from .fields import e_energy, energy_density, g_energy
+from .hodge import green, harmonic_projection, hodge_decompose, solve_london, solve_poisson
+from .lattice import TorusGeometry, laplacian, norm, random_cochain, write_field
+from .selftest import run_selftest
+from .solve import AnsatzSpec, MinimizeOptions, default_initial_pair, epsilon_sweep, minimize
+from .vortex import chern_pairing, sparse_windings, vortex_mass, vorticity
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "main"]
 
@@ -234,15 +242,10 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 # ----------------------------------------------------------------------------
-# shared construction helpers (lazy imports keep --threads effective)
+# shared construction helpers
 # ----------------------------------------------------------------------------
 
 def _build(cfg: RunConfig):
-    import numpy as np
-
-    from .bundle import build_background
-    from .lattice import TorusGeometry
-
     geom = TorusGeometry(cfg.sites, cfg.lengths)
     chern = np.zeros((cfg.dim, cfg.dim), dtype=int)
     for i, j, c in cfg.chern:
@@ -252,8 +255,6 @@ def _build(cfg: RunConfig):
 
 
 def _ansatz_spec(cfg: RunConfig):
-    from .solve import AnsatzSpec
-
     if not cfg.has_ansatz:
         return None
     return AnsatzSpec(
@@ -264,8 +265,6 @@ def _ansatz_spec(cfg: RunConfig):
 
 
 def _opts(cfg: RunConfig):
-    from .solve import MinimizeOptions
-
     return MinimizeOptions(
         tol=cfg.tol,
         max_iter=cfg.max_iter,
@@ -275,13 +274,6 @@ def _opts(cfg: RunConfig):
 
 
 def _write_fields(outdir, geom, b, u, A, eps):
-    import numpy as np
-
-    from .bundle import curvature
-    from .fields import energy_density
-    from .lattice import write_field
-    from .vortex import sparse_windings, vorticity
-
     write_field(os.path.join(outdir, "u.field"), geom, 0, np.stack([u.values.real, u.values.imag]))
     write_field(os.path.join(outdir, "A.field"), geom, 1, A.values)
     write_field(os.path.join(outdir, "F.field"), geom, 2, curvature(A, b).values)
@@ -296,8 +288,6 @@ def _write_fields(outdir, geom, b, u, A, eps):
 
 
 def _summary_lines(cfg, res, v, geom):
-    from .vortex import chern_pairing, vortex_mass
-
     pairing = chern_pairing(v)
     rec = {
         "converged": res.converged,
@@ -324,8 +314,6 @@ def _pairing_cell(pairing, dim) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_minimize(cfg: RunConfig) -> int:
-    from .solve import default_initial_pair, minimize
-
     geom, b = _build(cfg)
     eps = cfg.epsilons[0]
     spec = _ansatz_spec(cfg)
@@ -343,8 +331,6 @@ def cmd_minimize(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    from .solve import epsilon_sweep
-
     if len(cfg.epsilons) < 2:
         raise ConfigError("sweep needs >= 2 epsilon values")
     geom, b = _build(cfg)
@@ -381,18 +367,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_selftest() -> int:
-    from .selftest import run_selftest
-
     results = run_selftest(verbose=True)
     return 0 if all(ok for _, _, ok, _ in results) else 1
 
 
 def cmd_hodge_test(cfg: RunConfig | None) -> int:
-    import numpy as np
-
-    from .hodge import green, harmonic_projection, hodge_decompose, solve_london, solve_poisson
-    from .lattice import TorusGeometry, laplacian, norm, random_cochain
-
     geoms = (
         [TorusGeometry(cfg.sites, cfg.lengths)]
         if cfg is not None
@@ -420,9 +399,6 @@ def cmd_hodge_test(cfg: RunConfig | None) -> int:
 
 
 def cmd_ansatz(cfg: RunConfig) -> int:
-    from .fields import e_energy, g_energy
-    from .solve import default_initial_pair
-
     geom, b = _build(cfg)
     eps = cfg.epsilons[0]
     spec = _ansatz_spec(cfg)
@@ -451,13 +427,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--threads", type=int, help="kernel thread count")
     args = parser.parse_args(argv)
-
-    threads = args.threads if args.threads is not None else os.environ.get("TORUSGL_THREADS")
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
     try:
         cfg = None
@@ -493,8 +463,6 @@ def main(argv=None) -> int:
 
 
 def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    from dataclasses import replace
-
     new = replace(cfg, **kw)
     validate_config(new)
     return new

@@ -82,13 +82,9 @@ def g_energy(u: Section, A: Cochain, b: BundleData, eps: float) -> EnergyBreakdo
 
 
 def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float):
-    """g_energy total accumulated in extended precision.
-
-    Line searches compare energies of nearby states whose true difference can
-    sit far below one float64 ulp of the total; the extended accumulator keeps
-    those comparisons meaningful.  Rounding to float64 is monotone, so a
-    certified non-increase here implies the stored float64 totals never
-    increase either.
+    """g_energy total accumulated in the platform's long double, whose
+    precision varies by platform.  The minimizers do not use it: they decide
+    on g_energy_change, which resolves sub-ulp differences in float64.
     """
     eps = _check_epsilon(eps)
     w = b.geom.cell_volume

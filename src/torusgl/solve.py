@@ -1,25 +1,24 @@
 """Energy minimization, connection relaxation, the recovery-sequence vortex
 ansatz, and epsilon-continuation sweeps.
 
-The minimizer is a Polak-Ribiere+ nonlinear conjugate-direction descent with
-backtracking Armijo line search and periodic restarts, fixed by four module
-constants: _ARMIJO_C (sufficient-decrease constant, 1e-4), _SHRINK
-(backtracking factor, 0.5), _MAX_BACKTRACKS (trials per line search, 60) and
-_RESTART_EVERY (steps between steepest-descent restarts, 50); the terminal
-phase's Newton backtracking uses the first three.  When energy differences
-fall below the resolution of the energy, a terminal Newton phase takes over:
-conjugate gradients on exact Hessian-vector products, slides of pinned
-vortex cores along their covariant translations, and steps accepted on an
-energy change summed term by term (see _newton_polish).  Convergence is
-declared on the sup-norm of the scale-free gradient (the variational
-derivative, i.e. the raw gradient divided by the cell volume), which makes
-the London residual bound at critical points mesh-independent.
+Both minimizers (`minimize` and `relax_connection`) run one inexact Newton
+loop from their starting state (see _newton): each step solves the Newton
+system by spectrally preconditioned conjugate gradients on exact
+Hessian-vector products (forcing 0.1; Dembo, Eisenstat and Steihaug, SIAM
+J. Numer. Anal. 19, 1982), then halves the step until an Armijo test on the
+energy change summed term by term passes.  Three module constants fix the
+backtracking: _ARMIJO_C (sufficient-decrease constant, 1e-4), _SHRINK
+(backtracking factor, 0.5) and _MAX_BACKTRACKS (trials per step, 60).  In
+`minimize`, pinned vortex cores also slide along their covariant
+translations.  Convergence is declared on the sup-norm of the scale-free
+gradient (the variational derivative, i.e. the raw gradient divided by the
+cell volume), which makes the London residual bound at critical points
+mesh-independent.
 
 A run ends unconverged in one of two ways, named by
 MinimizerResult.stop_reason: "budget" when max_iter runs out (it counts
-descent steps plus the terminal phase's gradient evaluations and
-Hessian-vector products), or "stalled" when the terminal phase has no
-certified energy decrease left (a Newton step without one, or a slide too
+gradient evaluations plus Hessian-vector products), or "stalled" when no
+certified energy decrease is left (a Newton step without one, or a slide too
 short to move the state).
 """
 
@@ -42,7 +41,6 @@ from .fields import (
     _energy_terms,
     g_energy,
     g_energy_change,
-    g_energy_hi,
     g_gradient,
     g_hessvec,
     truncate,
@@ -88,9 +86,9 @@ __all__ = [
 
 
 class MaxIterationsError(RuntimeError):
-    """Ended short of tolerance: iteration budget exhausted, or the terminal
-    Newton phase stalled (the message names which); carries the best iterate
-    as .best and the final residual as .residual."""
+    """Ended short of tolerance: iteration budget exhausted, or the Newton
+    loop stalled with no certified decrease left (the message names which);
+    carries the best iterate as .best and the final residual as .residual."""
 
     def __init__(self, message: str, best, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -108,7 +106,7 @@ class MinimizeOptions:
     max_iter: int = 50000
     truncate_each: bool = False
     log_every: int = 0             # 0 = silent; else print a line every k steps
-    iterate_hook: object = None    # internal: (x, fx, g) -> (x, fx, g, reset_flag)
+    iterate_hook: object = None    # internal: (x, fx, g) -> (x, fx, g)
 
 
 def _with_hook(opts: MinimizeOptions, hook) -> MinimizeOptions:
@@ -153,14 +151,10 @@ def _grad_vector(u: Section, A: Cochain, b: BundleData, eps: float) -> np.ndarra
 
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
-# energies handed to the optimizer are accumulated in longdouble; on
-# platforms where that is plain float64 the floors fall back gracefully
-_EPS_ENERGY = float(np.finfo(np.longdouble).eps)
 
 _ARMIJO_C = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
-_RESTART_EVERY = 50
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -175,9 +169,10 @@ def _norm(v: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class _Terminal:
-    """What the terminal Newton phase needs besides the energy and gradient.
+class _Problem:
+    """What the Newton loop needs of a smooth function f on flat vectors.
 
+    grad(x): gradient of f;
     hessvec(x, v): exact Hessian-vector product, plus at most a term acting
         only along energy-neutral directions (a gauge-fixing term);
     change(x, s): f(x + s) - f(x) summed term by term, so its sign is
@@ -189,48 +184,19 @@ class _Terminal:
         spanning the same space.
     """
 
+    grad: object
     hessvec: object
     change: object
     precond: object
     soft_modes: object = None
 
 
-def _armijo_search(f, x, fx, d, gTd, alpha):
-    """Backtracking Armijo with one parabolic refinement per trial.
-
-    Returns (step, x_new, f_new) or None when no trial can certify a
-    measurable decrease (the expected decrease dips below the resolution of
-    the extended-precision energy accumulator).
-    """
-    step = float(alpha)
-    floor = 16.0 * _EPS_ENERGY * (abs(float(fx)) + 1.0)
-    for _ in range(_MAX_BACKTRACKS):
-        expected = _ARMIJO_C * step * gTd
-        if abs(expected) <= floor:
-            return None
-        x_new = x + step * d
-        f_new = f(x_new)
-        # parabola through (0, fx) with slope gTd and (step, f_new)
-        denom = f_new - fx - gTd * step
-        if denom > 0.0:
-            vertex = -gTd * step * step / (2.0 * denom)
-            if 0.0 < vertex < 4.0 * step and abs(vertex - step) > 1e-3 * step:
-                x_v = x + vertex * d
-                f_v = f(x_v)
-                if f_v < f_new:
-                    step, x_new, f_new = vertex, x_v, f_v
-        if f_new <= fx + _ARMIJO_C * step * gTd:
-            return step, x_new, f_new
-        step *= _SHRINK
-    return None
-
-
 def _spectral_preconditioner(geom: TorusGeometry):
     """Apply (cell_volume * (-Delta + 1))^-1 component-wise to a packed
     vector of site fields, such as (Re u, Im u, A) or a 2-cochain: the
     stencil Laplacian diagonalizes in Fourier space, so this flattens the
-    grid-scale stiffness of the Hessian for the terminal conjugate-gradient
-    phase at the cost of one real FFT pair."""
+    grid-scale stiffness of the Hessian for the Newton loop's conjugate
+    gradients at the cost of one real FFT pair."""
     mult = 1.0 / (1.0 + stencil_eigenvalues(geom)) / geom.cell_volume
     return lambda v: _spectral_multiply(v.reshape(-1, *geom.sites), mult).ravel()
 
@@ -267,29 +233,30 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps):
     return p, used
 
 
-def _newton_round(grad, t: _Terminal, x, g, budget, project):
+def _newton_round(p: _Problem, x, g, budget, project):
     """One inexact Newton step in the range of `project`: preconditioned CG
-    on exact Hessian-vector products (forcing 0.1), halved until the
-    term-by-term energy change certifies an Armijo decrease with the exactly
-    computed slope g.s.  Returns (x, g, change, evaluations used), with x
-    None when no certified decrease exists along the step."""
-    hv = lambda v: t.hessvec(x, v)  # noqa: E731
-    s, used = _projected_cg(hv, g, t.precond, project, 0.1, min(400, budget))
+    on exact Hessian-vector products (forcing 0.1, at most budget - 1 of
+    them), halved until the term-by-term energy change certifies an Armijo
+    decrease with the exactly computed slope g.s.  Returns (x, g, change,
+    evaluations used), with x None when no certified decrease exists along
+    the step; the gradient at the new x is the last evaluation."""
+    hv = lambda v: p.hessvec(x, v)  # noqa: E731
+    s, used = _projected_cg(hv, g, p.precond, project, 0.1, min(400, budget - 1))
     slope = float(_dot(g, s))
     if slope < 0.0:
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            delta = t.change(x, step * s)
+            delta = p.change(x, step * s)
             if delta <= _ARMIJO_C * step * slope:
                 x = x + step * s
-                return x, grad(x), delta, used + 1
+                return x, p.grad(x), delta, used + 1
             step *= _SHRINK
     return None, g, 0.0, used
 
 
-def _newton_polish(grad, t: _Terminal, x, fx, g, scale, opts, budget):
-    """Terminal phase, entered when energy differences can no longer certify
-    Armijo decreases while the gradient is still above tolerance.
+def _newton(p: _Problem, x, fx, scale, opts):
+    """Minimize from x by inexact Newton steps; fx is f(x), or any offset
+    the energies passed on should start from.
 
     While the gradient outside the soft modes is above tolerance, each round
     is one Newton step confined to their complement (_newton_round).  Once
@@ -300,48 +267,53 @@ def _newton_polish(grad, t: _Terminal, x, fx, g, scale, opts, budget):
     doubled up to half a cell, when the summed energy change is negative;
     otherwise it is undone and its length halved.  Energies passed on are
     fx plus certified changes, so they strictly decrease; no decision rests
-    on a float64 tie.
-    Returns (x, fx, g, gnorm, evaluations used, stop reason), the reason
-    being "converged", "budget", or "stalled" when no certified decrease
-    is left (a Newton step without one, or a slide too short to move x).
-    Gradient evaluations and Hessian-vector products count as evaluations.
+    on a float64 tie.  `scale` divides the sup-norm of the raw gradient to
+    form the scale-free convergence metric.
+    Returns (x, gnorm, evaluations used, stop reason), the reason being
+    "converged", "budget" (fewer than the two evaluations of a Newton step
+    left of opts.max_iter), or "stalled" when no certified decrease is left
+    (a Newton step without one, or a slide too short to move x).  Gradient
+    evaluations after the first and Hessian-vector products count as
+    evaluations.
     """
 
     def split(x):
-        if t.soft_modes is None:
+        if p.soft_modes is None:
             return None, lambda v: v
-        Q, R = t.soft_modes(x)
+        Q, R = p.soft_modes(x)
         return R, lambda v: v - np.einsum("k,ki", _dot(Q, v), Q)
 
+    g = p.grad(x)
+    budget = opts.max_iter
     used = 0
     cells = 0.125
     while True:
         gnorm = float(np.abs(g).max()) / scale
         if gnorm <= opts.tol:
-            return x, fx, g, gnorm, used, "converged"
-        if used >= budget:
-            return x, fx, g, gnorm, used, "budget"
+            return x, gnorm, used, "converged"
+        if budget - used < 2:
+            return x, gnorm, used, "budget"
         R, project = split(x)
         if R is None or float(np.abs(project(g)).max()) / scale > opts.tol:
-            x_new, g, delta, n = _newton_round(grad, t, x, g, budget - used, project)
+            x_new, g, delta, n = _newton_round(p, x, g, budget - used, project)
             used += n
             if x_new is None:
-                return x, fx, g, gnorm, used, "stalled"
+                return x, gnorm, used, "stalled"
         else:
             force = -_dot(R, g)
             s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
             if _norm(s) <= _EPS_MACH * _norm(x):
-                return x, fx, g, gnorm, used, "stalled"
-            delta = t.change(x, s)
+                return x, gnorm, used, "stalled"
+            delta = p.change(x, s)
             x_new = x + s
-            g_new = grad(x_new)
+            g_new = p.grad(x_new)
             used += 1
-            while x_new is not None and used < budget:
+            while x_new is not None and budget - used >= 2:
                 _, proj_new = split(x_new)
                 if float(np.abs(proj_new(g_new)).max()) / scale <= opts.tol:
                     break
                 x_new, g_new, d_new, n = _newton_round(
-                    grad, t, x_new, g_new, budget - used, proj_new
+                    p, x_new, g_new, budget - used, proj_new
                 )
                 used += n
                 delta += d_new
@@ -353,71 +325,7 @@ def _newton_polish(grad, t: _Terminal, x, fx, g, scale, opts, budget):
         x = x_new
         fx = fx + delta
         if opts.iterate_hook is not None:
-            x, fx, g, _ = opts.iterate_hook(x, fx, g)
-
-
-def _ncg_flat(f, grad, x0, scale, opts, terminal: _Terminal):
-    """Polak-Ribiere+ conjugate directions on a flat parameter vector.
-
-    `scale` divides the sup-norm of the raw gradient to form the scale-free
-    convergence metric.  Accepted iterates never increase f.  Once energy
-    differences fall below the resolution of f, the run hands over to the
-    terminal Newton phase (_newton_polish) with what is left of the budget.
-    Returns (x, fx, gnorm, iterations, stop reason): "converged", "budget"
-    or "stalled" as in _newton_polish; iterations count the conjugate-
-    direction steps plus the terminal phase's evaluations.
-    """
-    x = np.asarray(x0, dtype=np.float64)
-    fx = f(x)
-    g = grad(x)
-    gnorm = float(np.abs(g).max()) / scale
-    d = -g
-    alpha = 1.0
-    iters = 0
-    since_restart = 0
-
-    while gnorm > opts.tol and iters < opts.max_iter:
-        gTd = float(_dot(g, d))
-        if gTd >= 0.0:
-            d = -g
-            gTd = float(_dot(g, d))
-            since_restart = 0
-        hit = _armijo_search(f, x, fx, d, gTd, alpha)
-        if hit is None:
-            if since_restart == 0:
-                break  # energy differences exhausted: hand over to the polish
-            d = -g
-            since_restart = 0
-            continue
-        step, x_new, f_new = hit
-
-        g_new = grad(x_new)
-        beta = max(0.0, float(_dot(g_new, g_new - g)) / max(float(_dot(g, g)), 1e-300))
-        since_restart += 1
-        if since_restart >= _RESTART_EVERY:
-            beta = 0.0
-            since_restart = 0
-        x, fx, g = x_new, f_new, g_new
-
-        if opts.iterate_hook is not None:
-            x, fx, g, reset = opts.iterate_hook(x, fx, g)
-            if reset:
-                beta = 0.0
-                since_restart = 0
-
-        d = -g + beta * d
-        gnorm = float(np.abs(g).max()) / scale
-        alpha = min(step * 2.0, 1e8)
-        iters += 1
-
-    if gnorm <= opts.tol:
-        return x, fx, gnorm, iters, "converged"
-    if iters >= opts.max_iter:
-        return x, fx, gnorm, iters, "budget"
-    x, fx, g, gnorm, used, reason = _newton_polish(
-        grad, terminal, x, fx, g, scale, opts, opts.max_iter - iters
-    )
-    return x, fx, gnorm, iters + used, reason
+            x, fx, g = opts.iterate_hook(x, fx, g)
 
 
 def _gauge_term(u: Section, du: Section, dA: Cochain):
@@ -478,24 +386,21 @@ def minimize(
 ) -> MinimizerResult:
     """Descend g_energy from (u0, A0); monotone in the accepted iterates.
 
-    Polak-Ribiere+ descent runs until energy differences fall below the
-    resolution of the energy, then the terminal Newton phase finishes (see
-    _newton_polish): exact Hessian-vector products, with the gauge orbit
-    given positive curvature by a background gauge-fixing term and the
-    covariant translations (the lattice-pinned slide of vortex cores) kept
-    out of the conjugate-gradient solve and slid along separately.
+    Inexact Newton steps from the first iterate on (see _newton), on exact
+    Hessian-vector products, with the gauge orbit given positive curvature
+    by a background gauge-fixing term and the covariant translations (the
+    lattice-pinned slide of vortex cores) kept out of the conjugate-gradient
+    solve and slid along separately.  `iterations` in the result counts
+    gradient evaluations plus Hessian-vector products.
 
     Never raises for lack of convergence.  It returns the last accepted
     iterate, which has the lowest energy, with converged=False and
-    stop_reason "budget" when max_iter runs out, or "stalled" when the
-    terminal phase has no certified energy decrease left.
+    stop_reason "budget" when max_iter runs out, or "stalled" when no
+    certified energy decrease is left.
     """
     opts = opts or MinimizeOptions()
     geom = b.geom
     w = geom.cell_volume
-
-    def f(x):
-        return g_energy_hi(*_unpack(x, geom), b, eps)
 
     def grad(x):
         return _grad_vector(*_unpack(x, geom), b, eps)
@@ -519,7 +424,6 @@ def minimize(
         """Runs after every accepted step: truncation, the caller's hook,
         then the log_every record."""
         nonlocal steps
-        reset = False
         if opts.truncate_each:
             uu, aa = _unpack(x, geom)
             ut = truncate(uu)
@@ -527,10 +431,9 @@ def minimize(
                 xt = _pack(ut, aa)
                 # truncation never increases the energy, so a computed
                 # increase is rounding and is not passed on
-                x, fx, g, reset = xt, fx + min(change(x, xt - x), 0.0), grad(xt), True
+                x, fx, g = xt, fx + min(change(x, xt - x), 0.0), grad(xt)
         if opts.iterate_hook is not None:
-            x, fx, g, caller_reset = opts.iterate_hook(x, fx, g)
-            reset = reset or caller_reset
+            x, fx, g = opts.iterate_hook(x, fx, g)
         steps += 1
         if opts.log_every and steps % opts.log_every == 0:
             e = g_energy(*_unpack(x, geom), b, eps)
@@ -539,11 +442,11 @@ def minimize(
                 f"potential {e.potential:.17g} curvature {e.curvature:.17g} "
                 f"total {e.total:.17g} grad_norm {float(np.abs(g).max()) / w:.17g}"
             )
-        return x, fx, g, reset
+        return x, fx, g
 
-    terminal = _Terminal(hessvec, change, _spectral_preconditioner(geom), soft_modes)
-    x, _, gnorm, iters, reason = _ncg_flat(
-        f, grad, _pack(u0, A0), w, _with_hook(opts, step_hook), terminal
+    problem = _Problem(grad, hessvec, change, _spectral_preconditioner(geom), soft_modes)
+    x, gnorm, iters, reason = _newton(
+        problem, _pack(u0, A0), g_energy(u0, A0, b, eps).total, w, _with_hook(opts, step_hook)
     )
 
     u_fin, A_fin = _unpack(x, geom)
@@ -564,10 +467,8 @@ def minimize(
 # ----------------------------------------------------------------------------
 
 def _aux_energy(u: Section, B: Cochain, b: BundleData):
-    """Auxiliary functional: integral of |D_B u|^2 + |F_B|^2.
-
-    Extended-precision accumulation, for the same line-search reasons as
-    g_energy_hi."""
+    """Auxiliary functional: integral of |D_B u|^2 + |F_B|^2, accumulated in
+    extended precision; relax_connection minimizes it."""
     w = b.geom.cell_volume
     kin, _, curv = _energy_terms(u, B, b, np.longdouble)
     return w * kin + w * curv
@@ -585,8 +486,11 @@ def relax_connection(
 
     Stationarity residual: sup-norm of d(d*F_B - j(u, B)) scaled by the cell
     volume; at convergence B satisfies the discrete London equation.
-    Raises MaxIterationsError (carrying the best B) when it ends unconverged:
-    on budget exhaustion, or when the terminal Newton phase stalls.
+    Runs the same Newton loop as `minimize` (see _newton), without the gauge
+    term or the slide, and decides on term-by-term changes only, so it
+    evaluates no energy; a caller's iterate_hook sees the summed change from
+    the start.  Raises MaxIterationsError (carrying the best B) when it ends
+    unconverged: on budget exhaustion, or when no certified decrease is left.
     """
     opts = opts or MinimizeOptions()
     geom = b.geom
@@ -597,9 +501,6 @@ def relax_connection(
     # part reaches B
     def codiff(x: np.ndarray) -> Cochain:
         return codifferential(Cochain(geom, 2, x.reshape(shape)))
-
-    def f(x: np.ndarray) -> float:
-        return _aux_energy(u, A + codiff(x), b)
 
     def grad(x: np.ndarray) -> np.ndarray:
         B = A + codiff(x)
@@ -620,9 +521,8 @@ def relax_connection(
         parts = g_energy_change(u, B, b, 1.0, still, codiff(s))
         return 2.0 * (parts.kinetic + parts.curvature)
 
-    x0 = np.zeros(int(np.prod(shape)))
-    terminal = _Terminal(hessvec, change, _spectral_preconditioner(geom))
-    x, _, gnorm, _, reason = _ncg_flat(f, grad, x0, 2.0 * w, opts, terminal)
+    problem = _Problem(grad, hessvec, change, _spectral_preconditioner(geom))
+    x, gnorm, _, reason = _newton(problem, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)
     B = A + codiff(x)
     if reason == "converged":
         return B

@@ -401,7 +401,7 @@ positions = 0.5 0.5
     tables = []
     for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, "-m", "torusgl.cli", "sweep", "--config", str(path), "--threads", "1"],
+            [sys.executable, "-m", "torusgl.cli", "sweep", "--config", str(path)],
             capture_output=True,
             timeout=590,
         )

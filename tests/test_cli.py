@@ -165,7 +165,7 @@ def test_cli_entrypoint_subprocess(tmp_path):
     # the console entry point works end to end in a fresh interpreter
     path = write_config(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "torusgl.cli", "ansatz", "--config", str(path), "--threads", "1"],
+        [sys.executable, "-m", "torusgl.cli", "ansatz", "--config", str(path)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -210,16 +210,13 @@ def test_minimize_iteration_stream(tmp_path, capsys):
 
 
 def _run_with_threads(command, path, threads):
-    """Run a CLI command in a child process with `threads` kernel threads.
-    Importing the package loads numpy before main() reads --threads, so the
-    thread variables are also set in the child's environment, where BLAS
-    reads them at load time."""
+    """Run a CLI command in a child process with `threads` kernel threads,
+    set in the child's environment, where BLAS reads them at load time."""
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
     proc = subprocess.run(
-        [sys.executable, "-m", "torusgl.cli", command, "--config", str(path),
-         "--threads", threads],
+        [sys.executable, "-m", "torusgl.cli", command, "--config", str(path)],
         capture_output=True,
         timeout=590,
         env=env,

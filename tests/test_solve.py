@@ -59,7 +59,7 @@ def test_minimize_descent_is_monotone(t2_bundle):
 
     def hook(x, fx, gvec):
         energies.append(float(fx))
-        return x, fx, gvec, False
+        return x, fx, gvec
 
     opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=50000), hook)
     tg.minimize(u, A, t2_bundle, 0.25, opts)
@@ -87,6 +87,53 @@ def test_minimize_stop_reasons(t2_bundle):
     assert (res.converged, res.stop_reason) == (False, "budget")
 
 
+@pytest.mark.parametrize("sites, eps, noise", [((16, 16), 0.25, 0.01), ((8, 8, 8), 0.3, 0.05)])
+def test_minimize_converges_from_near_normal_start(sites, eps, noise):
+    """From u = noise, A = 0 (near the normal state, where the potential
+    gives the Hessian its most negative curvature) the Newton loop still
+    converges to a state whose vorticity pairs to the Chern numbers."""
+    geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+    chern = np.zeros((geom.dim, geom.dim), dtype=int)
+    chern[0, 1], chern[1, 0] = 1, -1
+    b = tg.build_background(geom, chern)
+    u = random_section(geom, np.random.default_rng(4), scale=noise)
+    res = tg.minimize(u, zero_cochain(geom, 1), b, eps, MinimizeOptions(tol=1e-8, max_iter=50000))
+    assert (res.converged, res.stop_reason) == (True, "converged")
+    assert res.energy.total < tg.g_energy(u, zero_cochain(geom, 1), b, eps).total
+    assert res.london_residual <= 1e-6
+    v = vorticity(res.section, res.gauge_field, b)
+    assert np.array_equal(tg.chern_pairing(v), b.chern)
+    assert vortex_mass(v, geom) == 1.0
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 8, 13])
+def test_budget_is_never_exceeded(t2_bundle, monkeypatch, max_iter):
+    """Gradient evaluations after the first plus Hessian-vector products
+    stay within max_iter, in minimize and in relax_connection."""
+    g = t2_bundle.geom
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
+    u, A = vortex_ansatz(spec, t2_bundle, g, 0.25)
+    opts = MinimizeOptions(tol=1e-12, max_iter=max_iter)
+    res = tg.minimize(u, A, t2_bundle, 0.25, opts)
+    assert res.iterations <= max_iter
+    assert (res.converged, res.stop_reason) == (False, "budget")
+
+    # relax_connection reports no count: count its gradients (one
+    # supercurrent each) and Hessian-vector products (one g_hessvec each)
+    calls = {"supercurrent": 0, "g_hessvec": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(tg.solve, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(tg.solve, name, counted)
+    rng = np.random.default_rng(8)
+    ur = random_section(g, rng)
+    Ar = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    with pytest.raises(MaxIterationsError, match="budget"):
+        tg.relax_connection(ur, Ar, t2_bundle, opts)
+    assert calls["supercurrent"] - 1 + calls["g_hessvec"] <= max_iter
+
+
 def test_minimize_slides_pinned_line():
     """A coarse line (h = 0.56 eps) stays held by lattice pinning with a
     force above tolerance once the rest of the gradient is resolved; the
@@ -102,7 +149,7 @@ def test_minimize_slides_pinned_line():
 
     def hook(x, fx, gvec):
         energies.append(float(fx))
-        return x, fx, gvec, False
+        return x, fx, gvec
 
     opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=20000), hook)
     res = tg.minimize(u, A, b, 0.15, opts)
@@ -137,7 +184,7 @@ def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, opt
 
     def hook(x, fx, gvec):
         energies.append(float(fx))
-        return x, fx, gvec, False
+        return x, fx, gvec
 
     opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=50000, **option), hook)
     res = tg.minimize(u, A, t2_bundle, 0.25, opts)
