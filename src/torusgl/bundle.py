@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Cochain, TorusGeometry, components, exterior_derivative, zero_cochain
+from .lattice import (
+    Cochain, TorusGeometry, components, exterior_derivative, read_field, write_field, zero_cochain,
+)
 
 __all__ = [
     "Section",
@@ -185,8 +187,6 @@ def curvature(A: Cochain, b: BundleData) -> Cochain:
 
 def write_bundle(path_prefix: str, b: BundleData) -> None:
     """Serialize as the Chern matrix (text) plus the theta0 field dump."""
-    from .lattice import write_field
-
     np.savetxt(f"{path_prefix}.chern", b.chern, fmt="%d")
     write_field(f"{path_prefix}.theta0", b.geom, 1, b.theta0)
 
@@ -194,8 +194,6 @@ def write_bundle(path_prefix: str, b: BundleData) -> None:
 def read_bundle(path_prefix: str) -> BundleData:
     """Rebuild bundle data written by `write_bundle`; f0 is reconstructed
     from the Chern matrix, and both type invariants are re-validated."""
-    from .lattice import read_field
-
     chern = np.loadtxt(f"{path_prefix}.chern", dtype=np.int64, ndmin=2)
     geom, degree, theta0 = read_field(f"{path_prefix}.theta0")
     if degree != 1:

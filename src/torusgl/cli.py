@@ -1,13 +1,15 @@
 """Command line front end: reproducible minimization runs, epsilon sweeps,
 the built-in invariant selftest, Hodge solver reports, and ansatz emission.
 
-Config files are plain sectioned key/value text (see `parse_config`); all
-numeric output is printed with 17 significant digits so downstream
-comparisons are byte-stable.  Subcommands: minimize, sweep, selftest,
-hodge-test, ansatz.  Flags: --config, --out, --seed.  Exit codes:
-0 success/converged, 1 config error, 2 not converged: the iteration budget
-was exhausted, or the Newton loop stalled with no certified energy decrease
-left.
+Config files are plain sectioned key/value text (see `parse_config`), read
+into a `RunConfig` that holds the library's own `TorusGeometry`,
+`MinimizeOptions` and `AnsatzSpec`; all numeric output is printed with 17
+significant digits so downstream comparisons are byte-stable.  Subcommands:
+minimize, sweep, selftest, hodge-test, ansatz.  Flags: --config, --out,
+--seed.  Exit codes: 0 success/converged, 1 config error (a malformed or
+out-of-range value, or an ansatz that does not fit the bundle), 2 not
+converged: the iteration budget was exhausted, or the Newton loop stalled
+with no certified energy decrease left.
 """
 
 from __future__ import annotations
@@ -15,16 +17,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .bundle import build_background, curvature
 from .fields import e_energy, energy_density, g_energy
-from .hodge import green, harmonic_projection, hodge_decompose, solve_london, solve_poisson
-from .lattice import TorusGeometry, laplacian, norm, random_cochain, write_field
-from .selftest import run_selftest
-from .solve import AnsatzSpec, MinimizeOptions, default_initial_pair, epsilon_sweep, minimize
+from .lattice import TorusGeometry, components, random_cochain, write_field
+from .selftest import run_selftest, solver_residuals
+from .solve import (
+    AnsatzSpec,
+    MinimizeOptions,
+    WindingMismatchError,
+    default_initial_pair,
+    epsilon_sweep,
+    minimize,
+)
 from .vortex import chern_pairing, sparse_windings, vortex_mass, vorticity
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "main"]
@@ -58,33 +66,43 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    dim: int
-    sites: tuple[int, ...]
-    lengths: tuple[float, ...]
+    geom: TorusGeometry
     chern: tuple[tuple[int, int, int], ...]   # (i, j, c_ij) for i < j
     epsilons: tuple[float, ...]
     seed: int
     out: str = "runs/out"
     mesh_rule: str = "fixed"
-    tol: float = 1e-8
-    max_iter: int = 50000
-    truncate_each: bool = False
-    log_every: int = 0
-    ansatz_axis: int | None = None
-    ansatz_windings: tuple[int, ...] = ()
-    ansatz_positions: tuple[tuple[float, ...], ...] = ()
+    optimizer: MinimizeOptions = MinimizeOptions()
+    ansatz: AnsatzSpec | None = None
 
-    @property
-    def has_ansatz(self) -> bool:
-        return bool(self.ansatz_windings)
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split())
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _positions(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_floats(group) for group in text.split(";") if group.strip())
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the sectioned key/value format.
+    """Parse the sectioned key/value format into a validated `RunConfig`.
 
     Sections: [geometry] (dim, sites, lengths), [bundle] (chern_ij entries),
     [run] (epsilons, seed, out, mesh_rule), [optimizer] (tol, max_iter,
-    truncate_each), optional [ansatz] (axis, windings, positions).
+    truncate_each, log_every), optional [ansatz] (axis, windings,
+    positions).  The ansatz is built only when windings are given.  Every
+    malformed value, and every value `TorusGeometry`, `AnsatzSpec` or
+    `validate_config` rejects, raises `ConfigError`.
     """
     sections: dict[str, dict[str, str]] = {}
     current = None
@@ -101,80 +119,69 @@ def parse_config(text: str) -> RunConfig:
         key, val = (p.strip() for p in line.split("=", 1))
         sections[current][key] = val
 
-    def need(section, key):
+    def need(section, key, convert):
+        if key not in sections.get(section, {}):
+            raise ConfigError(f"missing [{section}] {key}")
+        return get(section, key, convert)
+
+    def get(section, key, convert, default=None):
+        if key not in sections.get(section, {}):
+            return default
         try:
-            return sections[section][key]
-        except KeyError:
-            raise ConfigError(f"missing [{section}] {key}") from None
+            return convert(sections[section][key])
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
 
-    def get(section, key, default):
-        return sections.get(section, {}).get(key, default)
-
-    dim = int(need("geometry", "dim"))
-    sites = tuple(int(t) for t in need("geometry", "sites").split())
-    lengths = tuple(float(t) for t in need("geometry", "lengths").split())
-
+    dim = need("geometry", "dim", int)
+    sites = need("geometry", "sites", _ints)
+    lengths = need("geometry", "lengths", _floats)
     chern = []
-    for key, val in sorted(sections.get("bundle", {}).items()):
-        if not key.startswith("chern_") or len(key) != 8:
+    for key in sorted(sections.get("bundle", {})):
+        if not (key.startswith("chern_") and len(key) == 8 and key[6:].isdigit()):
             raise ConfigError(f"unknown [bundle] key {key} (expected chern_ij)")
-        i, j = int(key[6]), int(key[7])
-        chern.append((i, j, int(val)))
-
-    epsilons = tuple(float(t) for t in need("run", "epsilons").split())
+        chern.append((int(key[6]), int(key[7]), get("bundle", key, int)))
+    epsilons = need("run", "epsilons", _floats)
     if "seed" not in sections.get("run", {}):
         raise ConfigError("seed is mandatory: missing [run] seed")
-    seed = int(need("run", "seed"))
-    out = get("run", "out", "runs/out")
-    mesh_rule = get("run", "mesh_rule", "fixed")
-
-    tol = float(get("optimizer", "tol", "1e-8"))
-    max_iter = int(get("optimizer", "max_iter", "50000"))
-    truncate_each = get("optimizer", "truncate_each", "false").lower() == "true"
-    log_every = int(get("optimizer", "log_every", "0"))
-
-    ansatz_axis = None
-    ansatz_windings: tuple[int, ...] = ()
-    ansatz_positions: tuple[tuple[float, ...], ...] = ()
-    if "ansatz" in sections:
-        a = sections["ansatz"]
-        if "axis" in a:
-            ansatz_axis = int(a["axis"])
-        ansatz_windings = tuple(int(t) for t in a.get("windings", "").split())
-        if "positions" in a:
-            ansatz_positions = tuple(
-                tuple(float(t) for t in group.split())
-                for group in a["positions"].split(";")
-                if group.strip()
-            )
+    options = {
+        key: get("optimizer", key, convert)
+        for key, convert in (
+            ("tol", float), ("max_iter", int), ("truncate_each", _boolean), ("log_every", int)
+        )
+        if key in sections.get("optimizer", {})
+    }
+    windings = get("ansatz", "windings", _ints, ())
+    positions = get("ansatz", "positions", _positions, ())
+    axis = get("ansatz", "axis", int)
+    try:
+        geom = TorusGeometry(sites, lengths)
+        ansatz = AnsatzSpec(windings=windings, positions=positions, axis=axis) if windings else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if geom.dim != dim:
+        raise ConfigError(f"[geometry] sites lists {geom.dim} entries for dim = {dim}")
 
     cfg = RunConfig(
-        dim=dim,
-        sites=sites,
-        lengths=lengths,
+        geom=geom,
         chern=tuple(chern),
         epsilons=epsilons,
-        seed=seed,
-        out=out,
-        mesh_rule=mesh_rule,
-        tol=tol,
-        max_iter=max_iter,
-        truncate_each=truncate_each,
-        log_every=log_every,
-        ansatz_axis=ansatz_axis,
-        ansatz_windings=ansatz_windings,
-        ansatz_positions=ansatz_positions,
+        seed=need("run", "seed", int),
+        out=get("run", "out", str, "runs/out"),
+        mesh_rule=get("run", "mesh_rule", str, "fixed"),
+        optimizer=MinimizeOptions(**options),
+        ansatz=ansatz,
     )
     validate_config(cfg)
     return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
+    opts = cfg.optimizer
     lines = [
         "[geometry]",
-        f"dim = {cfg.dim}",
-        "sites = " + " ".join(str(s) for s in cfg.sites),
-        "lengths = " + " ".join(_fmt(L) for L in cfg.lengths),
+        f"dim = {cfg.geom.dim}",
+        "sites = " + " ".join(str(s) for s in cfg.geom.sites),
+        "lengths = " + " ".join(_fmt(L) for L in cfg.geom.lengths),
         "",
         "[bundle]",
     ]
@@ -189,36 +196,27 @@ def serialize_config(cfg: RunConfig) -> str:
         f"mesh_rule = {cfg.mesh_rule}",
         "",
         "[optimizer]",
-        f"tol = {_fmt(cfg.tol)}",
-        f"max_iter = {cfg.max_iter}",
-        f"truncate_each = {_fmt(cfg.truncate_each)}",
-        f"log_every = {cfg.log_every}",
+        f"tol = {_fmt(opts.tol)}",
+        f"max_iter = {opts.max_iter}",
+        f"truncate_each = {_fmt(opts.truncate_each)}",
+        f"log_every = {opts.log_every}",
     ]
-    if cfg.has_ansatz or cfg.ansatz_axis is not None:
+    if cfg.ansatz is not None:
         lines += ["", "[ansatz]"]
-        if cfg.ansatz_axis is not None:
-            lines.append(f"axis = {cfg.ansatz_axis}")
-        if cfg.ansatz_windings:
-            lines.append("windings = " + " ".join(str(w) for w in cfg.ansatz_windings))
-        if cfg.ansatz_positions:
-            lines.append(
-                "positions = "
-                + " ; ".join(" ".join(_fmt(x) for x in p) for p in cfg.ansatz_positions)
-            )
+        if cfg.ansatz.axis is not None:
+            lines.append(f"axis = {cfg.ansatz.axis}")
+        lines += [
+            "windings = " + " ".join(str(w) for w in cfg.ansatz.windings),
+            "positions = "
+            + " ; ".join(" ".join(_fmt(x) for x in p) for p in cfg.ansatz.positions),
+        ]
     return "\n".join(lines) + "\n"
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.dim not in (2, 3):
-        raise ConfigError(f"dim in {{2, 3}} violated (dim = {cfg.dim})")
-    if len(cfg.sites) != cfg.dim or len(cfg.lengths) != cfg.dim:
-        raise ConfigError("sites/lengths must list one entry per axis")
-    if any(s < 4 for s in cfg.sites):
-        raise ConfigError(f"N_i >= 4 violated (sites = {cfg.sites})")
-    if any(L <= 0 for L in cfg.lengths):
-        raise ConfigError(f"L_i > 0 violated (lengths = {cfg.lengths})")
+    """The CLI's own policy; `TorusGeometry` and `AnsatzSpec` check the rest."""
     for i, j, _ in cfg.chern:
-        if not 0 <= i < j < cfg.dim:
+        if not 0 <= i < j < cfg.geom.dim:
             raise ConfigError(f"chern indices need 0 <= i < j < dim (got {i},{j})")
     if not cfg.epsilons:
         raise ConfigError("at least one epsilon required")
@@ -233,53 +231,31 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("epsilon list must be strictly decreasing")
     if cfg.mesh_rule not in ("fixed", "quarter"):
         raise ConfigError(f"mesh_rule must be fixed or quarter (got {cfg.mesh_rule})")
-    if not cfg.tol > 0:
+    if not cfg.optimizer.tol > 0:
         raise ConfigError("tol > 0 violated")
-    if cfg.max_iter < 1:
+    if cfg.optimizer.max_iter < 1:
         raise ConfigError("max_iter >= 1 violated")
-    if cfg.ansatz_windings and len(cfg.ansatz_windings) != len(cfg.ansatz_positions):
-        raise ConfigError("ansatz needs one position group per winding")
 
 
 # ----------------------------------------------------------------------------
 # shared construction helpers
 # ----------------------------------------------------------------------------
 
-def _build(cfg: RunConfig):
-    geom = TorusGeometry(cfg.sites, cfg.lengths)
-    chern = np.zeros((cfg.dim, cfg.dim), dtype=int)
+def _bundle(cfg: RunConfig):
+    chern = np.zeros((cfg.geom.dim, cfg.geom.dim), dtype=int)
     for i, j, c in cfg.chern:
         chern[i, j] = c
         chern[j, i] = -c
-    return geom, build_background(geom, chern)
+    return build_background(cfg.geom, chern)
 
 
-def _ansatz_spec(cfg: RunConfig):
-    if not cfg.has_ansatz:
-        return None
-    return AnsatzSpec(
-        windings=cfg.ansatz_windings,
-        positions=cfg.ansatz_positions,
-        axis=cfg.ansatz_axis,
-    )
-
-
-def _opts(cfg: RunConfig):
-    return MinimizeOptions(
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        truncate_each=cfg.truncate_each,
-        log_every=cfg.log_every,
-    )
-
-
-def _write_fields(outdir, geom, b, u, A, eps):
+def _write_fields(outdir, b, u, A, eps):
+    geom = b.geom
+    os.makedirs(outdir, exist_ok=True)
     write_field(os.path.join(outdir, "u.field"), geom, 0, np.stack([u.values.real, u.values.imag]))
     write_field(os.path.join(outdir, "A.field"), geom, 1, A.values)
     write_field(os.path.join(outdir, "F.field"), geom, 2, curvature(A, b).values)
-    if 0.0 < eps < 1.0:
-        mu = energy_density(u, A, b, eps)
-        write_field(os.path.join(outdir, "mu.field"), geom, 0, mu.values)
+    write_field(os.path.join(outdir, "mu.field"), geom, 0, energy_density(u, A, b, eps).values)
     v = vorticity(u, A, b)
     with open(os.path.join(outdir, "vorticity.txt"), "w") as fh:
         for row in sparse_windings(v):
@@ -287,26 +263,12 @@ def _write_fields(outdir, geom, b, u, A, eps):
     return v
 
 
-def _summary_lines(cfg, res, v, geom):
-    pairing = chern_pairing(v)
-    rec = {
-        "converged": res.converged,
-        "iterations": res.iterations,
-        "grad_norm": res.grad_norm,
-        "london_residual": res.london_residual,
-        "vortex_mass": vortex_mass(v, geom),
-        **res.energy.to_record(),
-    }
-    lines = [f"{k} = {_fmt(val)}" for k, val in rec.items()]
-    for i in range(cfg.dim):
-        for j in range(i + 1, cfg.dim):
-            lines.append(f"chern_pairing_{i}{j} = {int(pairing[i, j])}")
-    return lines
-
-
-def _pairing_cell(pairing, dim) -> str:
-    vals = [str(int(pairing[i, j])) for i in range(dim) for j in range(i + 1, dim)]
-    return ";".join(vals)
+def _write_record(path, lines) -> None:
+    """Write `lines` to `path` and echo them to stdout, byte for byte."""
+    text = "\n".join(lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+    sys.stdout.write(text)
 
 
 # ----------------------------------------------------------------------------
@@ -314,28 +276,33 @@ def _pairing_cell(pairing, dim) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_minimize(cfg: RunConfig) -> int:
-    geom, b = _build(cfg)
+    b = _bundle(cfg)
     eps = cfg.epsilons[0]
-    spec = _ansatz_spec(cfg)
-    u0, A0 = default_initial_pair(b, eps, cfg.seed, spec)
-    res = minimize(u0, A0, b, eps, _opts(cfg))
+    u0, A0 = default_initial_pair(b, eps, cfg.seed, cfg.ansatz)
+    res = minimize(u0, A0, b, eps, cfg.optimizer)
 
-    os.makedirs(cfg.out, exist_ok=True)
-    v = _write_fields(cfg.out, geom, b, res.section, res.gauge_field, eps)
-    lines = _summary_lines(cfg, res, v, geom)
-    with open(os.path.join(cfg.out, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    v = _write_fields(cfg.out, b, res.section, res.gauge_field, eps)
+    rec = {
+        "converged": res.converged,
+        "iterations": res.iterations,
+        "grad_norm": res.grad_norm,
+        "london_residual": res.london_residual,
+        "vortex_mass": vortex_mass(v, cfg.geom),
+        **asdict(res.energy),
+    }
+    lines = [f"{k} = {_fmt(val)}" for k, val in rec.items()]
+    pairing = chern_pairing(v)
+    for i, j in components(cfg.geom.dim, 2):
+        lines.append(f"chern_pairing_{i}{j} = {int(pairing[i, j])}")
+    _write_record(os.path.join(cfg.out, "summary.txt"), lines)
     return 0 if res.converged else 2
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if len(cfg.epsilons) < 2:
         raise ConfigError("sweep needs >= 2 epsilon values")
-    geom, b = _build(cfg)
     records = epsilon_sweep(
-        _ansatz_spec(cfg), b, geom, list(cfg.epsilons), _opts(cfg),
+        cfg.ansatz, _bundle(cfg), cfg.geom, list(cfg.epsilons), cfg.optimizer,
         mesh_rule=cfg.mesh_rule, seed=cfg.seed,
     )
 
@@ -351,18 +318,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     _fmt(r.result.energy.potential),
                     _fmt(r.result.energy.curvature),
                     _fmt(r.vortex_mass),
-                    _pairing_cell(r.chern_pairing, cfg.dim),
+                    ";".join(
+                        str(int(r.chern_pairing[i, j])) for i, j in components(cfg.geom.dim, 2)
+                    ),
                     _fmt(r.result.london_residual),
                     _fmt(r.hminus1_to_target),
                     str(r.result.iterations),
                 ]
             )
         )
-    table = "\n".join(rows) + "\n"
     os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "sweep.csv"), "w") as fh:
-        fh.write(table)
-    sys.stdout.write(table)
+    _write_record(os.path.join(cfg.out, "sweep.csv"), rows)
     return 0 if all(r.result.converged for r in records) else 2
 
 
@@ -373,7 +339,7 @@ def cmd_selftest() -> int:
 
 def cmd_hodge_test(cfg: RunConfig | None) -> int:
     geoms = (
-        [TorusGeometry(cfg.sites, cfg.lengths)]
+        [cfg.geom]
         if cfg is not None
         else [TorusGeometry((12, 12), (1.0, 1.0)), TorusGeometry((6, 6, 6), (1.0, 1.0, 1.0))]
     )
@@ -381,14 +347,7 @@ def cmd_hodge_test(cfg: RunConfig | None) -> int:
     worst = 0.0
     for geom in geoms:
         for k in range(geom.dim + 1):
-            c = random_cochain(geom, k, rng)
-            nc = norm(c)
-            parts = hodge_decompose(c)
-            rec = norm(parts.reconstruct() - c) / nc
-            gre = norm(laplacian(green(c)) - (c - harmonic_projection(c))) / nc
-            lon = norm(-1.0 * laplacian(solve_london(c)) + solve_london(c) - c) / nc
-            mf = c - harmonic_projection(c)
-            poi = norm(-1.0 * laplacian(solve_poisson(mf)) - mf) / max(norm(mf), 1e-300)
+            rec, gre, lon, poi = solver_residuals(random_cochain(geom, k, rng))
             worst = max(worst, rec, gre, lon, poi)
             print(
                 f"T{geom.dim} degree {k}: reconstruct {rec:.3e}  green {gre:.3e}  "
@@ -399,22 +358,15 @@ def cmd_hodge_test(cfg: RunConfig | None) -> int:
 
 
 def cmd_ansatz(cfg: RunConfig) -> int:
-    geom, b = _build(cfg)
+    b = _bundle(cfg)
     eps = cfg.epsilons[0]
-    spec = _ansatz_spec(cfg)
-    u, A = default_initial_pair(b, eps, cfg.seed, spec)
+    u, A = default_initial_pair(b, eps, cfg.seed, cfg.ansatz)
 
-    os.makedirs(cfg.out, exist_ok=True)
-    v = _write_fields(cfg.out, geom, b, u, A, eps)
-    eg = g_energy(u, A, b, eps)
-    ee = e_energy(u, b, eps)
-    lines = [f"{k} = {_fmt(val)}" for k, val in eg.to_record().items()]
-    lines.append(f"e_energy_total = {_fmt(ee.total)}")
+    v = _write_fields(cfg.out, b, u, A, eps)
+    lines = [f"{k} = {_fmt(val)}" for k, val in asdict(g_energy(u, A, b, eps)).items()]
+    lines.append(f"e_energy_total = {_fmt(e_energy(u, b, eps).total)}")
     lines.append(f"total_winding = {int(v.windings.sum())}")
-    with open(os.path.join(cfg.out, "ansatz.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _write_record(os.path.join(cfg.out, "ansatz.txt"), lines)
     return 0
 
 
@@ -438,10 +390,11 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{args.command} requires --config")
             with open(args.config) as fh:
                 cfg = parse_config(fh.read())
+            # neither override can make a valid config invalid
             if args.out is not None:
-                cfg = _replace(cfg, out=args.out)
+                cfg = replace(cfg, out=args.out)
             if args.seed is not None:
-                cfg = _replace(cfg, seed=args.seed)
+                cfg = replace(cfg, seed=args.seed)
 
         if args.command == "minimize":
             return cmd_minimize(cfg)
@@ -453,19 +406,10 @@ def main(argv=None) -> int:
             return cmd_hodge_test(cfg)
         if args.command == "ansatz":
             return cmd_ansatz(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError, WindingMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    new = replace(cfg, **kw)
-    validate_config(new)
-    return new
 
 
 if __name__ == "__main__":

@@ -42,15 +42,6 @@ class EnergyBreakdown:
     total: float
     epsilon: float
 
-    def to_record(self) -> dict[str, float]:
-        return {
-            "kinetic": self.kinetic,
-            "potential": self.potential,
-            "curvature": self.curvature,
-            "total": self.total,
-            "epsilon": self.epsilon,
-        }
-
 
 def _check_epsilon(eps: float) -> float:
     eps = float(eps)

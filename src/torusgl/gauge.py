@@ -22,8 +22,8 @@ from math import floor
 import numpy as np
 
 from .bundle import Section
-from .hodge import hodge_decompose
-from .lattice import Cochain, TorusGeometry, exterior_derivative
+from .hodge import green
+from .lattice import Cochain, TorusGeometry, codifferential, exterior_derivative
 
 __all__ = ["GaugePhase", "apply_gauge", "coulomb_fix"]
 
@@ -71,8 +71,8 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     the input exactly (to rounding).
     """
     geom = A.geom
-    parts = hodge_decompose(A)
-    phi = parts.exact_potential.values[0]
+    # the exact Hodge part of A is d(phi), phi = d*(w) with w = -green(A)
+    phi = codifferential(-1.0 * green(A)).values[0]
     theta_total = -phi
 
     u1 = Section(geom, u.values * np.exp(-1j * phi))

@@ -42,6 +42,9 @@ __all__ = [
     "harmonic_dimension",
 ]
 
+# stencil eigenvalues below this count as zero in `harmonic_dimension`
+_HARMONIC_TOL = 1e-10
+
 
 class NonCompatibleSourceError(ValueError):
     """Poisson source has a harmonic part exceeding tolerance."""
@@ -87,14 +90,15 @@ def harmonic_projection(c: Cochain) -> Cochain:
     return Cochain(c.geom, c.degree, np.broadcast_to(means, c.values.shape).copy())
 
 
-def harmonic_dimension(geom: TorusGeometry, degree: int, tol: float = 1e-10) -> int:
-    """Count of -Delta stencil eigenvalues below `tol`, summed over components.
+def harmonic_dimension(geom: TorusGeometry, degree: int) -> int:
+    """Count of -Delta stencil eigenvalues below `_HARMONIC_TOL`, summed over
+    components.
 
     Cross-checks the hard-coded harmonic space: must equal C(n, k).
     """
     lam = stencil_eigenvalues(geom)
     ncomp = geom.shape(degree)[0]
-    return int(np.count_nonzero(lam < tol)) * ncomp
+    return int(np.count_nonzero(lam < _HARMONIC_TOL)) * ncomp
 
 
 def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:

@@ -231,6 +231,23 @@ def check_vortex(seed=0):
     return results
 
 
+def solver_residuals(c):
+    """Relative residuals of the Hodge solvers on the cochain c:
+    (reconstruct, green, london, poisson), each a norm of the equation's
+    defect over the norm of its source."""
+    nc = lattice_mod.norm(c)
+    mf = c - hodge_mod.harmonic_projection(c)
+    lap = lattice_mod.laplacian
+    london = hodge_mod.solve_london(c)
+    return (
+        lattice_mod.norm(hodge_mod.hodge_decompose(c).reconstruct() - c) / nc,
+        lattice_mod.norm(lap(hodge_mod.green(c)) - mf) / nc,
+        lattice_mod.norm(-1.0 * lap(london) + london - c) / nc,
+        lattice_mod.norm(-1.0 * lap(hodge_mod.solve_poisson(mf)) - mf)
+        / max(lattice_mod.norm(mf), 1e-300),
+    )
+
+
 def check_hodge(seed=0):
     rng = np.random.default_rng(seed)
     results = []
@@ -262,22 +279,8 @@ def check_hodge(seed=0):
         lin_max = 0.0
         for k in range(n + 1):
             c = lattice_mod.random_cochain(geom, k, rng)
-            v = hodge_mod.solve_london(c)
-            resid = lattice_mod.norm(-1.0 * lattice_mod.laplacian(v) + v - c) / lattice_mod.norm(c)
-            solver_max = max(solver_max, resid)
-            mf = c - hodge_mod.harmonic_projection(c)
-            vp = hodge_mod.solve_poisson(mf)
-            solver_max = max(
-                solver_max,
-                lattice_mod.norm(-1.0 * lattice_mod.laplacian(vp) - mf) / max(lattice_mod.norm(mf), 1e-300),
-            )
-            gw = hodge_mod.green(c)
-            solver_max = max(
-                solver_max,
-                lattice_mod.norm(
-                    lattice_mod.laplacian(gw) - (c - hodge_mod.harmonic_projection(c))
-                ) / lattice_mod.norm(c),
-            )
+            _, gre, lon, poi = solver_residuals(c)
+            solver_max = max(solver_max, lon, poi, gre)
             c2 = lattice_mod.random_cochain(geom, k, rng)
             lhs = hodge_mod.solve_london(1.5 * c + 0.25 * c2)
             rhs = 1.5 * hodge_mod.solve_london(c) + 0.25 * hodge_mod.solve_london(c2)

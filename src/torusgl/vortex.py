@@ -22,6 +22,8 @@ from .lattice import (
     components,
     exterior_derivative,
     inner_product,
+    laplacian,
+    norm,
 )
 
 __all__ = [
@@ -37,6 +39,10 @@ __all__ = [
     "single_dual_loop",
     "sparse_windings",
 ]
+
+# largest distance of a plaquette winding from an integer that `vorticity`
+# accepts as rounding
+_RESIDUE_TOL = 1e-8
 
 
 class ZeroOnPlaquetteError(RuntimeError):
@@ -84,7 +90,7 @@ def jacobian(u: Section, A: Cochain, b: BundleData) -> Cochain:
     return 0.5 * exterior_derivative(supercurrent(u, A, b)) + 0.5 * curvature(A, b)
 
 
-def vorticity(u: Section, A: Cochain, b: BundleData, residue_tol: float = 1e-8) -> VorticityField:
+def vorticity(u: Section, A: Cochain, b: BundleData) -> VorticityField:
     """Integer plaquette winding of the gauge-invariant phase plus flux.
 
     n_p = (1/2 pi) ( sum_{e in boundary p} wrap(arg u(head) - arg u(tail)
@@ -122,9 +128,9 @@ def vorticity(u: Section, A: Cochain, b: BundleData, residue_tol: float = 1e-8) 
 
     rounded = np.round(raw)
     residue = np.abs(raw - rounded).max()
-    if residue > residue_tol:
+    if residue > _RESIDUE_TOL:
         raise ValueError(
-            f"vorticity integrality residue {residue:.3e} exceeds {residue_tol:.1e}"
+            f"vorticity integrality residue {residue:.3e} exceeds {_RESIDUE_TOL:.1e}"
         )
     return VorticityField(geom, rounded.astype(np.int64))
 
@@ -180,8 +186,6 @@ def london_residual(u: Section, A: Cochain, b: BundleData) -> float:
 
     Exactly zero at discrete critical points, where d*F = j and dF = 0.
     """
-    from .lattice import laplacian, norm
-
     F = curvature(A, b)
     defect = -1.0 * laplacian(F) + F - 2.0 * jacobian(u, A, b)
     return norm(defect) / (1.0 + norm(F))

@@ -50,13 +50,23 @@ def write_config(tmp_path, text=None, **overrides):
     return path
 
 
+T3_AXIS_CONFIG = (
+    T2_CONFIG.replace("dim = 2", "dim = 3")
+    .replace("sites = 12 12", "sites = 8 8 10")
+    .replace("lengths = 1 1", "lengths = 1 1 1.25")
+    .replace("[ansatz]", "[ansatz]\naxis = 2")
+)
+
+
 def test_config_roundtrip(tmp_path):
-    path = write_config(tmp_path)
-    cfg = parse_config(path.read_text())
-    again = parse_config(serialize_config(cfg))
-    assert cfg == again
-    # and a second serialize is byte-identical
-    assert serialize_config(cfg) == serialize_config(again)
+    for text in (T2_CONFIG, T3_AXIS_CONFIG):
+        path = write_config(tmp_path, text=text)
+        cfg = parse_config(path.read_text())
+        again = parse_config(serialize_config(cfg))
+        assert cfg == again
+        # and a second serialize is byte-identical
+        assert serialize_config(cfg) == serialize_config(again)
+    assert again.ansatz.axis == 2
 
 
 def test_config_validation_messages():
@@ -73,6 +83,20 @@ def test_config_validation_messages():
     bad = base.replace("seed = 7\n", "")
     with pytest.raises(ConfigError, match="seed"):
         parse_config(bad)
+    for old, new in [
+        ("sites = 12 12", "sites = 12 12 12"),
+        ("lengths = 1 1", "lengths = 1"),
+        ("dim = 2", "dim = 4"),
+        ("lengths = 1 1", "lengths = 1 0"),
+        ("positions = 0.5 0.5", ""),
+        ("max_iter = 40000", "max_iter = 4e4"),
+    ]:
+        with pytest.raises(ConfigError):
+            parse_config(base.replace(old, new))
+    with pytest.raises(ConfigError, match=r"\[geometry\] sites"):
+        parse_config(base.replace("sites = 12 12", "sites = 12 x"))
+    with pytest.raises(ConfigError, match="true or false"):
+        parse_config(base.replace("tol = 1e-8", "tol = 1e-8\ntruncate_each = yes"))
 
 
 def test_cmd_minimize_trivial(tmp_path, capsys):
@@ -118,6 +142,17 @@ def test_cmd_minimize_exit_codes(tmp_path, capsys):
     budget = write_config(tmp_path, max_iter=1)
     assert main(["minimize", "--config", str(budget)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("windings = 1", "windings = 2"), ("[ansatz]", "[ansatz]\naxis = 2")],
+    ids=["chern-mismatch", "axis-on-t2"],
+)
+def test_ansatz_winding_mismatch_is_config_error(tmp_path, capsys, old, new):
+    path = write_config(tmp_path, text=T2_CONFIG.replace(old, new))
+    assert main(["ansatz", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cmd_sweep_table(tmp_path, capsys):
