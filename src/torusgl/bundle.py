@@ -11,8 +11,9 @@ holonomy/flux consistency and the Chern pairing hold exactly.
 The gauge field couples compactly, through the link variable
 U_e = exp(-i(theta0_e + h_i A_e)) (Wilson's lattice link), so lattice gauge
 transformations leave |D_A u| invariant exactly.  `link_transport` is the one
-place the link is formed; the covariant difference, energies, gradients,
-Hessian products, supercurrent and vorticity are all built on it.
+place the link is formed (from its phase, `link_phase`); the covariant
+difference, energies, gradients, Hessian products, supercurrent and vorticity
+are all built on it, and sweeps refine sections along its phases.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "gauge_one_form",
     "build_background",
     "link_transport",
+    "link_phase",
     "covariant_difference",
     "curvature",
     "flux_pairing",
@@ -162,10 +164,16 @@ def link_transport(u: Section, A: Cochain, b: BundleData):
         raise ValueError("gauge field must be a degree-1 cochain on the bundle geometry")
     if u.geom != b.geom:
         raise ValueError("section/bundle geometry mismatch")
-    h = b.geom.spacings
     for i in range(b.geom.dim):
-        link = np.exp(-1j * (b.theta0[i] + h[i] * A.values[i]))
+        link = np.exp(-1j * link_phase(A, b, i))
         yield link, np.roll(u.values, -1, axis=i) * link
+
+
+def link_phase(A: Cochain, b: BundleData, i: int) -> np.ndarray:
+    """theta0_e + h_i A_e on the i-edges, the phase of the link U_e =
+    exp(-i(theta0_e + h_i A_e)): the transport from the tail of an edge to
+    its head multiplies by exp(+i phase)."""
+    return b.theta0[i] + b.geom.spacings[i] * A.values[i]
 
 
 def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:

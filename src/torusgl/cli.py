@@ -94,6 +94,16 @@ def _positions(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_floats(group) for group in text.split(";") if group.strip())
 
 
+# the keys of each section; [bundle] takes chern_ij keys instead
+_SECTION_KEYS = {
+    "geometry": ("dim", "sites", "lengths"),
+    "bundle": None,
+    "run": ("epsilons", "seed", "out", "mesh_rule"),
+    "optimizer": ("tol", "max_iter", "truncate_each", "log_every"),
+    "ansatz": ("axis", "windings", "positions"),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the sectioned key/value format into a validated `RunConfig`.
 
@@ -101,8 +111,9 @@ def parse_config(text: str) -> RunConfig:
     [run] (epsilons, seed, out, mesh_rule), [optimizer] (tol, max_iter,
     truncate_each, log_every), optional [ansatz] (axis, windings,
     positions).  The ansatz is built only when windings are given.  Every
-    malformed value, and every value `TorusGeometry`, `AnsatzSpec` or
-    `validate_config` rejects, raises `ConfigError`.
+    unknown section or key, every malformed value, and every value
+    `TorusGeometry`, `AnsatzSpec` or `validate_config` rejects, raises
+    `ConfigError`.
     """
     sections: dict[str, dict[str, str]] = {}
     current = None
@@ -112,11 +123,15 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in _SECTION_KEYS:
+                raise ConfigError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in line or current is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a [section]")
         key, val = (p.strip() for p in line.split("=", 1))
+        if _SECTION_KEYS[current] is not None and key not in _SECTION_KEYS[current]:
+            raise ConfigError(f"line {lineno}: unknown [{current}] key {key}")
         sections[current][key] = val
 
     def need(section, key, convert):
@@ -231,6 +246,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("epsilon list must be strictly decreasing")
     if cfg.mesh_rule not in ("fixed", "quarter"):
         raise ConfigError(f"mesh_rule must be fixed or quarter (got {cfg.mesh_rule})")
+    h = max(cfg.geom.spacings)
+    if cfg.mesh_rule == "fixed" and h > min(cfg.epsilons) / 2.0 + 1e-15:
+        raise ConfigError(
+            f"mesh_rule = fixed needs h <= epsilon/2 for every epsilon "
+            f"(h = {_fmt(h)}, smallest epsilon = {_fmt(min(cfg.epsilons))})"
+        )
     if not cfg.optimizer.tol > 0:
         raise ConfigError("tol > 0 violated")
     if cfg.optimizer.max_iter < 1:

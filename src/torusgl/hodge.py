@@ -105,7 +105,9 @@ def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray
     """Apply a Fourier multiplier, given per mode on the full site grid and
     even in each wave number, to every component of a real stacked
     (components, *sites) array: one rfftn/irfftn pair over the site axes,
-    the multiplier cut to the half spectrum the real transform keeps."""
+    the multiplier cut to the half spectrum the real transform keeps (a
+    multiplier already cut to it passes unchanged).  A multiplier with a
+    leading components axis gives each component its own."""
     sites = values.shape[1:]
     axes = tuple(range(1, values.ndim))
     spec = np.fft.rfftn(values, axes=axes)

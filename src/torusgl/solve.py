@@ -3,12 +3,20 @@ ansatz, and epsilon-continuation sweeps.
 
 Both minimizers (`minimize` and `relax_connection`) run one inexact Newton
 loop from their starting state (see _newton): each step solves the Newton
-system by spectrally preconditioned conjugate gradients on exact
-Hessian-vector products (forcing 0.1; Dembo, Eisenstat and Steihaug, SIAM
-J. Numer. Anal. 19, 1982), then halves the step until an Armijo test on the
-energy change summed term by term passes.  Three module constants fix the
-backtracking: _ARMIJO_C (sufficient-decrease constant, 1e-4), _SHRINK
-(backtracking factor, 0.5) and _MAX_BACKTRACKS (trials per step, 60).  In
+system by preconditioned conjugate gradients on exact Hessian-vector
+products (forcing 0.1; Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
+19, 1982), then halves the step until an Armijo test on the energy change
+summed term by term passes.  The preconditioner is a Sobolev metric matched
+to the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J. Sci.
+Comput. 19, 1998): in `minimize` it is phase-aligned, rotating the section
+part of a vector into the local frame u/|u| and applying
+(h^n(-Delta + _RADIAL_STIFFNESS/eps^2))^-1 to the modulus direction and
+(h^n(-Delta + 1))^-1 to the phase direction and to A, so the CG count no
+longer grows with 1/eps^2 (see _phase_aligned_preconditioner);
+`relax_connection`, whose Hessian has no potential block, uses the plain
+(h^n(-Delta + 1))^-1.  Three module constants fix the backtracking:
+_ARMIJO_C (sufficient-decrease constant, 1e-4), _SHRINK (backtracking
+factor, 0.5) and _MAX_BACKTRACKS (trials per step, 60).  In
 `minimize`, pinned vortex cores also slide along their covariant
 translations.  Convergence is declared on the sup-norm of the scale-free
 gradient (the variational derivative, i.e. the raw gradient divided by the
@@ -35,6 +43,7 @@ from .bundle import (
     build_background,
     covariant_difference,
     curvature,
+    link_phase,
 )
 from .fields import (
     EnergyBreakdown,
@@ -177,7 +186,9 @@ class _Problem:
         only along energy-neutral directions (a gauge-fixing term);
     change(x, s): f(x + s) - f(x) summed term by term, so its sign is
         resolved far below one ulp of f;
-    precond(v): symmetric positive definite preconditioner;
+    precond(x): the preconditioner at x, a symmetric positive definite
+        map v -> M v; the Newton loop builds it once per round and applies
+        it at every conjugate-gradient step of that round;
     soft_modes(x): (Q, R) for near-null directions kept out of the
         conjugate-gradient solve, or None: R holds one row per direction,
         scaled to a displacement of one lattice cell, and Q orthonormal rows
@@ -201,11 +212,79 @@ def _spectral_preconditioner(geom: TorusGeometry):
     return lambda v: _spectral_multiply(v.reshape(-1, *geom.sites), mult).ravel()
 
 
+# potential curvature along the modulus at |u| = 1, in units of 1/eps^2: the
+# second derivative of (1 - r^2)^2 / (4 eps^2) at r = 1
+_RADIAL_STIFFNESS = 2.0
+
+
+def _phase_aligned_preconditioner(geom: TorusGeometry, eps: float):
+    """The preconditioner factory of `minimize`: x -> (v -> M v) with
+    M = R^T D R on packed (Re u, Im u, A) vectors.
+
+    R rotates the section part du of v, site by site, into the frame
+    e = u/|u| of the state x (e = 1 where u = 0): radial Re(conj(e) du) and
+    tangential Im(conj(e) du); A passes unrotated.  D is one stacked
+    spectral apply of (cell_volume * (-Delta + _RADIAL_STIFFNESS/eps^2))^-1
+    to the radial row and (cell_volume * (-Delta + 1))^-1 to the tangential
+    row and to every A row.  Away from vortex cores the Hessian is about
+    -Delta + 2/eps^2 along the modulus but carries no 1/eps^2 term along the
+    phase or on A, so this keeps the conjugate-gradient count from growing
+    like 1/eps^2, which the quarter rule h = eps/4 turns into 1/h^2.  R is
+    a pointwise rotation, so M is symmetric positive definite.  The
+    multiplier and the rotation buffer are built once here; each apply
+    allocates only its result.
+    """
+    nv, n = geom.n_sites, geom.dim
+    # the multiplier on the half spectrum the real transform keeps
+    lam = stencil_eigenvalues(geom)[..., : geom.sites[-1] // 2 + 1]
+    w = geom.cell_volume
+    mult = np.empty((2 + n, *lam.shape))
+    mult[0] = 1.0 / (w * (lam + _RADIAL_STIFFNESS / (eps * eps)))
+    mult[1:] = 1.0 / (w * (lam + 1.0))
+    buf = np.empty((2 + n, *geom.sites))
+
+    def at(x: np.ndarray):
+        u = (x[:nv] + 1j * x[nv:2 * nv]).reshape(geom.sites)
+        modulus = np.abs(u)
+        e = np.ones_like(u)
+        np.divide(u, modulus, out=e, where=modulus > 0.0)
+        er, ei = e.real.copy(), e.imag.copy()
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            vr = v[:nv].reshape(geom.sites)
+            vi = v[nv:2 * nv].reshape(geom.sites)
+            # buf = (Re(conj(e) du), Im(conj(e) du), dA), buf[2] doubling as
+            # scratch before dA lands there
+            np.multiply(er, vr, out=buf[0])
+            np.multiply(ei, vi, out=buf[1])
+            buf[0] += buf[1]
+            np.multiply(er, vi, out=buf[1])
+            np.multiply(ei, vr, out=buf[2])
+            buf[1] -= buf[2]
+            buf[2:] = v[2 * nv:].reshape(n, *geom.sites)
+            z = _spectral_multiply(buf, mult)
+            # rotate back in place: du = e (z0 + i z1)
+            np.multiply(ei, z[0], out=buf[0])
+            np.multiply(ei, z[1], out=buf[1])
+            z[0] *= er
+            z[0] -= buf[1]
+            z[1] *= er
+            z[1] += buf[0]
+            return z.ravel()
+
+        return apply
+
+    return at
+
+
 def _projected_cg(hv, g, precond, project, forcing, max_steps):
     """Preconditioned CG on H p = -g within the range of `project`.
 
-    Stops when the residual falls below `forcing` times its start, or with
-    the step so far when a direction of non-positive curvature appears.
+    Stops when the residual falls below `forcing` times its start, or when a
+    direction of non-positive curvature appears: with the step so far, or,
+    if that is the first direction, with the direction itself (a
+    preconditioned steepest-descent step, which the line search shortens),
+    since the empty step would end the Newton loop as stalled.
     Returns (p, Hessian-vector products used).
     """
     r = project(g)
@@ -220,6 +299,8 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps):
         used += 1
         dHd = float(_dot(d, Hd))
         if dHd <= 0.0:
+            if used == 1:
+                p = d
             break
         a = rz / dHd
         p += a * d
@@ -241,7 +322,7 @@ def _newton_round(p: _Problem, x, g, budget, project):
     evaluations used), with x None when no certified decrease exists along
     the step; the gradient at the new x is the last evaluation."""
     hv = lambda v: p.hessvec(x, v)  # noqa: E731
-    s, used = _projected_cg(hv, g, p.precond, project, 0.1, min(400, budget - 1))
+    s, used = _projected_cg(hv, g, p.precond(x), project, 0.1, min(400, budget - 1))
     slope = float(_dot(g, s))
     if slope < 0.0:
         step = 1.0
@@ -444,7 +525,9 @@ def minimize(
             )
         return x, fx, g
 
-    problem = _Problem(grad, hessvec, change, _spectral_preconditioner(geom), soft_modes)
+    problem = _Problem(
+        grad, hessvec, change, _phase_aligned_preconditioner(geom, eps), soft_modes
+    )
     x, gnorm, iters, reason = _newton(
         problem, _pack(u0, A0), g_energy(u0, A0, b, eps).total, w, _with_hook(opts, step_hook)
     )
@@ -521,7 +604,8 @@ def relax_connection(
         parts = g_energy_change(u, B, b, 1.0, still, codiff(s))
         return 2.0 * (parts.kinetic + parts.curvature)
 
-    problem = _Problem(grad, hessvec, change, _spectral_preconditioner(geom))
+    plain = _spectral_preconditioner(geom)
+    problem = _Problem(grad, hessvec, change, lambda x: plain)
     x, gnorm, _, reason = _newton(problem, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)
     B = A + codiff(x)
     if reason == "converged":
@@ -716,25 +800,60 @@ class SweepRecord:
     hminus1_to_target: float
 
 
-def _refine(vals: np.ndarray, coarse: TorusGeometry, fine: TorusGeometry, lead: int) -> np.ndarray:
+def _refine(
+    vals: np.ndarray, coarse: TorusGeometry, fine: TorusGeometry, lead: int, phases=None
+) -> np.ndarray:
     """Periodic linear interpolation of site arrays (site axes start at
-    `lead`) onto a lattice with an integer multiple of the sites per axis."""
+    `lead`) onto a lattice with an integer multiple of the sites per axis,
+    one axis at a time.  With `phases` (lead 0 only; see refine_section)
+    each new value interpolates its two coarse neighbours carried to it
+    along the fine links."""
+    factors = []
     for axis in range(coarse.dim):
         factor, rem = divmod(fine.sites[axis], coarse.sites[axis])
         if rem or factor < 1:
             raise ValueError("refinement requires integer site-count factors")
+        factors.append(factor)
+    for axis, factor in enumerate(factors):
         if factor > 1:
             ax = axis + lead
             nxt = np.roll(vals, -1, axis=ax)
-            pieces = [(1.0 - r / factor) * vals + (r / factor) * nxt for r in range(factor)]
+            turns = [1.0] * factor
+            if phases is not None:
+                # the fine links along `axis` on the grid refined so far, and
+                # their phase sums from each coarse site to the r-th fine
+                # site after it: the transport there is exp(i sum)
+                grid = tuple(slice(None) if a <= axis else slice(None, None, factors[a])
+                             for a in range(coarse.dim))
+                step = phases[axis][grid]
+                total = np.zeros(vals.shape)
+                for r in range(factor):
+                    turns[r] = np.exp(1j * total)
+                    total = total + step.take(np.arange(r, fine.sites[axis], factor), axis=axis)
+                nxt = nxt * np.exp(-1j * total)
+            pieces = [
+                ((1.0 - r / factor) * vals + (r / factor) * nxt) * turns[r] for r in range(factor)
+            ]
             new_shape = list(vals.shape)
             new_shape[ax] *= factor
             vals = np.stack(pieces, axis=ax + 1).reshape(new_shape)
     return vals
 
 
-def refine_section(u: Section, geom_new: TorusGeometry) -> Section:
-    return Section(geom_new, _refine(u.values, u.geom, geom_new, 0))
+def refine_section(u: Section, geom_new: TorusGeometry, phases=None) -> Section:
+    """Interpolate a section onto a lattice with an integer multiple of the
+    sites per axis; the old sites keep their values.
+
+    `phases`, when given, holds the link phases theta0 + h A of the
+    connection on geom_new (one row per axis, see bundle.link_phase), and a
+    new value is the linear interpolation of its two coarse neighbours each
+    carried to it along the fine links, so a covariantly constant section
+    refines to one.  Without them the phases are taken as zero and the
+    values are interpolated as they stand; on a bundle's background that
+    drives |u| to zero across every link whose phase is near pi (the seam
+    carries phases up to 2 pi), a spurious line of normal phase.
+    """
+    return Section(geom_new, _refine(u.values, u.geom, geom_new, 0, phases))
 
 
 def refine_cochain(c: Cochain, geom_new: TorusGeometry) -> Cochain:
@@ -762,7 +881,8 @@ def epsilon_sweep(
     `init` is an AnsatzSpec, a (Section, gauge 1-cochain) pair, or None for
     the default initialization.  mesh_rule "fixed" keeps one lattice (h must
     satisfy h <= eps/2 for every entry); "quarter" rebuilds each entry with
-    h = eps/4 and prolongates the previous minimizer onto the finer lattice.
+    h = eps/4 and prolongates the previous minimizer onto the finer lattice,
+    the section along the fine link phases (see refine_section).
     The H^-1 column measures jacobian/pi against the target vorticity density
     (the prescribed ansatz when given, else the first converged vorticity).
     """
@@ -800,9 +920,10 @@ def epsilon_sweep(
                 if u.geom != cur_geom:
                     raise ValueError("initial fields must live on the sweep geometry")
         elif entry_geom != cur_geom:
-            u = refine_section(u, entry_geom)
             A = refine_cochain(A, entry_geom)
             cur_geom, cur_bundle = entry_geom, build_background(entry_geom, b.chern)
+            phases = np.stack([link_phase(A, cur_bundle, i) for i in range(cur_geom.dim)])
+            u = refine_section(u, entry_geom, phases)
 
         res = minimize(u, A, cur_bundle, eps, opts)
         u, A = res.section, res.gauge_field

@@ -97,6 +97,29 @@ def test_config_validation_messages():
         parse_config(base.replace("sites = 12 12", "sites = 12 x"))
     with pytest.raises(ConfigError, match="true or false"):
         parse_config(base.replace("tol = 1e-8", "tol = 1e-8\ntruncate_each = yes"))
+    # h = 1.5/8 > 0.25/2 on one fixed lattice
+    bad = (
+        base.replace("sites = 12 12", "sites = 8 8 8")
+        .replace("dim = 2", "dim = 3")
+        .replace("lengths = 1 1", "lengths = 1 1 1.5")
+        .replace("seed = 7", "seed = 7\nmesh_rule = fixed")
+        .split("[ansatz]")[0]
+    )
+    with pytest.raises(ConfigError, match="epsilon/2"):
+        parse_config(bad)
+    parse_config(bad.replace("mesh_rule = fixed", "mesh_rule = quarter"))
+
+
+def test_unknown_config_keys_and_sections_rejected(tmp_path, capsys):
+    base = T2_CONFIG.format(out="x")
+    with pytest.raises(ConfigError, match=r"unknown \[optimizer\] key max_iters"):
+        parse_config(base.replace("max_iter = 40000", "max_iters = 1"))
+    with pytest.raises(ConfigError, match=r"unknown section \[optimiser\]"):
+        parse_config(base.replace("[optimizer]", "[optimiser]"))
+    # a typo fails the run up front instead of running with the default
+    path = write_config(tmp_path, text=T2_CONFIG.replace("max_iter = 40000", "max_iters = 1"))
+    assert main(["minimize", "--config", str(path)]) == 1
+    assert "max_iters" in capsys.readouterr().err
 
 
 def test_cmd_minimize_trivial(tmp_path, capsys):
@@ -233,7 +256,7 @@ def test_full_precision_output(tmp_path, capsys):
 def test_minimize_iteration_stream(tmp_path, capsys):
     out = tmp_path / "stream"
     text = T2_CONFIG.format(out=out).replace(
-        "max_iter = 40000", "max_iter = 40000\nlog_every = 10"
+        "max_iter = 40000", "max_iter = 40000\nlog_every = 2"
     )
     path = tmp_path / "s.cfg"
     path.write_text(text)

@@ -170,7 +170,7 @@ def test_minimize_truncate_each(t2_bundle):
     assert np.abs(res.section.values).max() <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("option", [{"truncate_each": True}, {"log_every": 50}])
+@pytest.mark.parametrize("option", [{"truncate_each": True}, {"log_every": 2}])
 def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, option):
     """A caller's iterate_hook still runs when truncate_each or log_every is
     set, sees energies that never increase, and log_every counts the same
@@ -193,6 +193,8 @@ def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, opt
     assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
     stream = [l for l in capsys.readouterr().out.splitlines() if l.startswith("iteration ")]
     cadence = option.get("log_every", 0)
+    if cadence:
+        assert stream, "no per-iteration records emitted"
     assert len(stream) == (len(energies) // cadence if cadence else 0)
     for n, line in enumerate(stream, start=1):
         words = line.split()
@@ -422,6 +424,49 @@ def test_refinement_helpers(rng):
         refine_section(u, tg.TorusGeometry((12, 12), (1.0, 1.0)))
 
 
+def test_refine_section_follows_link_phases(t2_trivial, t2_bundle):
+    """Along the fine link phases a covariantly constant section refines to
+    one, and a minimizer refines to a state of about its energy; the plain
+    interpolation of the values does neither across the background seam."""
+    from torusgl.bundle import link_phase
+
+    def phases(A, b):
+        return np.stack([link_phase(A, b, i) for i in range(b.geom.dim)])
+
+    def wave(g):
+        return tg.Section(g, np.exp(1j * k * np.broadcast_to(g.coordinates(0), g.sites)))
+
+    g2 = tg.TorusGeometry((32, 32), (1.0, 1.0))
+    k = 2 * np.pi * 3
+    A2 = tg.Cochain(g2, 1, np.stack([np.full(g2.sites, k), np.zeros(g2.sites)]))
+    b2 = tg.build_background(g2, t2_trivial.chern)
+    u2 = refine_section(wave(t2_trivial.geom), g2, phases(A2, b2))
+    assert np.abs(u2.values - wave(g2).values).max() <= 1e-13
+
+    g = t2_bundle.geom
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
+    res = tg.minimize(*vortex_ansatz(spec, t2_bundle, g, 0.25), t2_bundle, 0.25)
+    b2 = tg.build_background(g2, t2_bundle.chern)
+    A2 = refine_cochain(res.gauge_field, g2)
+    along = refine_section(res.section, g2, phases(A2, b2))
+    plain = refine_section(res.section, g2)
+    assert np.array_equal(along.values[::2, ::2], res.section.values)
+    assert tg.g_energy(along, A2, b2, 0.25).total <= 1.01 * res.energy.total
+    assert tg.g_energy(plain, A2, b2, 0.25).total > 1.2 * res.energy.total
+
+
+def test_cg_takes_first_direction_of_negative_curvature():
+    """Negative curvature along the first CG direction gives that direction
+    as the step, not an empty step that would stall the Newton loop."""
+    from torusgl.solve import _projected_cg
+
+    g = np.arange(1.0, 5.0)
+    same = lambda v: v  # noqa: E731
+    p, used = _projected_cg(lambda v: -v, g, lambda v: 2.0 * v, same, 0.1, 10)
+    assert used == 1
+    assert np.array_equal(p, -2.0 * g)
+
+
 @pytest.mark.slow
 def test_minimizer_single_plaquette_support_64(min_t2_64):
     geom, b, eps, res = min_t2_64
@@ -518,3 +563,30 @@ def test_spectral_preconditioner_is_scaled_london_solve(sites, lengths):
     expected = tg.solve_london(psi).values.ravel() / w
     got = precond(psi.values.ravel())
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("sites, eps", [((10, 7), 0.2), ((6, 5, 4), 0.3)])
+def test_phase_aligned_preconditioner_is_spd(sites, eps):
+    """M = R^T D R is symmetric and positive definite at a random state,
+    also where u has an exact zero (frame 1 there)."""
+    rng = np.random.default_rng(13)
+    g = tg.TorusGeometry(sites, (1.0,) * len(sites))
+    u = random_section(g, rng)
+    u.values[(1,) * g.dim] = 0.0
+    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    precond = tg.solve._phase_aligned_preconditioner(g, eps)(tg.solve._pack(u, A))
+    for _ in range(3):
+        v, w = rng.standard_normal((2, tg.solve._pack(u, A).size))
+        vMw, Mvw = v @ precond(w), precond(v) @ w
+        assert abs(vMw - Mvw) <= 1e-12 * abs(vMw)
+        assert v @ precond(v) > 0.0
+
+
+@pytest.mark.slow
+def test_newton_cg_counts_mesh_independent(min_t3_28, sweep_quarter):
+    """The phase-aligned preconditioner keeps the Newton-CG count from
+    doubling per halving of h under the quarter rule h = eps/4."""
+    assert min_t3_28[3].iterations <= 80
+    counts = [r.result.iterations for r in sweep_quarter]
+    assert counts[-1] <= 2.6 * counts[0], counts
+    assert all(b <= 1.8 * a for a, b in zip(counts, counts[1:])), counts
