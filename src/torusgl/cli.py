@@ -9,7 +9,8 @@ minimize, sweep, selftest, hodge-test, ansatz.  Flags: --config, --out,
 --seed.  Exit codes: 0 success/converged, 1 config error (a malformed or
 out-of-range value, or an ansatz that does not fit the bundle), 2 not
 converged: the iteration budget was exhausted, or the Newton loop stalled
-with no certified energy decrease left.
+with no certified energy decrease left; stderr then names the stop reason
+of each unconverged solve.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
     for i, j in components(cfg.geom.dim, 2):
         lines.append(f"chern_pairing_{i}{j} = {int(pairing[i, j])}")
     _write_record(os.path.join(cfg.out, "summary.txt"), lines)
-    return 0 if res.converged else 2
+    return _exit_code([("minimize", res)])
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -350,7 +351,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
     os.makedirs(cfg.out, exist_ok=True)
     _write_record(os.path.join(cfg.out, "sweep.csv"), rows)
-    return 0 if all(r.result.converged for r in records) else 2
+    return _exit_code([(f"sweep epsilon {_fmt(r.epsilon)}", r.result) for r in records])
+
+
+def _exit_code(solves) -> int:
+    """0 when every (label, MinimizerResult) converged; else 2, with one
+    stderr line per unconverged solve naming its stop reason."""
+    code = 0
+    for label, res in solves:
+        if not res.converged:
+            print(
+                f"{label}: not converged ({res.stop_reason}) after "
+                f"{res.iterations} iterations",
+                file=sys.stderr,
+            )
+            code = 2
+    return code
 
 
 def cmd_selftest() -> int:

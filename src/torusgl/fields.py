@@ -6,8 +6,10 @@ Quadrature: the potential is vertex-collocated, the kinetic term
 edge-collocated, the curvature term plaquette-collocated, all with the full
 cell volume prod(h_i) per sample, matching the lattice inner product.  The
 gauge field enters only through the links of `bundle.link_transport`, formed
-once per axis per evaluation.  All reductions use plain numpy sums in fixed
-order, so results are reproducible bit-for-bit within a build.
+once per axis per state: `linearize` keeps them in a LocalModel, which serves
+the gradient, every Hessian-vector product and every energy change there.
+All reductions use plain numpy sums in fixed order, so results are
+reproducible bit-for-bit within a build.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "g_gradient",
     "g_hessvec",
     "g_energy_change",
+    "LocalModel",
+    "linearize",
     "truncate",
     "energy_density",
 ]
@@ -91,97 +95,104 @@ def e_energy(u: Section, b: BundleData, eps: float) -> EnergyBreakdown:
     return EnergyBreakdown(full.kinetic, full.potential, 0.0, total, eps)
 
 
+class LocalModel:
+    """g_energy near one state (u, A): its gradient, Hessian-vector products
+    and term-by-term changes, all read from the links and transported
+    neighbours of `bundle.link_transport`, formed once, at construction.
+    Build it with `linearize`; it holds two complex arrays per axis."""
+
+    def __init__(self, u: Section, A: Cochain, b: BundleData, eps: float):
+        self.u, self.A, self.b, self.eps = u, A, b, _check_epsilon(eps)
+        self.w, self.h = b.geom.cell_volume, b.geom.spacings
+        self.links = tuple(link_transport(u, A, b))  # (link, fwd) per axis
+
+    def field_equation(self) -> Cochain:
+        """d*F_A - j(u, A), the residual of the second Ginzburg-Landau
+        equation; j is vortex.supercurrent."""
+        current = np.empty(self.b.geom.shape(1))
+        for i, (_, fwd) in enumerate(self.links):
+            current[i] = np.imag(np.conj(self.u.values) * fwd) / self.h[i]
+        return codifferential(curvature(self.A, self.b)) - Cochain(self.b.geom, 1, current)
+
+    def gradient(self):
+        """Exact gradient of g_energy: (complex per-vertex field d/d(Re u,
+        Im u) packed as Re + i Im, degree-1 cochain d/dA).  The A part is
+        (d*F_A - j(u, A)) * prod(h), the discrete second Ginzburg-Landau
+        equation; both carry the cell volume, as true derivatives of the
+        summed energy do."""
+        w, h, eps, uv = self.w, self.h, self.eps, self.u.values
+        grad_u = np.zeros(uv.shape, dtype=np.complex128)
+        for i, (link, fwd) in enumerate(self.links):
+            Du = (fwd - uv) / h[i]
+            grad_u += (w / h[i]) * (np.roll(np.conj(link) * Du, +1, axis=i) - Du)
+        grad_u += -(w / (eps * eps)) * (1.0 - (uv.real**2 + uv.imag**2)) * uv
+        return grad_u, Cochain(self.b.geom, 1, w * self.field_equation().values)
+
+    def hessvec(self, du: Section, dA: Cochain):
+        """Exact Hessian-vector product of g_energy: the directional
+        derivative of the gradient along (du, dA), returned in the same
+        packing (complex per-vertex field, degree-1 cochain)."""
+        w, h, eps, uv, dv = self.w, self.h, self.eps, self.u.values, du.values
+        hess_u = np.zeros(uv.shape, dtype=np.complex128)
+        minus_dj = np.empty(dA.values.shape)
+        for i, (link, fwd) in enumerate(self.links):
+            dfwd = np.roll(dv, -1, axis=i) * link
+            a = dA.values[i]
+            Du = (fwd - uv) / h[i]
+            dDu = (dfwd - dv) / h[i] - 1j * a * fwd
+            dback = np.conj(link) * (dDu + 1j * h[i] * a * Du)
+            hess_u += (w / h[i]) * (np.roll(dback, +1, axis=i) - dDu)
+            minus_dj[i] = a * np.real(np.conj(uv) * fwd) - np.imag(
+                np.conj(dv) * fwd + np.conj(uv) * dfwd
+            ) / h[i]
+        mod2 = uv.real**2 + uv.imag**2
+        hess_u += -(w / (eps * eps)) * ((1.0 - mod2) * dv - 2.0 * np.real(np.conj(uv) * dv) * uv)
+        hess_A = w * (codifferential(exterior_derivative(dA)).values + minus_dj)
+        return hess_u, Cochain(self.b.geom, 1, hess_A)
+
+    def change(self, du: Section, dA: Cochain) -> EnergyBreakdown:
+        """g_energy(u + du, A + dA) - g_energy(u, A), part by part, each
+        local term's change formed from the increments (|D'|^2 - |D|^2 =
+        Re(conj(dD)(2 D + dD)), the link change through expm1), so rounding
+        is relative to the change, not to the energy: the sign of a decrease
+        far below one ulp of the total is still resolved."""
+        w, h, eps, uv, dv = self.w, self.h, self.eps, self.u.values, du.values
+        kin = 0.0
+        for i, (link, fwd) in enumerate(self.links):
+            turn = np.expm1(-1j * h[i] * dA.values[i])
+            Du = (fwd - uv) / h[i]
+            dDu = (np.roll(dv, -1, axis=i) * link * (1.0 + turn) + fwd * turn - dv) / h[i]
+            kin += float(np.sum(np.real(np.conj(dDu) * (2.0 * Du + dDu))))
+        kin *= 0.5 * w
+
+        one_minus = 1.0 - (uv.real**2 + uv.imag**2)
+        dmod2 = 2.0 * np.real(np.conj(uv) * dv) + (dv.real**2 + dv.imag**2)
+        pot = w * float(np.sum(dmod2 * (dmod2 - 2.0 * one_minus))) / (4.0 * eps * eps)
+
+        F = curvature(self.A, self.b).values
+        dF = exterior_derivative(dA).values
+        curv = 0.5 * w * float(np.sum(dF * (2.0 * F + dF)))
+        return EnergyBreakdown(kin, pot, curv, kin + pot + curv, eps)
+
+
+def linearize(u: Section, A: Cochain, b: BundleData, eps: float) -> LocalModel:
+    """The local model of g_energy at (u, A)."""
+    return LocalModel(u, A, b, eps)
+
+
 def g_gradient(u: Section, A: Cochain, b: BundleData, eps: float):
-    """Exact gradient of g_energy: (complex per-vertex field d/d(Re u, Im u)
-    packed as Re + i Im, degree-1 cochain d/dA).
-
-    The gauge-field gradient equals (d*F_A - j(u, A)) * prod(h), the discrete
-    second Ginzburg-Landau equation; both parts carry the cell volume, i.e.
-    they are the true derivatives of the summed energy.
-    """
-    eps = _check_epsilon(eps)
-    geom = b.geom
-    w = geom.cell_volume
-    h = geom.spacings
-    uv = u.values
-
-    grad_u = np.zeros(geom.sites, dtype=np.complex128)
-    current = np.empty(geom.shape(1))
-    for i, (link, fwd) in enumerate(link_transport(u, A, b)):
-        Du = (fwd - uv) / h[i]
-        grad_u += (w / h[i]) * (np.roll(np.conj(link) * Du, +1, axis=i) - Du)
-        current[i] = np.imag(np.conj(uv) * fwd) / h[i]
-    mod2 = uv.real**2 + uv.imag**2
-    grad_u += -(w / (eps * eps)) * (1.0 - mod2) * uv
-
-    grad_A = w * (codifferential(curvature(A, b)).values - current)
-    return grad_u, Cochain(geom, 1, grad_A)
+    """LocalModel.gradient at (u, A)."""
+    return linearize(u, A, b, eps).gradient()
 
 
-def g_hessvec(
-    u: Section, A: Cochain, b: BundleData, eps: float, du: Section, dA: Cochain
-):
-    """Exact Hessian-vector product of g_energy: the directional derivative
-    of g_gradient at (u, A) along (du, dA), returned in the same packing
-    (complex per-vertex field, degree-1 cochain)."""
-    eps = _check_epsilon(eps)
-    geom = b.geom
-    w = geom.cell_volume
-    h = geom.spacings
-    uv, dv = u.values, du.values
-
-    hess_u = np.zeros(geom.sites, dtype=np.complex128)
-    minus_dj = np.empty(geom.shape(1))
-    for i, (link, fwd) in enumerate(link_transport(u, A, b)):
-        dfwd = np.roll(dv, -1, axis=i) * link
-        a = dA.values[i]
-        Du = (fwd - uv) / h[i]
-        dDu = (dfwd - dv) / h[i] - 1j * a * fwd
-        dback = np.conj(link) * (dDu + 1j * h[i] * a * Du)
-        hess_u += (w / h[i]) * (np.roll(dback, +1, axis=i) - dDu)
-        minus_dj[i] = a * np.real(np.conj(uv) * fwd) - np.imag(
-            np.conj(dv) * fwd + np.conj(uv) * dfwd
-        ) / h[i]
-    mod2 = uv.real**2 + uv.imag**2
-    hess_u += -(w / (eps * eps)) * ((1.0 - mod2) * dv - 2.0 * np.real(np.conj(uv) * dv) * uv)
-
-    hess_A = w * (codifferential(exterior_derivative(dA)).values + minus_dj)
-    return hess_u, Cochain(geom, 1, hess_A)
+def g_hessvec(u: Section, A: Cochain, b: BundleData, eps: float, du: Section, dA: Cochain):
+    """LocalModel.hessvec at (u, A) along (du, dA)."""
+    return linearize(u, A, b, eps).hessvec(du, dA)
 
 
-def g_energy_change(
-    u: Section, A: Cochain, b: BundleData, eps: float, du: Section, dA: Cochain
-) -> EnergyBreakdown:
-    """g_energy(u + du, A + dA) - g_energy(u, A), part by part.
-
-    Each local term changes by an amount formed from the increments directly
-    (|D'|^2 - |D|^2 = Re(conj(dD)(2 D + dD)) with the link change through
-    expm1, and likewise for the potential and curvature), so rounding is
-    relative to the change itself rather than to the energy: the sign of a
-    decrease far below one ulp of the total is still resolved.
-    """
-    eps = _check_epsilon(eps)
-    geom = b.geom
-    w = geom.cell_volume
-    h = geom.spacings
-    uv, dv = u.values, du.values
-
-    kin = 0.0
-    for i, (link, fwd) in enumerate(link_transport(u, A, b)):
-        turn = np.expm1(-1j * h[i] * dA.values[i])
-        Du = (fwd - uv) / h[i]
-        dDu = (np.roll(dv, -1, axis=i) * link * (1.0 + turn) + fwd * turn - dv) / h[i]
-        kin += float(np.sum(np.real(np.conj(dDu) * (2.0 * Du + dDu))))
-    kin *= 0.5 * w
-
-    one_minus = 1.0 - (uv.real**2 + uv.imag**2)
-    dmod2 = 2.0 * np.real(np.conj(uv) * dv) + (dv.real**2 + dv.imag**2)
-    pot = w * float(np.sum(dmod2 * (dmod2 - 2.0 * one_minus))) / (4.0 * eps * eps)
-
-    F = curvature(A, b).values
-    dF = exterior_derivative(dA).values
-    curv = 0.5 * w * float(np.sum(dF * (2.0 * F + dF)))
-    return EnergyBreakdown(kin, pot, curv, kin + pot + curv, eps)
+def g_energy_change(u: Section, A: Cochain, b: BundleData, eps: float, du: Section, dA: Cochain):
+    """LocalModel.change at (u, A) by (du, dA)."""
+    return linearize(u, A, b, eps).change(du, dA)
 
 
 def truncate(u: Section) -> Section:

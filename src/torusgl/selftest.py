@@ -331,7 +331,6 @@ def check_solve(seed=0):
 
     def record_hook(x, fx, g):
         energies.append(float(fx))
-        return x, fx, g
 
     opts = solve_mod._with_hook(
         solve_mod.MinimizeOptions(tol=1e-8, max_iter=20000), record_hook

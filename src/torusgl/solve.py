@@ -6,7 +6,9 @@ loop from their starting state (see _newton): each step solves the Newton
 system by preconditioned conjugate gradients on exact Hessian-vector
 products (forcing 0.1; Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
 19, 1982), then halves the step until an Armijo test on the energy change
-summed term by term passes.  The preconditioner is a Sobolev metric matched
+summed term by term passes.  Each state reached gets one local model
+(_Model, on fields.linearize), which forms the links once for the gradient,
+every product and every energy change there.  The preconditioner is a Sobolev metric matched
 to the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J. Sci.
 Comput. 19, 1998): in `minimize` it is phase-aligned, rotating the section
 part of a vector into the local frame u/|u| and applying
@@ -37,21 +39,14 @@ from math import log, pi, sqrt
 
 import numpy as np
 
-from .bundle import (
-    BundleData,
-    Section,
-    build_background,
-    covariant_difference,
-    curvature,
-    link_phase,
-)
+from .bundle import BundleData, Section, build_background, curvature, link_phase
 from .fields import (
     EnergyBreakdown,
+    LocalModel,
     _energy_terms,
     g_energy,
-    g_energy_change,
     g_gradient,
-    g_hessvec,
+    linearize,
     truncate,
 )
 from .hodge import _spectral_multiply, solve_poisson
@@ -70,7 +65,6 @@ from .vortex import (
     h_minus1_distance,
     jacobian,
     london_residual,
-    supercurrent,
     vortex_mass,
     vorticity,
     vorticity_density,
@@ -115,7 +109,7 @@ class MinimizeOptions:
     max_iter: int = 50000
     truncate_each: bool = False
     log_every: int = 0             # 0 = silent; else print a line every k steps
-    iterate_hook: object = None    # internal: (x, fx, g) -> (x, fx, g)
+    iterate_hook: object = None    # internal: sees (x, fx, g) after each step
 
 
 def _with_hook(opts: MinimizeOptions, hook) -> MinimizeOptions:
@@ -178,24 +172,21 @@ def _norm(v: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class _Problem:
-    """What the Newton loop needs of a smooth function f on flat vectors.
-
-    grad(x): gradient of f;
-    hessvec(x, v): exact Hessian-vector product, plus at most a term acting
-        only along energy-neutral directions (a gauge-fixing term);
-    change(x, s): f(x + s) - f(x) summed term by term, so its sign is
-        resolved far below one ulp of f;
-    precond(x): the preconditioner at x, a symmetric positive definite
-        map v -> M v; the Newton loop builds it once per round and applies
-        it at every conjugate-gradient step of that round;
-    soft_modes(x): (Q, R) for near-null directions kept out of the
-        conjugate-gradient solve, or None: R holds one row per direction,
-        scaled to a displacement of one lattice cell, and Q orthonormal rows
-        spanning the same space.
+class _Model:
+    """What the Newton loop needs of a smooth function f at one state x,
+    built once per state by `at(x)`: g, the gradient of f at x;
+    hessvec(v), the exact Hessian-vector product, plus at most a term acting
+    only along energy-neutral directions (a gauge-fixing term); change(s),
+    f(x + s) - f(x) summed term by term, so its sign is resolved far below
+    one ulp of f; precond(), the preconditioner at x, a symmetric positive
+    definite map v -> M v built once per round for all its conjugate-gradient
+    steps; soft_modes(), (R, project) for near-null directions kept out of
+    the conjugate-gradient solve, or None as the field: R holds one row per
+    direction, scaled to a displacement of one lattice cell, and project
+    maps a vector onto the complement of their span.
     """
 
-    grad: object
+    g: np.ndarray
     hessvec: object
     change: object
     precond: object
@@ -218,11 +209,11 @@ _RADIAL_STIFFNESS = 2.0
 
 
 def _phase_aligned_preconditioner(geom: TorusGeometry, eps: float):
-    """The preconditioner factory of `minimize`: x -> (v -> M v) with
+    """The preconditioner factory of `minimize`: u -> (v -> M v) with
     M = R^T D R on packed (Re u, Im u, A) vectors.
 
     R rotates the section part du of v, site by site, into the frame
-    e = u/|u| of the state x (e = 1 where u = 0): radial Re(conj(e) du) and
+    e = u/|u| of the state's section values u (e = 1 where u = 0): radial Re(conj(e) du) and
     tangential Im(conj(e) du); A passes unrotated.  D is one stacked
     spectral apply of (cell_volume * (-Delta + _RADIAL_STIFFNESS/eps^2))^-1
     to the radial row and (cell_volume * (-Delta + 1))^-1 to the tangential
@@ -243,8 +234,7 @@ def _phase_aligned_preconditioner(geom: TorusGeometry, eps: float):
     mult[1:] = 1.0 / (w * (lam + 1.0))
     buf = np.empty((2 + n, *geom.sites))
 
-    def at(x: np.ndarray):
-        u = (x[:nv] + 1j * x[nv:2 * nv]).reshape(geom.sites)
+    def at(u: np.ndarray):
         modulus = np.abs(u)
         e = np.ones_like(u)
         np.divide(u, modulus, out=e, where=modulus > 0.0)
@@ -314,30 +304,27 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps):
     return p, used
 
 
-def _newton_round(p: _Problem, x, g, budget, project):
-    """One inexact Newton step in the range of `project`: preconditioned CG
-    on exact Hessian-vector products (forcing 0.1, at most budget - 1 of
-    them), halved until the term-by-term energy change certifies an Armijo
-    decrease with the exactly computed slope g.s.  Returns (x, g, change,
-    evaluations used), with x None when no certified decrease exists along
-    the step; the gradient at the new x is the last evaluation."""
-    hv = lambda v: p.hessvec(x, v)  # noqa: E731
-    s, used = _projected_cg(hv, g, p.precond(x), project, 0.1, min(400, budget - 1))
-    slope = float(_dot(g, s))
+def _newton_round(m: _Model, x, budget, project):
+    """One inexact Newton step from x, whose model is m, in the range of
+    `project`: preconditioned CG on exact Hessian-vector products (forcing
+    0.1, at most budget - 1 of them), halved until the term-by-term energy
+    change certifies an Armijo decrease with the exactly computed slope g.s.
+    Returns (new x or None if no step certifies one, change, products)."""
+    s, used = _projected_cg(m.hessvec, m.g, m.precond(), project, 0.1, min(400, budget - 1))
+    slope = float(_dot(m.g, s))
     if slope < 0.0:
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            delta = p.change(x, step * s)
+            delta = m.change(step * s)
             if delta <= _ARMIJO_C * step * slope:
-                x = x + step * s
-                return x, p.grad(x), delta, used + 1
+                return x + step * s, delta, used
             step *= _SHRINK
-    return None, g, 0.0, used
+    return None, 0.0, used
 
 
-def _newton(p: _Problem, x, fx, scale, opts):
-    """Minimize from x by inexact Newton steps; fx is f(x), or any offset
-    the energies passed on should start from.
+def _newton(at, x, fx, scale, opts, retract=None):
+    """Minimize from x by inexact Newton steps; at(x) builds the _Model at
+    x, fx is f(x), or any offset the energies passed on should start from.
 
     While the gradient outside the soft modes is above tolerance, each round
     is one Newton step confined to their complement (_newton_round).  Once
@@ -349,64 +336,71 @@ def _newton(p: _Problem, x, fx, scale, opts):
     otherwise it is undone and its length halved.  Energies passed on are
     fx plus certified changes, so they strictly decrease; no decision rests
     on a float64 tie.  `scale` divides the sup-norm of the raw gradient to
-    form the scale-free convergence metric.
+    form the scale-free convergence metric.  After each accepted step,
+    `retract` (x -> a state of no higher f, or x itself) may move x, and
+    then opts.iterate_hook sees (x, fx, g).
     Returns (x, gnorm, evaluations used, stop reason), the reason being
     "converged", "budget" (fewer than the two evaluations of a Newton step
     left of opts.max_iter), or "stalled" when no certified decrease is left
-    (a Newton step without one, or a slide too short to move x).  Gradient
-    evaluations after the first and Hessian-vector products count as
-    evaluations.
+    (a Newton step without one, or a slide too short to move x).  Models
+    built at states a step reached, one held at a time outside a slide, and
+    Hessian-vector products count as evaluations.
     """
-
-    def split(x):
-        if p.soft_modes is None:
-            return None, lambda v: v
-        Q, R = p.soft_modes(x)
-        return R, lambda v: v - np.einsum("k,ki", _dot(Q, v), Q)
-
-    g = p.grad(x)
+    m = at(x)
     budget = opts.max_iter
     used = 0
     cells = 0.125
     while True:
-        gnorm = float(np.abs(g).max()) / scale
+        gnorm = float(np.abs(m.g).max()) / scale
         if gnorm <= opts.tol:
             return x, gnorm, used, "converged"
         if budget - used < 2:
             return x, gnorm, used, "budget"
-        R, project = split(x)
-        if R is None or float(np.abs(project(g)).max()) / scale > opts.tol:
-            x_new, g, delta, n = _newton_round(p, x, g, budget - used, project)
+        R, project = m.soft_modes() if m.soft_modes else (None, lambda v: v)
+        if R is None or float(np.abs(project(m.g)).max()) / scale > opts.tol:
+            x_new, delta, n = _newton_round(m, x, budget - used, project)
             used += n
             if x_new is None:
                 return x, gnorm, used, "stalled"
+            m = None  # drop x's model before building x_new's
+            m = at(x_new)
+            used += 1
         else:
-            force = -_dot(R, g)
+            force = -_dot(R, m.g)
             s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
             if _norm(s) <= _EPS_MACH * _norm(x):
                 return x, gnorm, used, "stalled"
-            delta = p.change(x, s)
+            delta = m.change(s)
             x_new = x + s
-            g_new = p.grad(x_new)
+            m_new = at(x_new)
             used += 1
-            while x_new is not None and budget - used >= 2:
-                _, proj_new = split(x_new)
-                if float(np.abs(proj_new(g_new)).max()) / scale <= opts.tol:
+            while budget - used >= 2:
+                _, proj_new = m_new.soft_modes()
+                if float(np.abs(proj_new(m_new.g)).max()) / scale <= opts.tol:
                     break
-                x_new, g_new, d_new, n = _newton_round(
-                    p, x_new, g_new, budget - used, proj_new
-                )
+                x_new, d_new, n = _newton_round(m_new, x_new, budget - used, proj_new)
                 used += n
+                if x_new is None:
+                    break
                 delta += d_new
+                m_new = None
+                m_new = at(x_new)
+                used += 1
             if x_new is None or not delta < 0.0:
+                m_new = None
                 cells *= 0.5
                 continue
-            g = g_new
+            m = m_new
             cells = min(2.0 * cells, 0.5)
         x = x_new
         fx = fx + delta
+        xt = x if retract is None else retract(x)
+        if xt is not x:
+            # a computed increase is rounding, and is not passed on
+            x, fx, m = xt, fx + min(m.change(xt - x), 0.0), None
+            m = at(x)
         if opts.iterate_hook is not None:
-            x, fx, g = opts.iterate_hook(x, fx, g)
+            opts.iterate_hook(x, fx, m.g)
 
 
 def _gauge_term(u: Section, du: Section, dA: Cochain):
@@ -423,10 +417,11 @@ def _gauge_term(u: Section, du: Section, dA: Cochain):
     )
 
 
-def _covariant_translations(u: Section, A: Cochain, b: BundleData):
-    """The covariant translations (-D_k u, -F_k.) of the state, k over the
-    axes, as (Q, R): R scaled to a displacement of one lattice cell, Q
-    orthonormal rows spanning them.
+def _covariant_translations(lin: LocalModel, x: np.ndarray):
+    """The covariant translations (-D_k u, -F_k.) of the state x, whose
+    model is lin, k over the axes, as (R, project): R scaled to a
+    displacement of one lattice cell, project onto the complement of their
+    span.
 
     A vortex core slides across the lattice at almost no cost in energy
     (lattice pinning), so these directions carry curvature near zero or
@@ -434,20 +429,19 @@ def _covariant_translations(u: Section, A: Cochain, b: BundleData):
     sqrt(eps_mach) times the state's, such as a translation of a uniform
     state.
     """
-    geom = b.geom
-    n = geom.dim
-    Du = covariant_difference(u, A, b)
-    F = curvature(A, b).values
-    floor = sqrt(_EPS_MACH) * (_norm(_pack(u, A)) + 1.0)
+    geom = lin.b.geom
+    n, h = geom.dim, geom.spacings
+    F = curvature(lin.A, lin.b).values
+    floor = sqrt(_EPS_MACH) * (_norm(x) + 1.0)
     rows, basis = [], []
-    for k in range(n):
+    for k, (_, fwd) in enumerate(lin.links):
         dA = np.zeros(geom.shape(1))
         for pos, (i, j) in enumerate(components(n, 2)):
             if i == k:
                 dA[j] = -F[pos]
             elif j == k:
                 dA[i] = F[pos]
-        row = geom.spacings[k] * _flat(-Du[k], Cochain(geom, 1, dA))
+        row = h[k] * _flat(-(fwd - lin.u.values) / h[k], Cochain(geom, 1, dA))
         z = row.copy()
         for q in basis:
             z -= _dot(q, z) * q
@@ -455,7 +449,8 @@ def _covariant_translations(u: Section, A: Cochain, b: BundleData):
         if norm > floor:
             rows.append(row)
             basis.append(z / norm)
-    return np.reshape(basis, (-1, row.size)), np.reshape(rows, (-1, row.size))
+    Q = np.reshape(basis, (-1, row.size))
+    return np.reshape(rows, (-1, row.size)), lambda v: v - np.einsum("k,ki", _dot(Q, v), Q)
 
 
 def minimize(
@@ -482,39 +477,39 @@ def minimize(
     opts = opts or MinimizeOptions()
     geom = b.geom
     w = geom.cell_volume
+    aligned = _phase_aligned_preconditioner(geom, eps)
 
-    def grad(x):
-        return _grad_vector(*_unpack(x, geom), b, eps)
-
-    def hessvec(x, v):
+    def at(x):
         uu, aa = _unpack(x, geom)
-        du, dA = _unpack(v, geom)
-        hu, hA = g_hessvec(uu, aa, b, eps, du, dA)
-        gu, gA = _gauge_term(uu, du, dA)
-        return _flat(hu + gu, hA + gA)
+        lin = linearize(uu, aa, b, eps)
 
-    def change(x, s):
-        return g_energy_change(*_unpack(x, geom), b, eps, *_unpack(s, geom)).total
+        def hessvec(v):
+            du, dA = _unpack(v, geom)
+            hu, hA = lin.hessvec(du, dA)
+            gu, gA = _gauge_term(uu, du, dA)
+            return _flat(hu + gu, hA + gA)
 
-    def soft_modes(x):
-        return _covariant_translations(*_unpack(x, geom), b)
+        return _Model(
+            _flat(*lin.gradient()),
+            hessvec,
+            lambda s: lin.change(*_unpack(s, geom)).total,
+            lambda: aligned(uu.values),
+            lambda: _covariant_translations(lin, x),
+        )
+
+    def truncated(x):
+        uu, aa = _unpack(x, geom)
+        ut = truncate(uu)
+        return x if np.array_equal(ut.values, uu.values) else _pack(ut, aa)
 
     steps = 0
 
     def step_hook(x, fx, g):
-        """Runs after every accepted step: truncation, the caller's hook,
-        then the log_every record."""
+        """Runs after every accepted step: the caller's hook, then the
+        log_every record."""
         nonlocal steps
-        if opts.truncate_each:
-            uu, aa = _unpack(x, geom)
-            ut = truncate(uu)
-            if not np.array_equal(ut.values, uu.values):
-                xt = _pack(ut, aa)
-                # truncation never increases the energy, so a computed
-                # increase is rounding and is not passed on
-                x, fx, g = xt, fx + min(change(x, xt - x), 0.0), grad(xt)
         if opts.iterate_hook is not None:
-            x, fx, g = opts.iterate_hook(x, fx, g)
+            opts.iterate_hook(x, fx, g)
         steps += 1
         if opts.log_every and steps % opts.log_every == 0:
             e = g_energy(*_unpack(x, geom), b, eps)
@@ -523,13 +518,10 @@ def minimize(
                 f"potential {e.potential:.17g} curvature {e.curvature:.17g} "
                 f"total {e.total:.17g} grad_norm {float(np.abs(g).max()) / w:.17g}"
             )
-        return x, fx, g
 
-    problem = _Problem(
-        grad, hessvec, change, _phase_aligned_preconditioner(geom, eps), soft_modes
-    )
     x, gnorm, iters, reason = _newton(
-        problem, _pack(u0, A0), g_energy(u0, A0, b, eps).total, w, _with_hook(opts, step_hook)
+        at, _pack(u0, A0), g_energy(u0, A0, b, eps).total, w, _with_hook(opts, step_hook),
+        truncated if opts.truncate_each else None,
     )
 
     u_fin, A_fin = _unpack(x, geom)
@@ -585,28 +577,26 @@ def relax_connection(
     def codiff(x: np.ndarray) -> Cochain:
         return codifferential(Cochain(geom, 2, x.reshape(shape)))
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        B = A + codiff(x)
-        stat = codifferential(curvature(B, b)) - supercurrent(u, B, b)
-        return (2.0 * w) * exterior_derivative(stat).values.ravel()
-
     # the auxiliary energy is twice g_energy's kinetic and curvature parts,
     # and u does not move; eps only enters the potential, which stays fixed
     still = Section(geom, np.zeros(geom.sites))
-
-    def hessvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        B = A + codiff(x)
-        _, hB = g_hessvec(u, B, b, 1.0, still, codiff(v))
-        return 2.0 * exterior_derivative(hB).values.ravel()
-
-    def change(x: np.ndarray, s: np.ndarray) -> float:
-        B = A + codiff(x)
-        parts = g_energy_change(u, B, b, 1.0, still, codiff(s))
-        return 2.0 * (parts.kinetic + parts.curvature)
-
     plain = _spectral_preconditioner(geom)
-    problem = _Problem(grad, hessvec, change, lambda x: plain)
-    x, gnorm, _, reason = _newton(problem, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)
+
+    def at(x: np.ndarray) -> _Model:
+        lin = linearize(u, A + codiff(x), b, 1.0)
+
+        def change(s: np.ndarray) -> float:
+            parts = lin.change(still, codiff(s))
+            return 2.0 * (parts.kinetic + parts.curvature)
+
+        return _Model(
+            (2.0 * w) * exterior_derivative(lin.field_equation()).values.ravel(),
+            lambda v: 2.0 * exterior_derivative(lin.hessvec(still, codiff(v))[1]).values.ravel(),
+            change,
+            lambda: plain,
+        )
+
+    x, gnorm, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)
     B = A + codiff(x)
     if reason == "converged":
         return B

@@ -164,7 +164,24 @@ def test_cmd_minimize_exit_codes(tmp_path, capsys):
     assert "epsilon > 0" in err
     budget = write_config(tmp_path, max_iter=1)
     assert main(["minimize", "--config", str(budget)]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err == "minimize: not converged (budget) after 0 iterations\n"
+    assert "budget" in err
+
+
+def test_cmd_sweep_names_each_unconverged_entry(tmp_path, capsys):
+    """Exit code 2 from a sweep comes with one stderr line per unconverged
+    epsilon; the table on stdout keeps one row per entry."""
+    path = write_config(tmp_path, max_iter=3)
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "sweep epsilon 0.29999999999999999",
+        "sweep epsilon 0.25",
+    ]
+    assert all("not converged (budget)" in line for line in lines)
+    assert len(captured.out.strip().splitlines()) == 3
 
 
 @pytest.mark.parametrize(

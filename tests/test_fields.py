@@ -12,6 +12,7 @@ from torusgl.fields import (
     g_energy_change,
     g_gradient,
     g_hessvec,
+    linearize,
     truncate,
 )
 from torusgl.lattice import inner_product, zero_cochain
@@ -146,6 +147,33 @@ def test_hessvec_symmetric(rng, t3_bundle):
     vHw = float(v @ _hessvec_vector(u, A, t3_bundle, 0.2, w))
     wHv = float(w @ _hessvec_vector(u, A, t3_bundle, 0.2, v))
     assert abs(vHw - wHv) <= 1e-12 * max(abs(vHw), abs(wHv))
+
+
+@pytest.mark.parametrize("bundle", ["t2_bundle", "t3_bundle"])
+def test_local_model_reused_matches_fresh_calls(bundle, request):
+    """One linearization serves five directions, the gradient and energy
+    changes bit for bit as fresh g_hessvec, g_gradient and g_energy_change
+    calls do, and gives d*F - j as it is computed from scratch."""
+    from torusgl.bundle import curvature
+    from torusgl.lattice import codifferential
+    from torusgl.vortex import supercurrent
+
+    b = request.getfixturevalue(bundle)
+    g = b.geom
+    rng = np.random.default_rng(21)
+    u = random_section(g, rng)
+    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    eps = 0.2
+    model = linearize(u, A, b, eps)
+    for _ in range(5):
+        du = random_section(g, rng, scale=0.1)
+        dA = tg.Cochain(g, 1, 0.1 * rng.standard_normal(g.shape(1)))
+        got, fresh = model.hessvec(du, dA), g_hessvec(u, A, b, eps, du, dA)
+        assert np.array_equal(_flat(*got), _flat(*fresh))
+        assert model.change(du, dA) == g_energy_change(u, A, b, eps, du, dA)
+    assert np.array_equal(_flat(*model.gradient()), _grad_vector(u, A, b, eps))
+    el = codifferential(curvature(A, b)) - supercurrent(u, A, b)
+    assert np.array_equal(model.field_equation().values, el.values)
 
 
 def test_energy_change_matches_energy_difference(rng, t2_bundle):

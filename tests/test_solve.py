@@ -59,7 +59,6 @@ def test_minimize_descent_is_monotone(t2_bundle):
 
     def hook(x, fx, gvec):
         energies.append(float(fx))
-        return x, fx, gvec
 
     opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=50000), hook)
     tg.minimize(u, A, t2_bundle, 0.25, opts)
@@ -118,20 +117,21 @@ def test_budget_is_never_exceeded(t2_bundle, monkeypatch, max_iter):
     assert res.iterations <= max_iter
     assert (res.converged, res.stop_reason) == (False, "budget")
 
-    # relax_connection reports no count: count its gradients (one
-    # supercurrent each) and Hessian-vector products (one g_hessvec each)
-    calls = {"supercurrent": 0, "g_hessvec": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(tg.solve, name), _name=name):
+    # relax_connection reports no count: count its gradients (one local
+    # model each) and Hessian-vector products (one LocalModel.hessvec each)
+    calls = {"linearize": 0, "hessvec": 0}
+    for owner, name in ((tg.solve, "linearize"), (tg.fields.LocalModel, "hessvec")):
+        def counted(*args, _f=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(tg.solve, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rng = np.random.default_rng(8)
     ur = random_section(g, rng)
     Ar = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
     with pytest.raises(MaxIterationsError, match="budget"):
         tg.relax_connection(ur, Ar, t2_bundle, opts)
-    assert calls["supercurrent"] - 1 + calls["g_hessvec"] <= max_iter
+    assert calls["hessvec"] > 0 or max_iter < 2
+    assert calls["linearize"] - 1 + calls["hessvec"] <= max_iter
 
 
 def test_minimize_slides_pinned_line():
@@ -149,7 +149,6 @@ def test_minimize_slides_pinned_line():
 
     def hook(x, fx, gvec):
         energies.append(float(fx))
-        return x, fx, gvec
 
     opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=20000), hook)
     res = tg.minimize(u, A, b, 0.15, opts)
@@ -170,6 +169,24 @@ def test_minimize_truncate_each(t2_bundle):
     assert np.abs(res.section.values).max() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("max_iter", [3, 4, 5000])
+def test_truncated_state_gets_a_fresh_model(t2_bundle, max_iter):
+    """After truncation moves x, the loop reads the gradient of a model
+    built at the truncated state, not the one it had before: the reported
+    grad_norm is that of a gradient computed afresh at the returned state."""
+    from torusgl.solve import _grad_vector
+
+    g = t2_bundle.geom
+    rng = np.random.default_rng(2)
+    u = random_section(g, rng, scale=1.6)
+    assert np.abs(u.values).max() > 1.0
+    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    opts = MinimizeOptions(tol=1e-6, max_iter=max_iter, truncate_each=True)
+    res = tg.minimize(u, A, t2_bundle, 0.3, opts)
+    grad = _grad_vector(res.section, res.gauge_field, t2_bundle, 0.3)
+    assert res.grad_norm == float(np.abs(grad).max()) / g.cell_volume
+
+
 @pytest.mark.parametrize("option", [{"truncate_each": True}, {"log_every": 2}])
 def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, option):
     """A caller's iterate_hook still runs when truncate_each or log_every is
@@ -184,7 +201,6 @@ def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, opt
 
     def hook(x, fx, gvec):
         energies.append(float(fx))
-        return x, fx, gvec
 
     opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=50000, **option), hook)
     res = tg.minimize(u, A, t2_bundle, 0.25, opts)
@@ -574,7 +590,7 @@ def test_phase_aligned_preconditioner_is_spd(sites, eps):
     u = random_section(g, rng)
     u.values[(1,) * g.dim] = 0.0
     A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-    precond = tg.solve._phase_aligned_preconditioner(g, eps)(tg.solve._pack(u, A))
+    precond = tg.solve._phase_aligned_preconditioner(g, eps)(u.values)
     for _ in range(3):
         v, w = rng.standard_normal((2, tg.solve._pack(u, A).size))
         vMw, Mvw = v @ precond(w), precond(v) @ w
