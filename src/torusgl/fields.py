@@ -97,14 +97,14 @@ def e_energy(u: Section, b: BundleData, eps: float) -> EnergyBreakdown:
 
 class LocalModel:
     """g_energy near one state (u, A): its gradient, Hessian-vector products
-    and term-by-term changes, all read from the links and transported
-    neighbours of `bundle.link_transport`, formed once, at construction.
-    Build it with `linearize`; it holds two complex arrays per axis."""
+    and term-by-term changes, all read from `links`, the (link, transported
+    neighbour) pair of each axis that `linearize` takes from
+    `bundle.link_transport` once; these two complex arrays per axis are all
+    the model holds beyond the state."""
 
-    def __init__(self, u: Section, A: Cochain, b: BundleData, eps: float):
-        self.u, self.A, self.b, self.eps = u, A, b, _check_epsilon(eps)
+    def __init__(self, u: Section, A: Cochain, b: BundleData, eps: float, links: tuple):
+        self.u, self.A, self.b, self.eps, self.links = u, A, b, eps, links
         self.w, self.h = b.geom.cell_volume, b.geom.spacings
-        self.links = tuple(link_transport(u, A, b))  # (link, fwd) per axis
 
     def field_equation(self) -> Cochain:
         """d*F_A - j(u, A), the residual of the second Ginzburg-Landau
@@ -176,8 +176,8 @@ class LocalModel:
 
 
 def linearize(u: Section, A: Cochain, b: BundleData, eps: float) -> LocalModel:
-    """The local model of g_energy at (u, A)."""
-    return LocalModel(u, A, b, eps)
+    """The local model of g_energy at (u, A), its links formed here, once."""
+    return LocalModel(u, A, b, _check_epsilon(eps), tuple(link_transport(u, A, b)))
 
 
 def g_gradient(u: Section, A: Cochain, b: BundleData, eps: float):

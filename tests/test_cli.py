@@ -166,7 +166,6 @@ def test_cmd_minimize_exit_codes(tmp_path, capsys):
     assert main(["minimize", "--config", str(budget)]) == 2
     err = capsys.readouterr().err
     assert err == "minimize: not converged (budget) after 0 iterations\n"
-    assert "budget" in err
 
 
 def test_cmd_sweep_names_each_unconverged_entry(tmp_path, capsys):
