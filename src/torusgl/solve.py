@@ -341,13 +341,15 @@ def _newton(at, x, fx, scale, opts, retract=None):
     then opts.iterate_hook sees (x, fx, g).
     Returns (x, gnorm, evaluations used, stop reason), the reason being
     "converged", "budget" (fewer than the two evaluations of a Newton step
-    left of opts.max_iter), or "stalled" when no certified decrease is left
-    (a Newton step without one, or a slide too short to move x).  Models
-    built at states a step reached, one held at a time outside a slide, and
-    Hessian-vector products count as evaluations.
+    left of opts.max_iter, three with `retract`: its rebuilt model is held
+    in reserve), or "stalled" when no certified decrease is left (a Newton
+    step without one, or a slide too short to move x).  Models built at
+    states a step reached or a retraction moved to, one held at a time
+    outside a slide, and Hessian-vector products count as evaluations.
     """
     m = at(x)
-    budget = opts.max_iter
+    # one evaluation is held back for the model a retraction rebuilds
+    budget = opts.max_iter if retract is None else opts.max_iter - 1
     used = 0
     cells = 0.125
     while True:
@@ -399,6 +401,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
             # a computed increase is rounding, and is not passed on
             x, fx, m = xt, fx + min(m.change(xt - x), 0.0), None
             m = at(x)
+            used += 1
         if opts.iterate_hook is not None:
             opts.iterate_hook(x, fx, m.g)
 
@@ -850,6 +853,17 @@ def refine_cochain(c: Cochain, geom_new: TorusGeometry) -> Cochain:
     return Cochain(geom_new, c.degree, _refine(c.values, c.geom, geom_new, 1))
 
 
+def _narrow_cores(u: Section, rho: float) -> Section:
+    """The section with each modulus m in (0, 1) taken to tanh(rho artanh m)
+    and its phase kept: a core profile tanh(k r/eps) becomes the one at
+    eps/rho, whatever k is.  u = 0 and |u| >= 1 are left as they are."""
+    m = np.abs(u.values)
+    core = (m > 0.0) & (m < 1.0)
+    scale = np.ones_like(m)
+    scale[core] = np.tanh(rho * np.arctanh(m[core])) / m[core]
+    return Section(u.geom, u.values * scale)
+
+
 def _quarter_rule_geometry(base: TorusGeometry, eps: float) -> TorusGeometry:
     """Geometry with h ~ eps/4 on every axis (site counts rounded up; the
     1e-9 guard keeps exact ratios from spilling over to the next integer)."""
@@ -872,7 +886,10 @@ def epsilon_sweep(
     the default initialization.  mesh_rule "fixed" keeps one lattice (h must
     satisfy h <= eps/2 for every entry); "quarter" rebuilds each entry with
     h = eps/4 and prolongates the previous minimizer onto the finer lattice,
-    the section along the fine link phases (see refine_section).
+    the section along the fine link phases (see refine_section).  Under
+    either rule each warm start then has its vortex cores narrowed by the
+    ratio rho of the previous epsilon to this one (see _narrow_cores): a
+    core has width ~eps, so the previous minimizer's is rho times too wide.
     The H^-1 column measures jacobian/pi against the target vorticity density
     (the prescribed ansatz when given, else the first converged vorticity).
     """
@@ -909,11 +926,13 @@ def epsilon_sweep(
                 u, A = init
                 if u.geom != cur_geom:
                     raise ValueError("initial fields must live on the sweep geometry")
-        elif entry_geom != cur_geom:
-            A = refine_cochain(A, entry_geom)
-            cur_geom, cur_bundle = entry_geom, build_background(entry_geom, b.chern)
-            phases = np.stack([link_phase(A, cur_bundle, i) for i in range(cur_geom.dim)])
-            u = refine_section(u, entry_geom, phases)
+        else:
+            if entry_geom != cur_geom:
+                A = refine_cochain(A, entry_geom)
+                cur_geom, cur_bundle = entry_geom, build_background(entry_geom, b.chern)
+                phases = np.stack([link_phase(A, cur_bundle, i) for i in range(cur_geom.dim)])
+                u = refine_section(u, entry_geom, phases)
+            u = _narrow_cores(u, records[-1].epsilon / eps)
 
         res = minimize(u, A, cur_bundle, eps, opts)
         u, A = res.section, res.gauge_field

@@ -187,6 +187,36 @@ def test_truncated_state_gets_a_fresh_model(t2_bundle, max_iter):
     assert res.grad_norm == float(np.abs(grad).max()) / g.cell_volume
 
 
+@pytest.mark.parametrize("max_iter", [10, 200000])
+def test_truncate_each_counts_every_model(t2_bundle, monkeypatch, max_iter):
+    """Under truncate_each the model rebuilt at a truncated state counts as
+    an evaluation: models built after the first plus Hessian products equal
+    the reported iterations, which stay within max_iter."""
+    from torusgl import fields, solve
+
+    g = t2_bundle.geom
+    rng = np.random.default_rng(2)
+    u = random_section(g, rng, scale=1.6)
+    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    calls = {"models": 0, "products": 0}
+    linearize, hessvec = solve.linearize, fields.LocalModel.hessvec
+
+    def counted_linearize(*args):
+        calls["models"] += 1
+        return linearize(*args)
+
+    def counted_hessvec(self, *args):
+        calls["products"] += 1
+        return hessvec(self, *args)
+
+    monkeypatch.setattr(solve, "linearize", counted_linearize)
+    monkeypatch.setattr(fields.LocalModel, "hessvec", counted_hessvec)
+    opts = MinimizeOptions(tol=1e-6, max_iter=max_iter, truncate_each=True)
+    res = tg.minimize(u, A, t2_bundle, 0.3, opts)
+    assert res.converged == (max_iter > 10)
+    assert calls["models"] - 1 + calls["products"] == res.iterations <= max_iter
+
+
 @pytest.mark.parametrize("option", [{"truncate_each": True}, {"log_every": 2}])
 def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, option):
     """A caller's iterate_hook still runs when truncate_each or log_every is
@@ -424,6 +454,57 @@ def test_sweep_quarter_rule_geometry(sweep_quarter):
         h = max(r.geom.spacings)
         assert h <= r.epsilon / 4.0 + 1e-12
         assert r.result.converged
+
+
+# the conftest sweep_quarter energies before the sweep narrowed its warm
+# starts' cores
+SWEEP_QUARTER_ENERGIES = (
+    22.90035763008742, 24.436747812220926, 26.315200109437004, 28.382113896890054
+)
+
+
+@pytest.mark.slow
+def test_sweep_quarter_narrowed_warm_starts(sweep_quarter):
+    """Warm starts whose cores are narrowed by the epsilon ratio converge in
+    fewer iterations at the finest level (109 with the previous minimizer's
+    cores kept as they were) to the same energies."""
+    assert sweep_quarter[-1].result.iterations <= 80
+    for r, energy in zip(sweep_quarter, SWEEP_QUARTER_ENERGIES, strict=True):
+        assert r.result.energy.total == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.slow
+def test_sweep_fixed80_narrowed_warm_starts(sweep_fixed80):
+    """On one lattice too (81 and 84 iterations with the cores kept)."""
+    counts = [r.result.iterations for r in sweep_fixed80]
+    assert max(counts[1:]) <= 70, counts
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+def test_narrow_cores(rng, rho):
+    """The modulus map m -> tanh(rho artanh m) keeps the phase, leaves 0 and
+    |u| >= 1 alone, is monotone with slope rho at 0, and takes each profile
+    tanh(k r) to tanh(k rho r)."""
+    from torusgl.solve import _narrow_cores
+
+    g = tg.TorusGeometry((16, 16), (1.0, 1.0))
+    u = random_section(g, rng)
+    u.values[0, :4] = [0.0, 1.0, -1.0j, 1.5 * np.exp(0.3j)]
+    v = _narrow_cores(u, rho).values
+    m = np.abs(u.values)
+    inside = (m > 0.0) & (m < 1.0)
+    assert np.array_equal(v[~inside], u.values[~inside])
+    assert np.abs(np.angle(v[inside] / u.values[inside])).max() <= 4 * np.finfo(float).eps
+
+    def narrowed(samples):
+        return _narrow_cores(tg.Section(g, samples.reshape(g.sites)), rho).values.ravel()
+
+    r = np.linspace(0.0, 3.0, g.n_sites)
+    for k in (0.5, 1.0, 3.0):
+        assert np.abs(narrowed(np.tanh(k * r)) - np.tanh(k * rho * r)).max() <= 1e-14
+    assert np.all(np.diff(narrowed(np.linspace(0.0, 1.0, g.n_sites)).real) >= 0.0)
+    tiny = np.geomspace(1e-12, 1e-6, g.n_sites)
+    assert np.abs(narrowed(tiny).real / tiny - rho).max() <= 1e-10 * rho
 
 
 def test_refinement_helpers(rng):
