@@ -169,35 +169,16 @@ def test_minimize_truncate_each(t2_bundle):
     assert np.abs(res.section.values).max() <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("max_iter", [3, 4, 5000])
-def test_truncated_state_gets_a_fresh_model(t2_bundle, max_iter):
+@pytest.mark.parametrize("max_iter", [3, 4, 10, 5000])
+def test_truncated_state_gets_a_fresh_model(t2_bundle, monkeypatch, max_iter):
     """After truncation moves x, the loop reads the gradient of a model
     built at the truncated state, not the one it had before: the reported
-    grad_norm is that of a gradient computed afresh at the returned state."""
+    grad_norm is that of a gradient computed afresh at the returned state.
+    That model counts as an evaluation: models built after the first plus
+    Hessian products equal the reported iterations, within max_iter."""
+    from torusgl import fields, solve
     from torusgl.solve import _grad_vector
 
-    g = t2_bundle.geom
-    rng = np.random.default_rng(2)
-    u = random_section(g, rng, scale=1.6)
-    assert np.abs(u.values).max() > 1.0
-    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-    opts = MinimizeOptions(tol=1e-6, max_iter=max_iter, truncate_each=True)
-    res = tg.minimize(u, A, t2_bundle, 0.3, opts)
-    grad = _grad_vector(res.section, res.gauge_field, t2_bundle, 0.3)
-    assert res.grad_norm == float(np.abs(grad).max()) / g.cell_volume
-
-
-@pytest.mark.parametrize("max_iter", [10, 200000])
-def test_truncate_each_counts_every_model(t2_bundle, monkeypatch, max_iter):
-    """Under truncate_each the model rebuilt at a truncated state counts as
-    an evaluation: models built after the first plus Hessian products equal
-    the reported iterations, which stay within max_iter."""
-    from torusgl import fields, solve
-
-    g = t2_bundle.geom
-    rng = np.random.default_rng(2)
-    u = random_section(g, rng, scale=1.6)
-    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
     calls = {"models": 0, "products": 0}
     linearize, hessvec = solve.linearize, fields.LocalModel.hessvec
 
@@ -209,12 +190,20 @@ def test_truncate_each_counts_every_model(t2_bundle, monkeypatch, max_iter):
         calls["products"] += 1
         return hessvec(self, *args)
 
+    g = t2_bundle.geom
+    rng = np.random.default_rng(2)
+    u = random_section(g, rng, scale=1.6)
+    assert np.abs(u.values).max() > 1.0
+    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    opts = MinimizeOptions(tol=1e-6, max_iter=max_iter, truncate_each=True)
     monkeypatch.setattr(solve, "linearize", counted_linearize)
     monkeypatch.setattr(fields.LocalModel, "hessvec", counted_hessvec)
-    opts = MinimizeOptions(tol=1e-6, max_iter=max_iter, truncate_each=True)
     res = tg.minimize(u, A, t2_bundle, 0.3, opts)
-    assert res.converged == (max_iter > 10)
+    monkeypatch.undo()
+    assert res.converged == (max_iter == 5000)
     assert calls["models"] - 1 + calls["products"] == res.iterations <= max_iter
+    grad = _grad_vector(res.section, res.gauge_field, t2_bundle, 0.3)
+    assert res.grad_norm == float(np.abs(grad).max()) / g.cell_volume
 
 
 @pytest.mark.parametrize("option", [{"truncate_each": True}, {"log_every": 2}])
