@@ -30,6 +30,7 @@ from .solve import (
     AnsatzSpec,
     MinimizeOptions,
     WindingMismatchError,
+    check_sweep,
     default_initial_pair,
     epsilon_sweep,
     minimize,
@@ -38,19 +39,22 @@ from .vortex import chern_pairing, sparse_windings, vortex_mass, vorticity
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "main"]
 
-SWEEP_COLUMNS = (
-    "epsilon",
-    "G_total",
-    "G_over_log_eps",
-    "kinetic",
-    "potential",
-    "curvature",
-    "vortex_mass",
-    "chern_pairing",
-    "london_residual",
-    "hminus1_to_target",
-    "iterations",
-)
+# the columns of sweep.csv, in order, each with its value in a SweepRecord
+SWEEP_COLUMNS = {
+    "epsilon": lambda r: r.epsilon,
+    "G_total": lambda r: r.result.energy.total,
+    "G_over_log_eps": lambda r: r.g_over_logeps,
+    "kinetic": lambda r: r.result.energy.kinetic,
+    "potential": lambda r: r.result.energy.potential,
+    "curvature": lambda r: r.result.energy.curvature,
+    "vortex_mass": lambda r: r.vortex_mass,
+    "chern_pairing": lambda r: ";".join(
+        str(int(r.chern_pairing[i, j])) for i, j in components(r.geom.dim, 2)
+    ),
+    "london_residual": lambda r: r.result.london_residual,
+    "hminus1_to_target": lambda r: r.hminus1_to_target,
+    "iterations": lambda r: r.result.iterations,
+}
 
 
 class ConfigError(ValueError):
@@ -58,6 +62,8 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
@@ -112,9 +118,9 @@ def parse_config(text: str) -> RunConfig:
     [run] (epsilons, seed, out, mesh_rule), [optimizer] (tol, max_iter,
     truncate_each, log_every), optional [ansatz] (axis, windings,
     positions).  The ansatz is built only when windings are given.  Every
-    unknown section or key, every malformed value, and every value
-    `TorusGeometry`, `AnsatzSpec` or `validate_config` rejects, raises
-    `ConfigError`.
+    unknown section or key, every malformed value, chern indices outside
+    0 <= i < j < dim, and every value `TorusGeometry`, `AnsatzSpec`,
+    `MinimizeOptions` or `check_sweep` rejects, raises `ConfigError`.
     """
     sections: dict[str, dict[str, str]] = {}
     current = None
@@ -155,10 +161,14 @@ def parse_config(text: str) -> RunConfig:
     for key in sorted(sections.get("bundle", {})):
         if not (key.startswith("chern_") and len(key) == 8 and key[6:].isdigit()):
             raise ConfigError(f"unknown [bundle] key {key} (expected chern_ij)")
-        chern.append((int(key[6]), int(key[7]), get("bundle", key, int)))
+        i, j = int(key[6]), int(key[7])
+        if not 0 <= i < j < dim:
+            raise ConfigError(f"chern indices need 0 <= i < j < dim (got {i},{j})")
+        chern.append((i, j, get("bundle", key, int)))
     epsilons = need("run", "epsilons", _floats)
     if "seed" not in sections.get("run", {}):
         raise ConfigError("seed is mandatory: missing [run] seed")
+    mesh_rule = get("run", "mesh_rule", str, "fixed")
     options = {
         key: get("optimizer", key, convert)
         for key, convert in (
@@ -171,24 +181,24 @@ def parse_config(text: str) -> RunConfig:
     axis = get("ansatz", "axis", int)
     try:
         geom = TorusGeometry(sites, lengths)
+        if geom.dim != dim:
+            raise ValueError(f"[geometry] sites lists {geom.dim} entries for dim = {dim}")
+        check_sweep(geom, epsilons, mesh_rule)
+        optimizer = MinimizeOptions(**options)
         ansatz = AnsatzSpec(windings=windings, positions=positions, axis=axis) if windings else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if geom.dim != dim:
-        raise ConfigError(f"[geometry] sites lists {geom.dim} entries for dim = {dim}")
 
-    cfg = RunConfig(
+    return RunConfig(
         geom=geom,
         chern=tuple(chern),
         epsilons=epsilons,
         seed=need("run", "seed", int),
         out=get("run", "out", str, "runs/out"),
-        mesh_rule=get("run", "mesh_rule", str, "fixed"),
-        optimizer=MinimizeOptions(**options),
+        mesh_rule=mesh_rule,
+        optimizer=optimizer,
         ansatz=ansatz,
     )
-    validate_config(cfg)
-    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -227,36 +237,6 @@ def serialize_config(cfg: RunConfig) -> str:
             + " ; ".join(" ".join(_fmt(x) for x in p) for p in cfg.ansatz.positions),
         ]
     return "\n".join(lines) + "\n"
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """The CLI's own policy; `TorusGeometry` and `AnsatzSpec` check the rest."""
-    for i, j, _ in cfg.chern:
-        if not 0 <= i < j < cfg.geom.dim:
-            raise ConfigError(f"chern indices need 0 <= i < j < dim (got {i},{j})")
-    if not cfg.epsilons:
-        raise ConfigError("at least one epsilon required")
-    for e in cfg.epsilons:
-        if not e > 0.0:
-            raise ConfigError(f"epsilon > 0 violated (epsilon = {_fmt(e)})")
-        if not e < 1.0:
-            raise ConfigError(f"epsilon < 1 violated (epsilon = {_fmt(e)})")
-    if len(cfg.epsilons) > 1 and any(
-        b >= a for a, b in zip(cfg.epsilons, cfg.epsilons[1:])
-    ):
-        raise ConfigError("epsilon list must be strictly decreasing")
-    if cfg.mesh_rule not in ("fixed", "quarter"):
-        raise ConfigError(f"mesh_rule must be fixed or quarter (got {cfg.mesh_rule})")
-    h = max(cfg.geom.spacings)
-    if cfg.mesh_rule == "fixed" and h > min(cfg.epsilons) / 2.0 + 1e-15:
-        raise ConfigError(
-            f"mesh_rule = fixed needs h <= epsilon/2 for every epsilon "
-            f"(h = {_fmt(h)}, smallest epsilon = {_fmt(min(cfg.epsilons))})"
-        )
-    if not cfg.optimizer.tol > 0:
-        raise ConfigError("tol > 0 violated")
-    if cfg.optimizer.max_iter < 1:
-        raise ConfigError("max_iter >= 1 violated")
 
 
 # ----------------------------------------------------------------------------
@@ -329,26 +309,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     )
 
     rows = [",".join(SWEEP_COLUMNS)]
-    for r in records:
-        rows.append(
-            ",".join(
-                [
-                    _fmt(r.epsilon),
-                    _fmt(r.result.energy.total),
-                    _fmt(r.g_over_logeps),
-                    _fmt(r.result.energy.kinetic),
-                    _fmt(r.result.energy.potential),
-                    _fmt(r.result.energy.curvature),
-                    _fmt(r.vortex_mass),
-                    ";".join(
-                        str(int(r.chern_pairing[i, j])) for i, j in components(cfg.geom.dim, 2)
-                    ),
-                    _fmt(r.result.london_residual),
-                    _fmt(r.hminus1_to_target),
-                    str(r.result.iterations),
-                ]
-            )
-        )
+    rows += [",".join(_fmt(value(r)) for value in SWEEP_COLUMNS.values()) for r in records]
     os.makedirs(cfg.out, exist_ok=True)
     _write_record(os.path.join(cfg.out, "sweep.csv"), rows)
     return _exit_code([(f"sweep epsilon {_fmt(r.epsilon)}", r.result) for r in records])
@@ -369,7 +330,7 @@ def _exit_code(solves) -> int:
     return code
 
 
-def cmd_selftest() -> int:
+def cmd_selftest(cfg: RunConfig | None) -> int:
     results = run_selftest(verbose=True)
     return 0 if all(ok for _, _, ok, _ in results) else 1
 
@@ -407,24 +368,33 @@ def cmd_ansatz(cfg: RunConfig) -> int:
     return 0
 
 
+# subcommand -> (handler, its use of --config: "required", "optional" or None)
+_COMMANDS = {
+    "minimize": (cmd_minimize, "required"),
+    "sweep": (cmd_sweep, "required"),
+    "selftest": (cmd_selftest, None),
+    "hodge-test": (cmd_hodge_test, "optional"),
+    "ansatz": (cmd_ansatz, "required"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="torusgl",
         description="Gauged Ginzburg-Landau lattice laboratory on flat tori",
     )
-    parser.add_argument("command", choices=["minimize", "sweep", "selftest", "hodge-test", "ansatz"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")
     args = parser.parse_args(argv)
+    run, config_use = _COMMANDS[args.command]
 
     try:
         cfg = None
-        if args.command in ("minimize", "sweep", "ansatz") or (
-            args.command == "hodge-test" and args.config
-        ):
-            if not args.config:
-                raise ConfigError(f"{args.command} requires --config")
+        if config_use == "required" and not args.config:
+            raise ConfigError(f"{args.command} requires --config")
+        if config_use and args.config:
             with open(args.config) as fh:
                 cfg = parse_config(fh.read())
             # neither override can make a valid config invalid
@@ -432,21 +402,10 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, out=args.out)
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)
-
-        if args.command == "minimize":
-            return cmd_minimize(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "selftest":
-            return cmd_selftest()
-        if args.command == "hodge-test":
-            return cmd_hodge_test(cfg)
-        if args.command == "ansatz":
-            return cmd_ansatz(cfg)
+        return run(cfg)
     except (ConfigError, FileNotFoundError, WindingMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

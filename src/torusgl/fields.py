@@ -26,8 +26,6 @@ __all__ = [
     "g_energy",
     "e_energy",
     "g_gradient",
-    "g_hessvec",
-    "g_energy_change",
     "LocalModel",
     "linearize",
     "truncate",
@@ -79,7 +77,7 @@ def g_energy(u: Section, A: Cochain, b: BundleData, eps: float) -> EnergyBreakdo
 def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float):
     """g_energy total accumulated in the platform's long double, whose
     precision varies by platform.  The minimizers do not use it: they decide
-    on g_energy_change, which resolves sub-ulp differences in float64.
+    on LocalModel.change, which resolves sub-ulp differences in float64.
     """
     eps = _check_epsilon(eps)
     w = b.geom.cell_volume
@@ -183,16 +181,6 @@ def linearize(u: Section, A: Cochain, b: BundleData, eps: float) -> LocalModel:
 def g_gradient(u: Section, A: Cochain, b: BundleData, eps: float):
     """LocalModel.gradient at (u, A)."""
     return linearize(u, A, b, eps).gradient()
-
-
-def g_hessvec(u: Section, A: Cochain, b: BundleData, eps: float, du: Section, dA: Cochain):
-    """LocalModel.hessvec at (u, A) along (du, dA)."""
-    return linearize(u, A, b, eps).hessvec(du, dA)
-
-
-def g_energy_change(u: Section, A: Cochain, b: BundleData, eps: float, du: Section, dA: Cochain):
-    """LocalModel.change at (u, A) by (du, dA)."""
-    return linearize(u, A, b, eps).change(du, dA)
 
 
 def truncate(u: Section) -> Section:

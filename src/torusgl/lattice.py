@@ -74,8 +74,9 @@ class TorusGeometry:
             raise ValueError("sites and lengths must have equal length")
         if any(s < 4 for s in self.sites):
             raise ValueError(f"need N_i >= 4 on every axis, got {self.sites}")
-        if any(L <= 0.0 for L in self.lengths):
-            raise ValueError(f"need L_i > 0 on every axis, got {self.lengths}")
+        # written so that NaN fails too
+        if not all(0.0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"need 0 < L_i < inf on every axis, got {self.lengths}")
 
     @property
     def dim(self) -> int:

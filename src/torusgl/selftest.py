@@ -327,14 +327,11 @@ def check_solve(seed=0):
     u, A = solve_mod.vortex_ansatz(spec, b, geom, eps=0.3)
 
     energies = []
-    hook_state = {"ok": True}
 
     def record_hook(x, fx, g):
         energies.append(float(fx))
 
-    opts = solve_mod._with_hook(
-        solve_mod.MinimizeOptions(tol=1e-8, max_iter=20000), record_hook
-    )
+    opts = solve_mod.MinimizeOptions(tol=1e-8, max_iter=20000, iterate_hook=record_hook)
     res = solve_mod.minimize(u, A, b, 0.3, opts)
     mono = all(b2 <= a2 for a2, b2 in zip(energies, energies[1:]))
     results.append(("solve", "accepted steps never increase energy", mono and res.converged, float(mono)))

@@ -35,7 +35,7 @@ short to move the state).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import log, pi, sqrt
+from math import isfinite, log, pi, sqrt
 
 import numpy as np
 
@@ -82,6 +82,7 @@ __all__ = [
     "vortex_ansatz",
     "default_initial_pair",
     "epsilon_sweep",
+    "check_sweep",
     "SweepRecord",
     "refine_section",
     "refine_cochain",
@@ -105,15 +106,22 @@ class WindingMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class MinimizeOptions:
+    """Settings of `minimize` and `relax_connection`; raises ValueError
+    unless tol > 0 (NaN fails), max_iter >= 1 and log_every >= 0."""
+
     tol: float = 1e-8              # sup-norm of the scale-free gradient
     max_iter: int = 50000
     truncate_each: bool = False
     log_every: int = 0             # 0 = silent; else print a line every k steps
     iterate_hook: object = None    # internal: sees (x, fx, g) after each step
 
-
-def _with_hook(opts: MinimizeOptions, hook) -> MinimizeOptions:
-    return replace(opts, iterate_hook=hook)
+    def __post_init__(self):
+        if not self.tol > 0.0:
+            raise ValueError(f"tol > 0 violated (tol = {self.tol!r})")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter >= 1 violated (max_iter = {self.max_iter})")
+        if self.log_every < 0:
+            raise ValueError(f"log_every >= 0 violated (log_every = {self.log_every})")
 
 
 @dataclass
@@ -304,11 +312,22 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps):
     return p, used
 
 
-def _newton_round(m: _Model, x, budget, project):
+def _retracted(m: _Model, x, x_new, delta, retract):
+    """(x_new as `retract` leaves it, its change from x), where m is x's
+    model and delta the change from x to x_new.  A retraction never raises
+    f, so a computed change above delta is rounding, and is not passed on."""
+    xt = x_new if retract is None else retract(x_new)
+    if xt is x_new:
+        return x_new, delta
+    return xt, min(m.change(xt - x), delta)
+
+
+def _newton_round(m: _Model, x, budget, project, retract):
     """One inexact Newton step from x, whose model is m, in the range of
     `project`: preconditioned CG on exact Hessian-vector products (forcing
     0.1, at most budget - 1 of them), halved until the term-by-term energy
-    change certifies an Armijo decrease with the exactly computed slope g.s.
+    change certifies an Armijo decrease with the exactly computed slope g.s,
+    then retracted (_retracted).
     Returns (new x or None if no step certifies one, change, products)."""
     s, used = _projected_cg(m.hessvec, m.g, m.precond(), project, 0.1, min(400, budget - 1))
     slope = float(_dot(m.g, s))
@@ -317,7 +336,7 @@ def _newton_round(m: _Model, x, budget, project):
         for _ in range(_MAX_BACKTRACKS):
             delta = m.change(step * s)
             if delta <= _ARMIJO_C * step * slope:
-                return x + step * s, delta, used
+                return (*_retracted(m, x, x + step * s, delta, retract), used)
             step *= _SHRINK
     return None, 0.0, used
 
@@ -336,20 +355,19 @@ def _newton(at, x, fx, scale, opts, retract=None):
     otherwise it is undone and its length halved.  Energies passed on are
     fx plus certified changes, so they strictly decrease; no decision rests
     on a float64 tie.  `scale` divides the sup-norm of the raw gradient to
-    form the scale-free convergence metric.  After each accepted step,
-    `retract` (x -> a state of no higher f, or x itself) may move x, and
-    then opts.iterate_hook sees (x, fx, g).
+    form the scale-free convergence metric.  `retract` (x -> a state of no
+    higher f, or x itself) may move each state a step or a slide reaches
+    before its model is built (_retracted).  After each accepted step
+    opts.iterate_hook sees (x, fx, g).
     Returns (x, gnorm, evaluations used, stop reason), the reason being
     "converged", "budget" (fewer than the two evaluations of a Newton step
-    left of opts.max_iter, three with `retract`: its rebuilt model is held
-    in reserve), or "stalled" when no certified decrease is left (a Newton
-    step without one, or a slide too short to move x).  Models built at
-    states a step reached or a retraction moved to, one held at a time
-    outside a slide, and Hessian-vector products count as evaluations.
+    left of opts.max_iter), or "stalled" when no certified decrease is left
+    (a Newton step without one, or a slide too short to move x).  Models
+    built after the first, one held at a time outside a slide, and
+    Hessian-vector products count as evaluations.
     """
     m = at(x)
-    # one evaluation is held back for the model a retraction rebuilds
-    budget = opts.max_iter if retract is None else opts.max_iter - 1
+    budget = opts.max_iter
     used = 0
     cells = 0.125
     while True:
@@ -360,7 +378,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
             return x, gnorm, used, "budget"
         R, project = m.soft_modes() if m.soft_modes else (None, lambda v: v)
         if R is None or float(np.abs(project(m.g)).max()) / scale > opts.tol:
-            x_new, delta, n = _newton_round(m, x, budget - used, project)
+            x_new, delta, n = _newton_round(m, x, budget - used, project, retract)
             used += n
             if x_new is None:
                 return x, gnorm, used, "stalled"
@@ -372,15 +390,14 @@ def _newton(at, x, fx, scale, opts, retract=None):
             s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
             if _norm(s) <= _EPS_MACH * _norm(x):
                 return x, gnorm, used, "stalled"
-            delta = m.change(s)
-            x_new = x + s
+            x_new, delta = _retracted(m, x, x + s, m.change(s), retract)
             m_new = at(x_new)
             used += 1
             while budget - used >= 2:
                 _, proj_new = m_new.soft_modes()
                 if float(np.abs(proj_new(m_new.g)).max()) / scale <= opts.tol:
                     break
-                x_new, d_new, n = _newton_round(m_new, x_new, budget - used, proj_new)
+                x_new, d_new, n = _newton_round(m_new, x_new, budget - used, proj_new, retract)
                 used += n
                 if x_new is None:
                     break
@@ -396,12 +413,6 @@ def _newton(at, x, fx, scale, opts, retract=None):
             cells = min(2.0 * cells, 0.5)
         x = x_new
         fx = fx + delta
-        xt = x if retract is None else retract(x)
-        if xt is not x:
-            # a computed increase is rounding, and is not passed on
-            x, fx, m = xt, fx + min(m.change(xt - x), 0.0), None
-            m = at(x)
-            used += 1
         if opts.iterate_hook is not None:
             opts.iterate_hook(x, fx, m.g)
 
@@ -523,8 +534,8 @@ def minimize(
             )
 
     x, gnorm, iters, reason = _newton(
-        at, _pack(u0, A0), g_energy(u0, A0, b, eps).total, w, _with_hook(opts, step_hook),
-        truncated if opts.truncate_each else None,
+        at, _pack(u0, A0), g_energy(u0, A0, b, eps).total, w,
+        replace(opts, iterate_hook=step_hook), truncated if opts.truncate_each else None,
     )
 
     u_fin, A_fin = _unpack(x, geom)
@@ -632,8 +643,9 @@ def optimised_pair(
 class AnsatzSpec:
     """Straight vortex lines (n=3, along `axis`) or points (n=2).
 
-    positions: physical coordinates, one tuple per line/point; for n=3 each
-    tuple gives the two transverse coordinates in increasing-axis order.
+    positions: one pair of finite physical coordinates per line/point, in
+    the transverse plane: both axes for n=2, the two axes other than `axis`
+    in increasing-axis order for n=3.
     windings: integer per line/point; slice totals must match the bundle
     Chern numbers or the ansatz cannot be periodic.
     """
@@ -645,6 +657,8 @@ class AnsatzSpec:
     def __post_init__(self):
         if len(self.windings) != len(self.positions):
             raise ValueError("one winding per position required")
+        if any(len(p) != 2 or not all(map(isfinite, p)) for p in self.positions):
+            raise ValueError(f"need two finite coordinates per position, got {self.positions}")
 
 
 def _validate_ansatz(spec: AnsatzSpec, b: BundleData) -> tuple[int, int]:
@@ -871,6 +885,25 @@ def _quarter_rule_geometry(base: TorusGeometry, eps: float) -> TorusGeometry:
     return TorusGeometry(sites, base.lengths)
 
 
+def check_sweep(geom: TorusGeometry, eps_list, mesh_rule: str) -> None:
+    """Raise ValueError unless eps_list is a non-empty, strictly decreasing
+    list in (0, 1) and mesh_rule is "fixed" or "quarter"; "fixed" keeps one
+    lattice, so its spacing h must satisfy h <= eps/2 for every entry."""
+    if not eps_list:
+        raise ValueError("at least one epsilon required")
+    for e in eps_list:
+        if not 0.0 < e < 1.0:
+            bound = "< 1" if e > 0.0 else "> 0"
+            raise ValueError(f"epsilon {bound} violated: every epsilon lies in (0, 1), got {e!r}")
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError("epsilon list must be strictly decreasing")
+    if mesh_rule not in ("fixed", "quarter"):
+        raise ValueError(f"mesh_rule must be fixed or quarter, got {mesh_rule!r}")
+    h, smallest = max(geom.spacings), eps_list[-1]
+    if mesh_rule == "fixed" and h > smallest / 2.0 + 1e-15:
+        raise ValueError(f"mesh_rule fixed needs h <= epsilon/2 (h = {h!r}, epsilon = {smallest!r})")
+
+
 def epsilon_sweep(
     init,
     b: BundleData,
@@ -883,9 +916,10 @@ def epsilon_sweep(
     """Warm-started minimization along a strictly decreasing epsilon list.
 
     `init` is an AnsatzSpec, a (Section, gauge 1-cochain) pair, or None for
-    the default initialization.  mesh_rule "fixed" keeps one lattice (h must
-    satisfy h <= eps/2 for every entry); "quarter" rebuilds each entry with
-    h = eps/4 and prolongates the previous minimizer onto the finer lattice,
+    the default initialization; check_sweep states what eps_list and
+    mesh_rule must satisfy.  mesh_rule "fixed" keeps one lattice; "quarter"
+    rebuilds each entry with h = eps/4 and prolongates the previous
+    minimizer onto the finer lattice,
     the section along the fine link phases (see refine_section).  Under
     either rule each warm start then has its vortex cores narrowed by the
     ratio rho of the previous epsilon to this one (see _narrow_cores): a
@@ -895,19 +929,7 @@ def epsilon_sweep(
     """
     opts = opts or MinimizeOptions()
     eps_list = [float(e) for e in eps_list]
-    if any(not 0.0 < e < 1.0 for e in eps_list):
-        raise ValueError("every epsilon must lie in (0, 1)")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilon list must be strictly decreasing")
-    if mesh_rule not in ("fixed", "quarter"):
-        raise ValueError(f"unknown mesh_rule {mesh_rule!r}")
-    if mesh_rule == "fixed":
-        for e in eps_list:
-            if max(geom.spacings) > e / 2.0 + 1e-15:
-                raise ValueError(
-                    f"mesh/epsilon coupling violated: h = {max(geom.spacings):.6g} "
-                    f"> epsilon/2 = {e / 2.0:.6g}"
-                )
+    check_sweep(geom, eps_list, mesh_rule)
 
     spec = init if isinstance(init, AnsatzSpec) else None
     records: list[SweepRecord] = []

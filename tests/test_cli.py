@@ -90,9 +90,17 @@ def test_config_validation_messages():
         ("lengths = 1 1", "lengths = 1 0"),
         ("positions = 0.5 0.5", ""),
         ("max_iter = 40000", "max_iter = 4e4"),
+        ("lengths = 1 1", "lengths = nan 1"),
+        ("positions = 0.5 0.5", "positions = nan 0.5"),
+        ("positions = 0.5 0.5", "positions = 0.5 0.5 0.7"),
+        ("max_iter = 40000", "max_iter = 40000\nlog_every = -1"),
     ]:
         with pytest.raises(ConfigError):
             parse_config(base.replace(old, new))
+    # infinite lengths pass the quarter rule, which has no h <= epsilon/2 check
+    quarter = base.replace("seed = 7", "seed = 7\nmesh_rule = quarter")
+    with pytest.raises(ConfigError, match="L_i"):
+        parse_config(quarter.replace("lengths = 1 1", "lengths = inf inf"))
     with pytest.raises(ConfigError, match=r"\[geometry\] sites"):
         parse_config(base.replace("sites = 12 12", "sites = 12 x"))
     with pytest.raises(ConfigError, match="true or false"):
@@ -166,6 +174,15 @@ def test_cmd_minimize_exit_codes(tmp_path, capsys):
     assert main(["minimize", "--config", str(budget)]) == 2
     err = capsys.readouterr().err
     assert err == "minimize: not converged (budget) after 0 iterations\n"
+
+
+def test_nonfinite_lengths_are_config_errors(tmp_path, capsys):
+    """NaN lengths end the run with exit 1 and one config error line."""
+    path = write_config(tmp_path, text=T2_CONFIG.replace("lengths = 1 1", "lengths = nan nan"))
+    assert main(["ansatz", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cmd_sweep_names_each_unconverged_entry(tmp_path, capsys):

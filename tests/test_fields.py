@@ -9,9 +9,7 @@ from torusgl.fields import (
     e_energy,
     energy_density,
     g_energy,
-    g_energy_change,
     g_gradient,
-    g_hessvec,
     linearize,
     truncate,
 )
@@ -109,7 +107,7 @@ def test_gradient_matches_finite_differences(rng, t2_bundle):
 
 
 def _hessvec_vector(u, A, b, eps, v):
-    return _flat(*g_hessvec(u, A, b, eps, *_unpack(v, b.geom)))
+    return _flat(*linearize(u, A, b, eps).hessvec(*_unpack(v, b.geom)))
 
 
 def test_hessvec_matches_central_differences():
@@ -152,8 +150,8 @@ def test_hessvec_symmetric(rng, t3_bundle):
 @pytest.mark.parametrize("bundle", ["t2_bundle", "t3_bundle"])
 def test_local_model_reused_matches_fresh_calls(bundle, request):
     """One linearization serves five directions, the gradient and energy
-    changes bit for bit as fresh g_hessvec, g_gradient and g_energy_change
-    calls do, and gives d*F - j as it is computed from scratch."""
+    changes bit for bit as fresh linearizations and g_gradient calls do,
+    and gives d*F - j as it is computed from scratch."""
     from torusgl.bundle import curvature
     from torusgl.lattice import codifferential
     from torusgl.vortex import supercurrent
@@ -168,9 +166,9 @@ def test_local_model_reused_matches_fresh_calls(bundle, request):
     for _ in range(5):
         du = random_section(g, rng, scale=0.1)
         dA = tg.Cochain(g, 1, 0.1 * rng.standard_normal(g.shape(1)))
-        got, fresh = model.hessvec(du, dA), g_hessvec(u, A, b, eps, du, dA)
+        got, fresh = model.hessvec(du, dA), linearize(u, A, b, eps).hessvec(du, dA)
         assert np.array_equal(_flat(*got), _flat(*fresh))
-        assert model.change(du, dA) == g_energy_change(u, A, b, eps, du, dA)
+        assert model.change(du, dA) == linearize(u, A, b, eps).change(du, dA)
     assert np.array_equal(_flat(*model.gradient()), _grad_vector(u, A, b, eps))
     el = codifferential(curvature(A, b)) - supercurrent(u, A, b)
     assert np.array_equal(model.field_equation().values, el.values)
@@ -183,7 +181,7 @@ def test_energy_change_matches_energy_difference(rng, t2_bundle):
         A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
         du = random_section(g, rng, scale=0.1)
         dA = tg.Cochain(g, 1, 0.1 * rng.standard_normal(g.shape(1)))
-        d = g_energy_change(u, A, t2_bundle, 0.3, du, dA)
+        d = linearize(u, A, t2_bundle, 0.3).change(du, dA)
         e0 = g_energy(u, A, t2_bundle, 0.3)
         e1 = g_energy(tg.Section(g, u.values + du.values), A + dA, t2_bundle, 0.3)
         for part in ("kinetic", "potential", "curvature", "total"):
@@ -205,7 +203,7 @@ def test_energy_change_resolves_sub_ulp_steps(rng, t2_bundle):
         s @ _hessvec_vector(u, A, t2_bundle, eps, s)
     )
     assert abs(model) < np.spacing(total)
-    d = g_energy_change(u, A, t2_bundle, eps, *_unpack(s, g)).total
+    d = linearize(u, A, t2_bundle, eps).change(*_unpack(s, g)).total
     assert d == pytest.approx(model, rel=1e-8)
 
 

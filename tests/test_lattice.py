@@ -38,8 +38,9 @@ def test_geometry_invariants():
         tg.TorusGeometry((3, 8), (1.0, 1.0))
     with pytest.raises(ValueError):
         tg.TorusGeometry((8,), (1.0,))
-    with pytest.raises(ValueError):
-        tg.TorusGeometry((8, 8), (1.0, -1.0))
+    for lengths in ((1.0, -1.0), (float("nan"), 1.0), (float("inf"), 1.0)):
+        with pytest.raises(ValueError):
+            tg.TorusGeometry((8, 8), lengths)
 
 
 def test_d_of_constant_is_zero():

@@ -50,8 +50,6 @@ def test_minimize_small_vortex(t2_bundle):
 
 
 def test_minimize_descent_is_monotone(t2_bundle):
-    from torusgl.solve import _with_hook
-
     g = t2_bundle.geom
     spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
     u, A = vortex_ansatz(spec, t2_bundle, g, 0.25)
@@ -60,7 +58,7 @@ def test_minimize_descent_is_monotone(t2_bundle):
     def hook(x, fx, gvec):
         energies.append(float(fx))
 
-    opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=50000), hook)
+    opts = MinimizeOptions(tol=1e-8, max_iter=50000, iterate_hook=hook)
     tg.minimize(u, A, t2_bundle, 0.25, opts)
     assert energies, "hook never ran"
     assert all(b <= a for a, b in zip(energies, energies[1:]))
@@ -139,8 +137,6 @@ def test_minimize_slides_pinned_line():
     force above tolerance once the rest of the gradient is resolved; the
     terminal phase slides it along the covariant translations, monotonically,
     to a converged state."""
-    from torusgl.solve import _with_hook
-
     geom = tg.TorusGeometry((12, 12, 12), (1.0, 1.0, 1.0))
     b = tg.build_background(geom, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     spec = AnsatzSpec(windings=(1,), positions=((0.52, 0.51),), axis=2)
@@ -150,7 +146,7 @@ def test_minimize_slides_pinned_line():
     def hook(x, fx, gvec):
         energies.append(float(fx))
 
-    opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=20000), hook)
+    opts = MinimizeOptions(tol=1e-8, max_iter=20000, iterate_hook=hook)
     res = tg.minimize(u, A, b, 0.15, opts)
     assert res.converged
     assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
@@ -206,13 +202,36 @@ def test_truncated_state_gets_a_fresh_model(t2_bundle, monkeypatch, max_iter):
     assert res.grad_norm == float(np.abs(grad).max()) / g.cell_volume
 
 
+def test_truncate_each_builds_models_at_truncated_states(t2_bundle, monkeypatch):
+    """Under truncate_each a new state is truncated before its model is
+    built, so every model after the first sees |u| <= 1."""
+    from torusgl import solve
+
+    moduli = []
+    linearize = solve.linearize
+
+    def recorded_linearize(u, *args):
+        moduli.append(float(np.abs(u.values).max()))
+        return linearize(u, *args)
+
+    g = t2_bundle.geom
+    rng = np.random.default_rng(2)
+    u = random_section(g, rng, scale=1.6)
+    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    opts = MinimizeOptions(tol=1e-6, max_iter=5000, truncate_each=True)
+    monkeypatch.setattr(solve, "linearize", recorded_linearize)
+    res = tg.minimize(u, A, t2_bundle, 0.3, opts)
+    monkeypatch.undo()
+    assert res.converged
+    assert moduli[0] > 1.0 and len(moduli) > 1
+    assert max(moduli[1:]) <= 1.0 + 1e-12
+
+
 @pytest.mark.parametrize("option", [{"truncate_each": True}, {"log_every": 2}])
 def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, option):
     """A caller's iterate_hook still runs when truncate_each or log_every is
     set, sees energies that never increase, and log_every counts the same
     steps the hook sees."""
-    from torusgl.solve import _with_hook
-
     g = t2_bundle.geom
     spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
     u, A = vortex_ansatz(spec, t2_bundle, g, 0.25)
@@ -221,7 +240,7 @@ def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, opt
     def hook(x, fx, gvec):
         energies.append(float(fx))
 
-    opts = _with_hook(MinimizeOptions(tol=1e-8, max_iter=50000, **option), hook)
+    opts = MinimizeOptions(tol=1e-8, max_iter=50000, iterate_hook=hook, **option)
     res = tg.minimize(u, A, t2_bundle, 0.25, opts)
     assert res.converged
     assert energies, "hook never ran"
@@ -408,6 +427,14 @@ def test_sweep_validation(t2_bundle):
     with pytest.raises(ValueError, match="epsilon/2"):
         # h = 1/16 > 0.05/2
         epsilon_sweep(None, t2_bundle, g, [0.3, 0.05], opts)
+    with pytest.raises(ValueError, match="at least one"):
+        epsilon_sweep(None, t2_bundle, g, [], opts)
+
+
+@pytest.mark.parametrize("option", [{"tol": 0.0}, {"max_iter": 0}, {"log_every": -1}])
+def test_minimize_options_validation(option):
+    with pytest.raises(ValueError, match=next(iter(option))):
+        MinimizeOptions(**option)
 
 
 def test_sweep_trivial_bundle(t2_trivial):
