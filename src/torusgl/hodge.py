@@ -107,12 +107,15 @@ def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray
     (components, *sites) array: one rfftn/irfftn pair over the site axes,
     the multiplier cut to the half spectrum the real transform keeps (a
     multiplier already cut to it passes unchanged).  A multiplier with a
-    leading components axis gives each component its own."""
+    leading components axis gives each component its own.  The inverse
+    runs irfftn's passes itself, the complex ones in place in the spectrum,
+    so it allocates no second complex array (bit-identical to irfftn)."""
     sites = values.shape[1:]
-    axes = tuple(range(1, values.ndim))
-    spec = np.fft.rfftn(values, axes=axes)
+    spec = np.fft.rfftn(values, axes=tuple(range(1, values.ndim)))
     spec *= multiplier[..., : sites[-1] // 2 + 1]
-    return np.fft.irfftn(spec, s=sites, axes=axes)
+    for axis in range(1, values.ndim - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=sites[-1], axis=-1)
 
 
 def green(c: Cochain) -> Cochain:

@@ -263,8 +263,13 @@ def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> None:
-    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits)."""
+    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits);
+    raises ValueError unless its site axes are geom.sites."""
     values = np.asarray(values, dtype=np.float64)
+    if values.shape[1:] != geom.sites:
+        raise ValueError(
+            f"field of shape {values.shape} does not match the sites {geom.sites}"
+        )
     ncomp = values.shape[0]
     header = " ".join(
         [str(int(degree)), str(geom.dim)]

@@ -4,9 +4,16 @@ ansatz, and epsilon-continuation sweeps.
 Both minimizers (`minimize` and `relax_connection`) run one inexact Newton
 loop from their starting state (see _newton): each step solves the Newton
 system by preconditioned conjugate gradients on exact Hessian-vector
-products (forcing 0.1; Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
-19, 1982), then halves the step until an Armijo test on the energy change
-summed term by term passes.  Each state reached gets one local model
+products (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982),
+then halves the step until an Armijo test on the energy change summed term
+by term passes.  The conjugate-gradient forcing is adaptive, Eisenstat and
+Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996) with their constants
+_ETA_0 = 0.5, _EW_GAMMA = 0.9, _EW_ALPHA = 2 and _ETA_MAX = 0.9: loose far
+from the solution, tight near it.  Conjugate gradients also stop once the
+residual's 2-norm is _CG_FLOOR = 0.5 times the convergence tolerance (in
+raw gradient units; Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, section 6.3), so the last round of a run does not
+solve past what convergence asks.  Each state reached gets one local model
 (_Model, on fields.linearize), which forms the links once for the gradient,
 every product and every energy change there.  The preconditioner is a Sobolev metric matched
 to the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J. Sci.
@@ -167,6 +174,15 @@ _ARMIJO_C = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 
+# the forcing rule (see the module docstring and _forcing): Eisenstat and
+# Walker's choice 2 constants, then Kelley's floor factor
+_ETA_0 = 0.5
+_EW_GAMMA = 0.9
+_EW_ALPHA = 2.0
+_ETA_MAX = 0.9
+_EW_SAFEGUARD = 0.1
+_CG_FLOOR = 0.5
+
 
 def _dot(a: np.ndarray, b: np.ndarray):
     """a . b over the last axis of `a` (one value per row of a matrix),
@@ -275,14 +291,33 @@ def _phase_aligned_preconditioner(geom: TorusGeometry, eps: float):
     return at
 
 
-def _projected_cg(hv, g, precond, project, forcing, max_steps):
+def _forcing(gnorm: float, last) -> float:
+    """The Eisenstat-Walker choice 2 forcing term of a Newton round whose
+    projected gradient has 2-norm gnorm.  `last` is (gnorm_prev, eta_prev)
+    of the round before, or None for the first round of a sequence, which
+    takes _ETA_0.  Otherwise gamma (gnorm/gnorm_prev)^alpha, raised to
+    gamma eta_prev^alpha when that exceeds _EW_SAFEGUARD (so the forcing
+    cannot drop much faster than the convergence it has seen), capped at
+    _ETA_MAX."""
+    if last is None:
+        return _ETA_0
+    gnorm_prev, eta_prev = last
+    eta = _EW_GAMMA * (gnorm / gnorm_prev) ** _EW_ALPHA
+    safeguard = _EW_GAMMA * eta_prev ** _EW_ALPHA
+    if safeguard > _EW_SAFEGUARD:
+        eta = max(eta, safeguard)
+    return min(eta, _ETA_MAX)
+
+
+def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
     """Preconditioned CG on H p = -g within the range of `project`.
 
-    Stops when the residual falls below `forcing` times its start, or when a
-    direction of non-positive curvature appears: with the step so far, or,
-    if that is the first direction, with the direction itself (a
-    preconditioned steepest-descent step, which the line search shortens),
-    since the empty step would end the Newton loop as stalled.
+    Stops when the residual's 2-norm falls below `forcing` times its start
+    or below `floor`, or when a direction of non-positive curvature appears:
+    with the step so far, or, if that is the first direction, with the
+    direction itself (a preconditioned steepest-descent step, which the line
+    search shortens), since the empty step would end the Newton loop as
+    stalled.
     Returns (p, Hessian-vector products used).
     """
     r = project(g)
@@ -290,7 +325,7 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps):
     d = -z
     p = np.zeros_like(g)
     rz = float(_dot(r, z))
-    target = forcing * _norm(r)
+    target = max(forcing * _norm(r), floor)
     used = 0
     while used < max_steps and rz > 0.0:
         Hd = project(hv(d))
@@ -322,14 +357,17 @@ def _retracted(m: _Model, x, x_new, delta, retract):
     return xt, min(m.change(xt - x), delta)
 
 
-def _newton_round(m: _Model, x, budget, project, retract):
+def _newton_round(m: _Model, x, budget, project, retract, forcing, floor):
     """One inexact Newton step from x, whose model is m, in the range of
-    `project`: preconditioned CG on exact Hessian-vector products (forcing
-    0.1, at most budget - 1 of them), halved until the term-by-term energy
-    change certifies an Armijo decrease with the exactly computed slope g.s,
-    then retracted (_retracted).
+    `project`: preconditioned CG on exact Hessian-vector products (at most
+    budget - 1 of them) to a residual of `forcing` times the projected
+    gradient, or of `floor` in the 2-norm if that is reached first, halved
+    until the term-by-term energy change certifies an Armijo decrease with
+    the exactly computed slope g.s, then retracted (_retracted).
     Returns (new x or None if no step certifies one, change, products)."""
-    s, used = _projected_cg(m.hessvec, m.g, m.precond(), project, 0.1, min(400, budget - 1))
+    s, used = _projected_cg(
+        m.hessvec, m.g, m.precond(), project, forcing, min(400, budget - 1), floor
+    )
     slope = float(_dot(m.g, s))
     if slope < 0.0:
         step = 1.0
@@ -359,6 +397,11 @@ def _newton(at, x, fx, scale, opts, retract=None):
     higher f, or x itself) may move each state a step or a slide reaches
     before its model is built (_retracted).  After each accepted step
     opts.iterate_hook sees (x, fx, g).
+    Each round's CG forcing follows Eisenstat and Walker's choice 2 on the
+    2-norm of the projected gradient (_forcing), loose far from the solution
+    and tight near it; a slide restarts the sequence at _ETA_0.  CG also
+    stops at a residual 2-norm of _CG_FLOOR * opts.tol * scale, which bounds
+    the model gradient's sup-norm after the step below the tolerance.
     Returns (x, gnorm, evaluations used, stop reason), the reason being
     "converged", "budget" (fewer than the two evaluations of a Newton step
     left of opts.max_iter), or "stalled" when no certified decrease is left
@@ -370,6 +413,15 @@ def _newton(at, x, fx, scale, opts, retract=None):
     budget = opts.max_iter
     used = 0
     cells = 0.125
+    floor = _CG_FLOOR * opts.tol * scale
+    last = None  # (projected gradient 2-norm, forcing) of the previous round
+
+    def newton_round(m, x, project):
+        nonlocal last
+        gnorm2 = _norm(project(m.g))
+        last = (gnorm2, _forcing(gnorm2, last))
+        return _newton_round(m, x, budget - used, project, retract, last[1], floor)
+
     while True:
         gnorm = float(np.abs(m.g).max()) / scale
         if gnorm <= opts.tol:
@@ -378,7 +430,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
             return x, gnorm, used, "budget"
         R, project = m.soft_modes() if m.soft_modes else (None, lambda v: v)
         if R is None or float(np.abs(project(m.g)).max()) / scale > opts.tol:
-            x_new, delta, n = _newton_round(m, x, budget - used, project, retract)
+            x_new, delta, n = newton_round(m, x, project)
             used += n
             if x_new is None:
                 return x, gnorm, used, "stalled"
@@ -390,6 +442,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
             s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
             if _norm(s) <= _EPS_MACH * _norm(x):
                 return x, gnorm, used, "stalled"
+            last = None
             x_new, delta = _retracted(m, x, x + s, m.change(s), retract)
             m_new = at(x_new)
             used += 1
@@ -397,7 +450,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
                 _, proj_new = m_new.soft_modes()
                 if float(np.abs(proj_new(m_new.g)).max()) / scale <= opts.tol:
                     break
-                x_new, d_new, n = _newton_round(m_new, x_new, budget - used, proj_new, retract)
+                x_new, d_new, n = newton_round(m_new, x_new, proj_new)
                 used += n
                 if x_new is None:
                     break

@@ -6,6 +6,7 @@ import pytest
 import torusgl as tg
 from torusgl.hodge import (
     NonCompatibleSourceError,
+    _spectral_multiply,
     green,
     harmonic_projection,
     hodge_decompose,
@@ -187,3 +188,17 @@ def test_stencil_eigenvalues_match_operator(rng):
         lam = stencil_eigenvalues(geom)
         assert lam.shape == geom.sites
         assert lam.min() == 0.0
+
+
+@pytest.mark.parametrize("geom", GEOMS + [tg.TorusGeometry((9, 7, 5), (1.0, 1.0, 2.0))])
+def test_spectral_multiply_matches_irfftn(geom, rng):
+    """The in-place inverse passes give irfftn's result bit for bit, with
+    one multiplier per component and with one shared by all."""
+    values = rng.standard_normal((3, *geom.sites))
+    axes = tuple(range(1, values.ndim))
+    shared = 1.0 / (1.0 + stencil_eigenvalues(geom))
+    each = np.stack([shared, 2.0 * shared, shared**2])
+    for mult in (shared, each):
+        spec = np.fft.rfftn(values, axes=axes) * mult[..., : geom.sites[-1] // 2 + 1]
+        expected = np.fft.irfftn(spec, s=geom.sites, axes=axes)
+        assert np.array_equal(_spectral_multiply(values, mult), expected)

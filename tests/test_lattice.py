@@ -200,3 +200,15 @@ def test_field_dump_exact_bytes(tmp_path):
         b"0 -4.9406564584124654e-324 -0.5 -0.75 -1 -1.25 -1.5 -1.75 -2 -2.25 -2.5 -2.75 "
         b"-3 -3.25 -3.5 -0.33333333333333331\n"
     )
+
+
+def test_field_dump_rejects_mismatched_sites(tmp_path):
+    """A field whose site axes differ from the geometry's is refused before
+    anything is written, not dumped under a header it cannot be read back
+    with."""
+    geom = tg.TorusGeometry((64, 64), (1.0, 1.0))
+    path = tmp_path / "bad.field"
+    for shape in [(2, 32, 32), (2, 64), (64, 64), (2, 64, 64, 1)]:
+        with pytest.raises(ValueError, match="sites"):
+            write_field(path, geom, 0, np.zeros(shape))
+        assert not path.exists()

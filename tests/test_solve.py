@@ -580,6 +580,54 @@ def test_cg_takes_first_direction_of_negative_curvature():
     assert np.array_equal(p, -2.0 * g)
 
 
+def test_forcing_follows_eisenstat_walker_choice_2():
+    """The first round takes eta_0; a fast drop is held at gamma eta^alpha
+    while that exceeds 0.1, and not below; a rise is capped at eta_max."""
+    from torusgl.solve import _forcing
+
+    gamma, alpha = 0.9, 2.0
+    expected = [
+        0.5,                              # eta_0
+        gamma * 0.5**alpha,               # safeguard: 0.225 > 0.009
+        gamma * 0.5**alpha,               # ratio 0.5 gives 0.225 too
+        gamma * 0.01**alpha,              # safeguard 0.046 < 0.1: off
+        0.9,                              # ratio 2 gives 3.6: the cap
+        gamma * 0.9**alpha,               # safeguard after the cap
+    ]
+    last, got = None, []
+    for gnorm in [1.0, 0.1, 0.05, 5e-4, 1e-3, 1e-4]:
+        last = (gnorm, _forcing(gnorm, last))
+        got.append(last[1])
+    assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_cg_floor_ends_before_relative_target():
+    """On a diagonal SPD system the absolute floor stops CG at the first
+    residual below it, steps before a tight relative target would."""
+    from torusgl.solve import _norm, _projected_cg
+
+    diag = np.linspace(1.0, 100.0, 40)
+    g = np.ones_like(diag)
+    hv = lambda v: diag * v  # noqa: E731
+    same = lambda v: v  # noqa: E731
+    _, full = _projected_cg(hv, g, same, same, 1e-10, 100)
+    floor = 1e-3 * _norm(g)
+    p, used = _projected_cg(hv, g, same, same, 1e-10, 100, floor)
+    assert used < full
+    assert _norm(diag * p + g) <= floor
+    p_short, _ = _projected_cg(hv, g, same, same, 1e-10, used - 1, floor)
+    assert _norm(diag * p_short + g) > floor
+
+
+def test_adaptive_forcing_counts(min_t3_28, sweep_quarter, sweep_fixed80, min_t2_64):
+    """Evaluations with Eisenstat-Walker forcing and the convergence floor
+    (68, 222, 182 and 65 with the fixed forcing 0.1)."""
+    assert min_t3_28[3].iterations <= 60
+    assert sum(r.result.iterations for r in sweep_quarter) <= 205
+    assert sum(r.result.iterations for r in sweep_fixed80) <= 150
+    assert min_t2_64[3].iterations <= 65
+
+
 @pytest.mark.slow
 def test_minimizer_single_plaquette_support_64(min_t2_64):
     geom, b, eps, res = min_t2_64
