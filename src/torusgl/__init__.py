@@ -18,14 +18,12 @@ from .lattice import (
 )
 from .bundle import (
     BundleData,
-    Gauge1Form,
     Section,
     build_background,
     constant_section,
     covariant_difference,
     curvature,
     flux_pairing,
-    gauge_one_form,
 )
 from .fields import EnergyBreakdown, e_energy, energy_density, g_energy, g_gradient, truncate
 from .gauge import GaugePhase, apply_gauge, coulomb_fix
@@ -52,7 +50,6 @@ from .vortex import (
 )
 from .solve import (
     AnsatzSpec,
-    MaxIterationsError,
     MinimizeOptions,
     MinimizerResult,
     SweepRecord,

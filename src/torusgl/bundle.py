@@ -23,14 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
-    Cochain, TorusGeometry, components, exterior_derivative, read_field, write_field, zero_cochain,
+    Cochain, TorusGeometry, components, exterior_derivative, read_field, write_field,
 )
 
 __all__ = [
     "Section",
-    "Gauge1Form",
     "BundleData",
-    "gauge_one_form",
     "build_background",
     "link_transport",
     "link_phase",
@@ -39,17 +37,6 @@ __all__ = [
     "flux_pairing",
     "holonomy_residuals",
 ]
-
-# a gauge field is just a real 1-cochain; the alias documents intent
-Gauge1Form = Cochain
-
-
-def gauge_one_form(geom: TorusGeometry, values=None) -> Cochain:
-    """Degree-1 cochain constructor for connection fluctuations A."""
-    if values is None:
-        return zero_cochain(geom, 1)
-    return Cochain(geom, 1, values)
-
 
 @dataclass
 class Section:

@@ -91,12 +91,6 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split())
 
 
-def _boolean(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text.lower() == "true"
-
-
 def _positions(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_floats(group) for group in text.split(";") if group.strip())
 
@@ -106,7 +100,7 @@ _SECTION_KEYS = {
     "geometry": ("dim", "sites", "lengths"),
     "bundle": None,
     "run": ("epsilons", "seed", "out", "mesh_rule"),
-    "optimizer": ("tol", "max_iter", "truncate_each", "log_every"),
+    "optimizer": ("tol", "max_iter", "log_every"),
     "ansatz": ("axis", "windings", "positions"),
 }
 
@@ -116,11 +110,11 @@ def parse_config(text: str) -> RunConfig:
 
     Sections: [geometry] (dim, sites, lengths), [bundle] (chern_ij entries),
     [run] (epsilons, seed, out, mesh_rule), [optimizer] (tol, max_iter,
-    truncate_each, log_every), optional [ansatz] (axis, windings,
-    positions).  The ansatz is built only when windings are given.  Every
-    unknown section or key, every malformed value, chern indices outside
-    0 <= i < j < dim, and every value `TorusGeometry`, `AnsatzSpec`,
-    `MinimizeOptions` or `check_sweep` rejects, raises `ConfigError`.
+    log_every), optional [ansatz] (axis, windings, positions).  The
+    ansatz is built only when windings are given.  Every unknown section or
+    key, every malformed value, chern indices outside 0 <= i < j < dim, and
+    every value `TorusGeometry`, `AnsatzSpec`, `MinimizeOptions` or
+    `check_sweep` rejects, raises `ConfigError`.
     """
     sections: dict[str, dict[str, str]] = {}
     current = None
@@ -172,7 +166,7 @@ def parse_config(text: str) -> RunConfig:
     options = {
         key: get("optimizer", key, convert)
         for key, convert in (
-            ("tol", float), ("max_iter", int), ("truncate_each", _boolean), ("log_every", int)
+            ("tol", float), ("max_iter", int), ("log_every", int)
         )
         if key in sections.get("optimizer", {})
     }
@@ -224,7 +218,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "[optimizer]",
         f"tol = {_fmt(opts.tol)}",
         f"max_iter = {opts.max_iter}",
-        f"truncate_each = {_fmt(opts.truncate_each)}",
         f"log_every = {opts.log_every}",
     ]
     if cfg.ansatz is not None:

@@ -347,7 +347,7 @@ def check_solve(seed=0):
     for _ in range(5):
         uu, AA = _random_pair(geom, rng, scale=1.2)
         before = fields_mod.g_energy(uu, AA, b, 0.3).total
-        vv, BB = solve_mod.optimised_pair(uu, AA, b, 0.3, solve_mod.MinimizeOptions(tol=1e-6, max_iter=20000))
+        vv, BB = solve_mod.optimised_pair(uu, AA, b, solve_mod.MinimizeOptions(tol=1e-6, max_iter=20000))
         desc_ok = desc_ok and fields_mod.g_energy(vv, BB, b, 0.3).total <= before
     results.append(("solve", "optimised_pair never increases energy", desc_ok, float(desc_ok)))
     return results

@@ -32,11 +32,12 @@ gradient (the variational derivative, i.e. the raw gradient divided by the
 cell volume), which makes the London residual bound at critical points
 mesh-independent.
 
-A run ends unconverged in one of two ways, named by
-MinimizerResult.stop_reason: "budget" when max_iter runs out (it counts
-gradient evaluations plus Hessian-vector products), or "stalled" when no
-certified energy decrease is left (a Newton step without one, or a slide too
-short to move the state).
+A run ends unconverged in one of two ways, named by its stop reason
+(MinimizerResult.stop_reason, or the second value `relax_connection`
+returns): "budget" when max_iter runs out (it counts gradient evaluations
+plus Hessian-vector products), or "stalled" when no certified energy
+decrease is left (a Newton step without one, or a slide too short to move
+the state).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .bundle import BundleData, Section, build_background, curvature, link_phase
 from .fields import (
     EnergyBreakdown,
     LocalModel,
-    _energy_terms,
     g_energy,
     g_gradient,
     linearize,
@@ -80,7 +80,6 @@ from .vortex import (
 __all__ = [
     "MinimizeOptions",
     "MinimizerResult",
-    "MaxIterationsError",
     "WindingMismatchError",
     "AnsatzSpec",
     "minimize",
@@ -96,17 +95,6 @@ __all__ = [
 ]
 
 
-class MaxIterationsError(RuntimeError):
-    """Ended short of tolerance: iteration budget exhausted, or the Newton
-    loop stalled with no certified decrease left (the message names which);
-    carries the best iterate as .best and the final residual as .residual."""
-
-    def __init__(self, message: str, best, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.best = best
-        self.residual = residual
-
-
 class WindingMismatchError(ValueError):
     """Ansatz windings are incompatible with the bundle Chern numbers."""
 
@@ -118,7 +106,6 @@ class MinimizeOptions:
 
     tol: float = 1e-8              # sup-norm of the scale-free gradient
     max_iter: int = 50000
-    truncate_each: bool = False
     log_every: int = 0             # 0 = silent; else print a line every k steps
     iterate_hook: object = None    # internal: sees (x, fx, g) after each step
 
@@ -347,23 +334,13 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
     return p, used
 
 
-def _retracted(m: _Model, x, x_new, delta, retract):
-    """(x_new as `retract` leaves it, its change from x), where m is x's
-    model and delta the change from x to x_new.  A retraction never raises
-    f, so a computed change above delta is rounding, and is not passed on."""
-    xt = x_new if retract is None else retract(x_new)
-    if xt is x_new:
-        return x_new, delta
-    return xt, min(m.change(xt - x), delta)
-
-
-def _newton_round(m: _Model, x, budget, project, retract, forcing, floor):
+def _newton_round(m: _Model, x, budget, project, forcing, floor):
     """One inexact Newton step from x, whose model is m, in the range of
     `project`: preconditioned CG on exact Hessian-vector products (at most
     budget - 1 of them) to a residual of `forcing` times the projected
     gradient, or of `floor` in the 2-norm if that is reached first, halved
     until the term-by-term energy change certifies an Armijo decrease with
-    the exactly computed slope g.s, then retracted (_retracted).
+    the exactly computed slope g.s.
     Returns (new x or None if no step certifies one, change, products)."""
     s, used = _projected_cg(
         m.hessvec, m.g, m.precond(), project, forcing, min(400, budget - 1), floor
@@ -374,12 +351,12 @@ def _newton_round(m: _Model, x, budget, project, retract, forcing, floor):
         for _ in range(_MAX_BACKTRACKS):
             delta = m.change(step * s)
             if delta <= _ARMIJO_C * step * slope:
-                return (*_retracted(m, x, x + step * s, delta, retract), used)
+                return x + step * s, delta, used
             step *= _SHRINK
     return None, 0.0, used
 
 
-def _newton(at, x, fx, scale, opts, retract=None):
+def _newton(at, x, fx, scale, opts):
     """Minimize from x by inexact Newton steps; at(x) builds the _Model at
     x, fx is f(x), or any offset the energies passed on should start from.
 
@@ -393,9 +370,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
     otherwise it is undone and its length halved.  Energies passed on are
     fx plus certified changes, so they strictly decrease; no decision rests
     on a float64 tie.  `scale` divides the sup-norm of the raw gradient to
-    form the scale-free convergence metric.  `retract` (x -> a state of no
-    higher f, or x itself) may move each state a step or a slide reaches
-    before its model is built (_retracted).  After each accepted step
+    form the scale-free convergence metric.  After each accepted step
     opts.iterate_hook sees (x, fx, g).
     Each round's CG forcing follows Eisenstat and Walker's choice 2 on the
     2-norm of the projected gradient (_forcing), loose far from the solution
@@ -420,7 +395,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
         nonlocal last
         gnorm2 = _norm(project(m.g))
         last = (gnorm2, _forcing(gnorm2, last))
-        return _newton_round(m, x, budget - used, project, retract, last[1], floor)
+        return _newton_round(m, x, budget - used, project, last[1], floor)
 
     while True:
         gnorm = float(np.abs(m.g).max()) / scale
@@ -443,7 +418,7 @@ def _newton(at, x, fx, scale, opts, retract=None):
             if _norm(s) <= _EPS_MACH * _norm(x):
                 return x, gnorm, used, "stalled"
             last = None
-            x_new, delta = _retracted(m, x, x + s, m.change(s), retract)
+            x_new, delta = x + s, m.change(s)
             m_new = at(x_new)
             used += 1
             while budget - used >= 2:
@@ -564,11 +539,6 @@ def minimize(
             lambda: _covariant_translations(lin, x),
         )
 
-    def truncated(x):
-        uu, aa = _unpack(x, geom)
-        ut = truncate(uu)
-        return x if np.array_equal(ut.values, uu.values) else _pack(ut, aa)
-
     steps = 0
 
     def step_hook(x, fx, g):
@@ -588,7 +558,7 @@ def minimize(
 
     x, gnorm, iters, reason = _newton(
         at, _pack(u0, A0), g_energy(u0, A0, b, eps).total, w,
-        replace(opts, iterate_hook=step_hook), truncated if opts.truncate_each else None,
+        replace(opts, iterate_hook=step_hook),
     )
 
     u_fin, A_fin = _unpack(x, geom)
@@ -608,31 +578,25 @@ def minimize(
 # connection relaxation over the class B = A + d* psi, psi exact
 # ----------------------------------------------------------------------------
 
-def _aux_energy(u: Section, B: Cochain, b: BundleData):
-    """Auxiliary functional: integral of |D_B u|^2 + |F_B|^2, accumulated in
-    extended precision; relax_connection minimizes it."""
-    w = b.geom.cell_volume
-    kin, _, curv = _energy_terms(u, B, b, np.longdouble)
-    return w * kin + w * curv
-
-
 def relax_connection(
     u: Section,
     A: Cochain,
     b: BundleData,
     opts: MinimizeOptions | None = None,
-) -> Cochain:
+) -> tuple[Cochain, str]:
     """Minimize |D_B u|^2 + |F_B|^2 over B = A + d* psi, psi a 2-cochain,
-    keeping u fixed.  Never increases the auxiliary energy, hence never
-    increases g_energy for any epsilon.
+    keeping u fixed.  Never increases this auxiliary energy, twice
+    g_energy's kinetic and curvature parts, hence never increases g_energy
+    for any epsilon.
 
     Stationarity residual: sup-norm of d(d*F_B - j(u, B)) scaled by the cell
     volume; at convergence B satisfies the discrete London equation.
     Runs the same Newton loop as `minimize` (see _newton), without the gauge
     term or the slide, and decides on term-by-term changes only, so it
     evaluates no energy; a caller's iterate_hook sees the summed change from
-    the start.  Raises MaxIterationsError (carrying the best B) when it ends
-    unconverged: on budget exhaustion, or when no certified decrease is left.
+    the start.  Returns (B, stop reason), B the last accepted iterate; like
+    `minimize` it never raises for lack of convergence, and the reason is
+    "converged", "budget" or "stalled".
     """
     opts = opts or MinimizeOptions()
     geom = b.geom
@@ -663,28 +627,24 @@ def relax_connection(
             lambda: plain,
         )
 
-    x, gnorm, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)
-    B = A + codiff(x)
-    if reason == "converged":
-        return B
-    raise MaxIterationsError(
-        f"relax_connection ended unconverged ({reason})", best=B, residual=gnorm
-    )
+    x, _, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)
+    return A + codiff(x), reason
 
 
 def optimised_pair(
     u: Section,
     A: Cochain,
     b: BundleData,
-    eps: float,
     opts: MinimizeOptions | None = None,
 ) -> tuple[Section, Cochain]:
     """Truncate the section, then relax the connection around it.
 
-    g_energy never increases: G(v, B) <= G(v, A) <= G(u, A), exactly.
+    Returns (v, B), B relax_connection's last iterate whatever its stop
+    reason.  g_energy never increases, for any epsilon:
+    G(v, B) <= G(v, A) <= G(u, A), exactly.
     """
     v = truncate(u)
-    B = relax_connection(v, A, b, opts)
+    B, _ = relax_connection(v, A, b, opts)
     return v, B
 
 

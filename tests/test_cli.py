@@ -103,8 +103,8 @@ def test_config_validation_messages():
         parse_config(quarter.replace("lengths = 1 1", "lengths = inf inf"))
     with pytest.raises(ConfigError, match=r"\[geometry\] sites"):
         parse_config(base.replace("sites = 12 12", "sites = 12 x"))
-    with pytest.raises(ConfigError, match="true or false"):
-        parse_config(base.replace("tol = 1e-8", "tol = 1e-8\ntruncate_each = yes"))
+    with pytest.raises(ConfigError, match=r"unknown \[optimizer\] key truncate_each"):
+        parse_config(base.replace("tol = 1e-8", "tol = 1e-8\ntruncate_each = true"))
     # h = 1.5/8 > 0.25/2 on one fixed lattice
     bad = (
         base.replace("sites = 12 12", "sites = 8 8 8")
