@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    Cochain, TorusGeometry, components, exterior_derivative, read_field, write_field,
-)
+from .lattice import Cochain, TorusGeometry, components, exterior_derivative
 
 __all__ = [
     "Section",
@@ -178,27 +176,6 @@ def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:
 def curvature(A: Cochain, b: BundleData) -> Cochain:
     """Real curvature 2-cochain F_A = F0 + dA; closed and gauge invariant."""
     return b.f0 + exterior_derivative(A)
-
-
-def write_bundle(path_prefix: str, b: BundleData) -> None:
-    """Serialize as the Chern matrix (text) plus the theta0 field dump."""
-    np.savetxt(f"{path_prefix}.chern", b.chern, fmt="%d")
-    write_field(f"{path_prefix}.theta0", b.geom, 1, b.theta0)
-
-
-def read_bundle(path_prefix: str) -> BundleData:
-    """Rebuild bundle data written by `write_bundle`; f0 is reconstructed
-    from the Chern matrix, and both type invariants are re-validated."""
-    chern = np.loadtxt(f"{path_prefix}.chern", dtype=np.int64, ndmin=2)
-    geom, degree, theta0 = read_field(f"{path_prefix}.theta0")
-    if degree != 1:
-        raise ValueError(f"theta0 dump has degree {degree}, expected 1")
-    rebuilt = build_background(geom, chern)
-    out = BundleData(geom=geom, chern=rebuilt.chern, theta0=theta0, f0=rebuilt.f0)
-    res = holonomy_residuals(out)
-    if np.abs(res).max() > 1e-12:
-        raise ValueError(f"stored theta0 violates the flux invariant by {np.abs(res).max():.2e}")
-    return out
 
 
 def flux_pairing(F: Cochain) -> np.ndarray:

@@ -37,7 +37,7 @@ from .solve import (
 )
 from .vortex import chern_pairing, sparse_windings, vortex_mass, vorticity
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "main"]
 
 # the columns of sweep.csv, in order, each with its value in a SweepRecord
 SWEEP_COLUMNS = {
@@ -195,43 +195,6 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    opts = cfg.optimizer
-    lines = [
-        "[geometry]",
-        f"dim = {cfg.geom.dim}",
-        "sites = " + " ".join(str(s) for s in cfg.geom.sites),
-        "lengths = " + " ".join(_fmt(L) for L in cfg.geom.lengths),
-        "",
-        "[bundle]",
-    ]
-    for i, j, c in cfg.chern:
-        lines.append(f"chern_{i}{j} = {c}")
-    lines += [
-        "",
-        "[run]",
-        "epsilons = " + " ".join(_fmt(e) for e in cfg.epsilons),
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out}",
-        f"mesh_rule = {cfg.mesh_rule}",
-        "",
-        "[optimizer]",
-        f"tol = {_fmt(opts.tol)}",
-        f"max_iter = {opts.max_iter}",
-        f"log_every = {opts.log_every}",
-    ]
-    if cfg.ansatz is not None:
-        lines += ["", "[ansatz]"]
-        if cfg.ansatz.axis is not None:
-            lines.append(f"axis = {cfg.ansatz.axis}")
-        lines += [
-            "windings = " + " ".join(str(w) for w in cfg.ansatz.windings),
-            "positions = "
-            + " ; ".join(" ".join(_fmt(x) for x in p) for p in cfg.ansatz.positions),
-        ]
-    return "\n".join(lines) + "\n"
-
-
 # ----------------------------------------------------------------------------
 # shared construction helpers
 # ----------------------------------------------------------------------------
@@ -282,7 +245,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
         "iterations": res.iterations,
         "grad_norm": res.grad_norm,
         "london_residual": res.london_residual,
-        "vortex_mass": vortex_mass(v, cfg.geom),
+        "vortex_mass": vortex_mass(v),
         **asdict(res.energy),
     }
     lines = [f"{k} = {_fmt(val)}" for k, val in rec.items()]

@@ -188,11 +188,7 @@ def solve_poisson(f: Cochain, method: str = "spectral") -> Cochain:
             "solve_poisson needs H(f) = 0"
         )
     if method == "spectral":
-        lam = stencil_eigenvalues(f.geom)
-        mult = np.zeros_like(lam)
-        nonzero = lam > 0.0
-        mult[nonzero] = 1.0 / lam[nonzero]
-        return Cochain(f.geom, f.degree, _spectral_multiply(f.values, mult))
+        return -1.0 * green(f)
     if method == "cg":
         mean_free = f - harmonic_projection(f)
         sol = _cg_solve(

@@ -106,7 +106,7 @@ class MinimizeOptions:
 
     tol: float = 1e-8              # sup-norm of the scale-free gradient
     max_iter: int = 50000
-    log_every: int = 0             # 0 = silent; else print a line every k steps
+    log_every: int = 0             # minimize only: 0 = silent; else print a line every k steps
     iterate_hook: object = None    # internal: sees (x, fx, g) after each step
 
     def __post_init__(self):
@@ -596,7 +596,8 @@ def relax_connection(
     evaluates no energy; a caller's iterate_hook sees the summed change from
     the start.  Returns (B, stop reason), B the last accepted iterate; like
     `minimize` it never raises for lack of convergence, and the reason is
-    "converged", "budget" or "stalled".
+    "converged", "budget" or "stalled".  It prints nothing: opts goes to
+    _newton as given, so log_every has no effect here.
     """
     opts = opts or MinimizeOptions()
     geom = b.geom
@@ -901,7 +902,8 @@ def _quarter_rule_geometry(base: TorusGeometry, eps: float) -> TorusGeometry:
 def check_sweep(geom: TorusGeometry, eps_list, mesh_rule: str) -> None:
     """Raise ValueError unless eps_list is a non-empty, strictly decreasing
     list in (0, 1) and mesh_rule is "fixed" or "quarter"; "fixed" keeps one
-    lattice, so its spacing h must satisfy h <= eps/2 for every entry."""
+    lattice, so its spacing h must satisfy h <= eps/2 for every entry;
+    "quarter" needs each level's site counts to divide the next level's."""
     if not eps_list:
         raise ValueError("at least one epsilon required")
     for e in eps_list:
@@ -915,6 +917,13 @@ def check_sweep(geom: TorusGeometry, eps_list, mesh_rule: str) -> None:
     h, smallest = max(geom.spacings), eps_list[-1]
     if mesh_rule == "fixed" and h > smallest / 2.0 + 1e-15:
         raise ValueError(f"mesh_rule fixed needs h <= epsilon/2 (h = {h!r}, epsilon = {smallest!r})")
+    if mesh_rule == "quarter":
+        # each warm start is refined onto the next lattice (see refine_section)
+        sites = [_quarter_rule_geometry(geom, e).sites for e in eps_list]
+        for n1, n2 in zip(sites, sites[1:]):
+            if any(fine % coarse for coarse, fine in zip(n1, n2)):
+                raise ValueError(f"mesh_rule quarter needs each level's site counts to be integer "
+                                 f"multiples of the previous level's, got {n1} -> {n2}")
 
 
 def epsilon_sweep(
@@ -937,8 +946,10 @@ def epsilon_sweep(
     either rule each warm start then has its vortex cores narrowed by the
     ratio rho of the previous epsilon to this one (see _narrow_cores): a
     core has width ~eps, so the previous minimizer's is rho times too wide.
-    The H^-1 column measures jacobian/pi against the target vorticity density
-    (the prescribed ansatz when given, else the first converged vorticity).
+    The H^-1 column measures jacobian/pi against a target vorticity density:
+    the prescribed ansatz on each level's lattice when given, else the
+    converged vorticity of the first level on the current lattice, so under
+    "quarter" a level on a new lattice is measured against its own.
     """
     opts = opts or MinimizeOptions()
     eps_list = [float(e) for e in eps_list]
@@ -987,7 +998,7 @@ def epsilon_sweep(
                 geom=cur_geom,
                 result=res,
                 g_over_logeps=res.energy.total / abs(log(eps)),
-                vortex_mass=vortex_mass(v, cur_geom),
+                vortex_mass=vortex_mass(v),
                 chern_pairing=chern_pairing(v),
                 hminus1_to_target=dist,
             )

@@ -161,16 +161,15 @@ def chern_pairing(v: VorticityField) -> np.ndarray:
     return out
 
 
-def vortex_mass(v: VorticityField, geom: TorusGeometry | None = None) -> float:
+def vortex_mass(v: VorticityField) -> float:
     """Mass of the vortex current: sum |n_p| (n=2) or sum |n_p| h_transverse (n=3)."""
-    geom = geom or v.geom
-    n = geom.dim
+    n = v.geom.dim
     if n == 2:
         return float(np.abs(v.windings).sum())
     total = 0.0
     for pos, (i, j) in enumerate(components(n, 2)):
         (transverse,) = set(range(n)) - {i, j}
-        total += float(np.abs(v.windings[pos]).sum()) * geom.spacings[transverse]
+        total += float(np.abs(v.windings[pos]).sum()) * v.geom.spacings[transverse]
     return total
 
 

@@ -285,7 +285,7 @@ def test_criterion_09_gamma_geometry_t3(min_t3_28):
     assert res.converged
     v = tg.vorticity(res.section, res.gauge_field, b)
     loop_ok, length = single_dual_loop(v)
-    mass = tg.vortex_mass(v, geom)
+    mass = tg.vortex_mass(v)
     mass_ok = abs(mass - 1.0) <= 0.2
     ratio = res.energy.total / abs(math.log(eps)) / PI
     band_ok = 0.7 <= ratio <= 2.0
@@ -313,7 +313,7 @@ def test_criterion_10_upper_bound():
     u2, A2 = tg.vortex_ansatz(
         tg.AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b2, geom2, eps
     )
-    m2 = tg.vortex_mass(tg.vorticity(u2, A2, b2), geom2)
+    m2 = tg.vortex_mass(tg.vorticity(u2, A2, b2))
     r2 = tg.e_energy(u2, b2, eps).total / abs(math.log(eps))
     results.append(("T2 point", r2, m2, r2 <= 1.5 * PI * m2))
 
@@ -322,7 +322,7 @@ def test_criterion_10_upper_bound():
     u3, A3 = tg.vortex_ansatz(
         tg.AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=2), b3, geom3, eps
     )
-    m3 = tg.vortex_mass(tg.vorticity(u3, A3, b3), geom3)
+    m3 = tg.vortex_mass(tg.vorticity(u3, A3, b3))
     r3 = tg.e_energy(u3, b3, eps).total / abs(math.log(eps))
     results.append(("T3 line", r3, m3, r3 <= 1.5 * PI * m3))
 

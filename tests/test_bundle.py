@@ -135,19 +135,6 @@ def test_chern_pairing_of_curvature_any_A(rng, t2_bundle):
         assert pairing[0, 1] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_bundle_serialization_roundtrip(tmp_path):
-    from torusgl.bundle import read_bundle, write_bundle
-
-    g = tg.TorusGeometry((6, 8, 4), (1.0, 2.0, 1.0))
-    b = tg.build_background(g, [[0, 1, 0], [-1, 0, -2], [0, 2, 0]])
-    prefix = str(tmp_path / "bundle")
-    write_bundle(prefix, b)
-    b2 = read_bundle(prefix)
-    assert np.array_equal(b2.chern, b.chern)
-    assert np.array_equal(b2.theta0, b.theta0)
-    assert np.array_equal(b2.f0.values, b.f0.values)
-
-
 @pytest.mark.parametrize(
     "sites, lengths, chern",
     [

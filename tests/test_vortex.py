@@ -166,16 +166,16 @@ def test_vortex_ansatz_line_support():
 def test_vortex_mass():
     g2 = tg.TorusGeometry((8, 8), (1.0, 1.0))
     v = tg.VorticityField(g2, np.zeros(g2.shape(2), dtype=np.int64))
-    assert vortex_mass(v, g2) == 0.0
+    assert vortex_mass(v) == 0.0
     v.windings[0, 2, 3] = 1
-    assert vortex_mass(v, g2) == 1.0
+    assert vortex_mass(v) == 1.0
     v.windings[0, 5, 5] = -2
-    assert vortex_mass(v, g2) == 3.0
+    assert vortex_mass(v) == 3.0
 
     g3 = tg.TorusGeometry((8, 8, 8), (1.0, 1.0, 2.0))
     v3 = tg.VorticityField(g3, np.zeros(g3.shape(2), dtype=np.int64))
     v3.windings[0, 1, 1, :] = 1  # straight line along axis 2, h_transverse = 0.25
-    assert vortex_mass(v3, g3) == pytest.approx(8 * 0.25)
+    assert vortex_mass(v3) == pytest.approx(8 * 0.25)
 
 
 def test_h_minus1_distance_axioms(rng, t2_geom):
