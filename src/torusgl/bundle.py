@@ -49,9 +49,6 @@ class Section:
             raise ValueError(f"section shape {vals.shape} != sites {self.geom.sites}")
         self.values = vals
 
-    def copy(self) -> "Section":
-        return Section(self.geom, self.values.copy())
-
 
 def constant_section(geom: TorusGeometry, value: complex = 1.0) -> Section:
     return Section(geom, np.full(geom.sites, value, dtype=np.complex128))

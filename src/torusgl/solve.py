@@ -104,7 +104,8 @@ class MinimizeOptions:
     """Settings of `minimize` and `relax_connection`; raises ValueError
     unless tol > 0 (NaN fails), max_iter >= 1 and log_every >= 0."""
 
-    tol: float = 1e-8              # sup-norm of the scale-free gradient
+    tol: float = 1e-8              # sup-norm of the scale-free gradient; one below its
+                                   # rounding floor ends minimize "budget", not "stalled"
     max_iter: int = 50000
     log_every: int = 0             # minimize only: 0 = silent; else print a line every k steps
     iterate_hook: object = None    # internal: sees (x, fx, g) after each step
@@ -675,32 +676,6 @@ class AnsatzSpec:
             raise ValueError(f"need two finite coordinates per position, got {self.positions}")
 
 
-def _validate_ansatz(spec: AnsatzSpec, b: BundleData) -> tuple[int, int]:
-    """Returns the transverse plane (i, j) the windings live in."""
-    geom = b.geom
-    n = geom.dim
-    if n == 2:
-        if spec.axis is not None:
-            raise WindingMismatchError("axis applies to n = 3 only")
-        i, j = 0, 1
-    else:
-        if spec.axis is None or not 0 <= spec.axis < 3:
-            raise WindingMismatchError("n = 3 ansatz needs a line axis in {0,1,2}")
-        i, j = sorted(set(range(3)) - {spec.axis})
-        for a, bb in components(3, 2):
-            if (a, bb) != (i, j) and b.chern_entry(a, bb) != 0:
-                raise WindingMismatchError(
-                    f"chern[{a},{bb}] = {b.chern_entry(a, bb)} cannot be carried by "
-                    f"lines along axis {spec.axis}"
-                )
-    total = sum(spec.windings)
-    if total != b.chern_entry(i, j):
-        raise WindingMismatchError(
-            f"total winding {total} != chern[{i},{j}] = {b.chern_entry(i, j)}"
-        )
-    return i, j
-
-
 def vortex_ansatz(
     spec: AnsatzSpec,
     b: BundleData,
@@ -737,7 +712,6 @@ def vortex_ansatz(
         s = float(incr[(axis, *line)].sum())
         target = 2.0 * pi * np.round(s / (2.0 * pi))
         gamma = (target - s) / geom.lengths[axis]
-        omega.values[axis] += gamma
         incr[axis] += gamma * h[axis]
 
     # integrate the increments over a deterministic raster path: first along
@@ -861,20 +835,17 @@ def _refine(
     return vals
 
 
-def refine_section(u: Section, geom_new: TorusGeometry, phases=None) -> Section:
-    """Interpolate a section onto a lattice with an integer multiple of the
-    sites per axis; the old sites keep their values.
+def refine_section(u: Section, A: Cochain, b: BundleData) -> Section:
+    """Interpolate a section onto the lattice of the bundle b, which has an
+    integer multiple of the sites per axis; the old sites keep their values.
 
-    `phases`, when given, holds the link phases theta0 + h A of the
-    connection on geom_new (one row per axis, see bundle.link_phase), and a
-    new value is the linear interpolation of its two coarse neighbours each
-    carried to it along the fine links, so a covariantly constant section
-    refines to one.  Without them the phases are taken as zero and the
-    values are interpolated as they stand; on a bundle's background that
-    drives |u| to zero across every link whose phase is near pi (the seam
-    carries phases up to 2 pi), a spurious line of normal phase.
+    A is the connection on that lattice.  A new value is the linear
+    interpolation of its two coarse neighbours each carried to it along the
+    fine links, whose phases are theta0 + h A (see bundle.link_phase), so a
+    covariantly constant section refines to one.
     """
-    return Section(geom_new, _refine(u.values, u.geom, geom_new, 0, phases))
+    phases = np.stack([link_phase(A, b, i) for i in range(b.geom.dim)])
+    return Section(b.geom, _refine(u.values, u.geom, b.geom, 0, phases))
 
 
 def refine_cochain(c: Cochain, geom_new: TorusGeometry) -> Cochain:
@@ -927,7 +898,7 @@ def check_sweep(geom: TorusGeometry, eps_list, mesh_rule: str) -> None:
 
 
 def epsilon_sweep(
-    init,
+    spec: AnsatzSpec | None,
     b: BundleData,
     geom: TorusGeometry,
     eps_list,
@@ -937,15 +908,15 @@ def epsilon_sweep(
 ) -> list[SweepRecord]:
     """Warm-started minimization along a strictly decreasing epsilon list.
 
-    `init` is an AnsatzSpec, a (Section, gauge 1-cochain) pair, or None for
-    the default initialization; check_sweep states what eps_list and
+    The first level starts from default_initial_pair with `spec` (None for
+    the default initialization); check_sweep states what eps_list and
     mesh_rule must satisfy.  mesh_rule "fixed" keeps one lattice; "quarter"
     rebuilds each entry with h = eps/4 and prolongates the previous
-    minimizer onto the finer lattice,
-    the section along the fine link phases (see refine_section).  Under
-    either rule each warm start then has its vortex cores narrowed by the
-    ratio rho of the previous epsilon to this one (see _narrow_cores): a
-    core has width ~eps, so the previous minimizer's is rho times too wide.
+    minimizer onto the finer lattice, the section along the fine link
+    phases (see refine_section).  Under either rule each warm start then has
+    its vortex cores narrowed by the ratio rho of the previous epsilon to
+    this one (see _narrow_cores): a core has width ~eps, so the previous
+    minimizer's is rho times too wide.
     The H^-1 column measures jacobian/pi against a target vorticity density:
     the prescribed ansatz on each level's lattice when given, else the
     converged vorticity of the first level on the current lattice, so under
@@ -955,29 +926,20 @@ def epsilon_sweep(
     eps_list = [float(e) for e in eps_list]
     check_sweep(geom, eps_list, mesh_rule)
 
-    spec = init if isinstance(init, AnsatzSpec) else None
     records: list[SweepRecord] = []
-    u = A = None
-    cur_geom = cur_bundle = None
     target_density: Cochain | None = None
 
     for eps in eps_list:
         entry_geom = geom if mesh_rule == "fixed" else _quarter_rule_geometry(geom, eps)
-        if cur_geom is None:
+        if not records:
             cur_geom = entry_geom
             cur_bundle = b if entry_geom == b.geom else build_background(entry_geom, b.chern)
-            if spec is not None or init is None:
-                u, A = default_initial_pair(cur_bundle, eps, seed, spec)
-            else:
-                u, A = init
-                if u.geom != cur_geom:
-                    raise ValueError("initial fields must live on the sweep geometry")
+            u, A = default_initial_pair(cur_bundle, eps, seed, spec)
         else:
             if entry_geom != cur_geom:
-                A = refine_cochain(A, entry_geom)
                 cur_geom, cur_bundle = entry_geom, build_background(entry_geom, b.chern)
-                phases = np.stack([link_phase(A, cur_bundle, i) for i in range(cur_geom.dim)])
-                u = refine_section(u, entry_geom, phases)
+                A = refine_cochain(A, cur_geom)
+                u = refine_section(u, A, cur_bundle)
             u = _narrow_cores(u, records[-1].epsilon / eps)
 
         res = minimize(u, A, cur_bundle, eps, opts)
@@ -1009,9 +971,27 @@ def epsilon_sweep(
 def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData) -> tuple[VorticityField, list]:
     """The prescribed integer plaquette windings, constant along the line
     axis, and per vortex its core plaquette as ((i, q_i), (j, q_j)) over the
-    transverse plane (i, j)."""
+    transverse plane (i, j), checked against b's Chern numbers."""
     geom = b.geom
-    i, j = _validate_ansatz(spec, b)
+    if geom.dim == 2:
+        if spec.axis is not None:
+            raise WindingMismatchError("axis applies to n = 3 only")
+        i, j = 0, 1
+    else:
+        if spec.axis is None or not 0 <= spec.axis < 3:
+            raise WindingMismatchError("n = 3 ansatz needs a line axis in {0,1,2}")
+        i, j = sorted(set(range(3)) - {spec.axis})
+        for a, bb in components(3, 2):
+            if (a, bb) != (i, j) and b.chern_entry(a, bb) != 0:
+                raise WindingMismatchError(
+                    f"chern[{a},{bb}] = {b.chern_entry(a, bb)} cannot be carried by "
+                    f"lines along axis {spec.axis}"
+                )
+    total = sum(spec.windings)
+    if total != b.chern_entry(i, j):
+        raise WindingMismatchError(
+            f"total winding {total} != chern[{i},{j}] = {b.chern_entry(i, j)}"
+        )
     pair_pos = components(geom.dim, 2).index((i, j))
     W = np.zeros(geom.shape(2), dtype=np.int64)
     h = geom.spacings
