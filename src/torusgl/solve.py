@@ -25,19 +25,19 @@ longer grows with 1/eps^2 (see _phase_aligned_preconditioner);
 `relax_connection`, whose Hessian has no potential block, uses the plain
 (h^n(-Delta + 1))^-1.  Three module constants fix the backtracking:
 _ARMIJO_C (sufficient-decrease constant, 1e-4), _SHRINK (backtracking
-factor, 0.5) and _MAX_BACKTRACKS (trials per step, 60).  In
-`minimize`, pinned vortex cores also slide along their covariant
-translations.  Convergence is declared on the sup-norm of the scale-free
-gradient (the variational derivative, i.e. the raw gradient divided by the
-cell volume), which makes the London residual bound at critical points
-mesh-independent.
+factor, 0.5) and _MAX_BACKTRACKS (trials per step, 60).  Where lattice
+pinning is strong (see `minimize`), vortex cores also slide along their
+covariant translations.  Convergence is declared on the sup-norm of the
+scale-free gradient (the variational derivative, i.e. the raw gradient
+divided by the cell volume), which makes the London residual bound at
+critical points mesh-independent.
 
 A run ends unconverged in one of two ways, named by its stop reason
 (MinimizerResult.stop_reason, or the second value `relax_connection`
 returns): "budget" when max_iter runs out (it counts gradient evaluations
 plus Hessian-vector products), or "stalled" when no certified energy
-decrease is left (a Newton step without one, or a slide too short to move
-the state).
+decrease is left (a Newton step without one, or with one that moves the
+state by at most eps_mach times its norm, or a slide too short to move it).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class MinimizeOptions:
     unless tol > 0 (NaN fails), max_iter >= 1 and log_every >= 0."""
 
     tol: float = 1e-8              # sup-norm of the scale-free gradient; one below its
-                                   # rounding floor ends minimize "budget", not "stalled"
+                                   # rounding floor ends "stalled" at an ulp-sized step
     max_iter: int = 50000
     log_every: int = 0             # minimize only: 0 = silent; else print a line every k steps
     iterate_hook: object = None    # internal: sees (x, fx, g) after each step
@@ -170,6 +170,9 @@ _EW_ALPHA = 2.0
 _ETA_MAX = 0.9
 _EW_SAFEGUARD = 0.1
 _CG_FLOOR = 0.5
+
+# core width eps, in lattice spacings, below which lattice pinning is strong
+_PINNED_CORE_SPACINGS = 3.0
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -342,7 +345,8 @@ def _newton_round(m: _Model, x, budget, project, forcing, floor):
     gradient, or of `floor` in the 2-norm if that is reached first, halved
     until the term-by-term energy change certifies an Armijo decrease with
     the exactly computed slope g.s.
-    Returns (new x or None if no step certifies one, change, products)."""
+    Returns (new x, change, products); new x is None if no step certifies a
+    decrease, or if the one that does moves x by at most eps_mach ||x||."""
     s, used = _projected_cg(
         m.hessvec, m.g, m.precond(), project, forcing, min(400, budget - 1), floor
     )
@@ -352,6 +356,8 @@ def _newton_round(m: _Model, x, budget, project, forcing, floor):
         for _ in range(_MAX_BACKTRACKS):
             delta = m.change(step * s)
             if delta <= _ARMIJO_C * step * slope:
+                if step * _norm(s) <= _EPS_MACH * _norm(x):
+                    break  # a rounding-level move: no decrease is left
                 return x + step * s, delta, used
             step *= _SHRINK
     return None, 0.0, used
@@ -381,7 +387,8 @@ def _newton(at, x, fx, scale, opts):
     Returns (x, gnorm, evaluations used, stop reason), the reason being
     "converged", "budget" (fewer than the two evaluations of a Newton step
     left of opts.max_iter), or "stalled" when no certified decrease is left
-    (a Newton step without one, or a slide too short to move x).  Models
+    (a Newton step without one, or with one that moves x by at most
+    eps_mach ||x||, or a slide too short to move x).  Models
     built after the first, one held at a time outside a slide, and
     Hessian-vector products count as evaluations.
     """
@@ -468,9 +475,9 @@ def _covariant_translations(lin: LocalModel, x: np.ndarray):
 
     A vortex core slides across the lattice at almost no cost in energy
     (lattice pinning), so these directions carry curvature near zero or
-    below it.  Gram-Schmidt drops a direction whose remainder has norm below
-    sqrt(eps_mach) times the state's, such as a translation of a uniform
-    state.
+    below it; `minimize` builds them only where that pinning is strong.
+    Gram-Schmidt drops a direction whose remainder has norm below sqrt(eps_mach)
+    times the state's, such as a translation of a uniform state.
     """
     geom = lin.b.geom
     n, h = geom.dim, geom.spacings
@@ -507,10 +514,13 @@ def minimize(
 
     Inexact Newton steps from the first iterate on (see _newton), on exact
     Hessian-vector products, with the gauge orbit given positive curvature
-    by a background gauge-fixing term and the covariant translations (the
-    lattice-pinned slide of vortex cores) kept out of the conjugate-gradient
-    solve and slid along separately.  `iterations` in the result counts
-    gradient evaluations plus Hessian-vector products.
+    by a background gauge-fixing term.  Where lattice pinning is strong,
+    eps < _PINNED_CORE_SPACINGS * max(h) (3 spacings), the loop would creep
+    along the covariant translations (the slide of vortex cores), so they
+    are kept out of the CG solve and slid along separately.  With a resolved
+    core they stay in: projecting them out would block the core's first
+    half-cell move and its coupling to the rest of the field.
+    `iterations` counts gradient evaluations plus Hessian-vector products.
 
     Never raises for lack of convergence.  It returns the last accepted
     iterate, which has the lowest energy, with converged=False and
@@ -521,6 +531,7 @@ def minimize(
     geom = b.geom
     w = geom.cell_volume
     aligned = _phase_aligned_preconditioner(geom, eps)
+    pinned = eps < _PINNED_CORE_SPACINGS * max(geom.spacings)
 
     def at(x):
         uu, aa = _unpack(x, geom)
@@ -537,7 +548,7 @@ def minimize(
             hessvec,
             lambda s: lin.change(*_unpack(s, geom)).total,
             lambda: aligned(uu.values),
-            lambda: _covariant_translations(lin, x),
+            (lambda: _covariant_translations(lin, x)) if pinned else None,
         )
 
     steps = 0

@@ -130,11 +130,25 @@ def test_budget_is_never_exceeded(t2_bundle, monkeypatch, max_iter):
     assert calls["linearize"] - 1 + calls["hessvec"] <= max_iter
 
 
-def test_minimize_slides_pinned_line():
+def _count_translation_builds(monkeypatch):
+    """Count minimize's builds of the covariant translations."""
+    built = []
+    translations = tg.solve._covariant_translations
+
+    def counted(*args):
+        built.append(1)
+        return translations(*args)
+
+    monkeypatch.setattr(tg.solve, "_covariant_translations", counted)
+    return built
+
+
+def test_minimize_slides_pinned_line(monkeypatch):
     """A coarse line (h = 0.56 eps) stays held by lattice pinning with a
     force above tolerance once the rest of the gradient is resolved; the
     terminal phase slides it along the covariant translations, monotonically,
     to a converged state."""
+    built = _count_translation_builds(monkeypatch)
     geom = tg.TorusGeometry((12, 12, 12), (1.0, 1.0, 1.0))
     b = tg.build_background(geom, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     spec = AnsatzSpec(windings=(1,), positions=((0.52, 0.51),), axis=2)
@@ -150,6 +164,31 @@ def test_minimize_slides_pinned_line():
     assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
     assert single_dual_loop(vorticity(res.section, res.gauge_field, b))[0]
     assert res.london_residual <= 1e-6
+    assert built, "eps/h = 1.8 is strong pinning: the translations are built"
+
+
+def test_minimize_weak_pinning_builds_no_translations(monkeypatch):
+    """With the core resolved (eps/h = 4) the Newton steps run unprojected:
+    minimize never builds the covariant translations."""
+    built = _count_translation_builds(monkeypatch)
+    geom = tg.TorusGeometry((20, 20), (1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1], [-1, 0]])
+    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b, geom, 0.2)
+    res = tg.minimize(u, A, b, 0.2, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert res.converged
+    assert not built
+
+
+def test_minimize_stalls_below_rounding_floor(t2_bundle):
+    """A tolerance the rounded gradient cannot reach ends "stalled" once an
+    accepted Newton step moves x by a rounding-level amount, long before
+    max_iter, at an energy no higher than the start's."""
+    g = t2_bundle.geom
+    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), t2_bundle, g, 0.25)
+    res = tg.minimize(u, A, t2_bundle, 0.25, MinimizeOptions(tol=1e-14, max_iter=50000))
+    assert (res.converged, res.stop_reason) == (False, "stalled")
+    assert res.iterations <= 300
+    assert res.energy.total <= tg.g_energy(u, A, t2_bundle, 0.25).total
 
 
 def test_minimize_truncate_each(t2_bundle):
@@ -676,6 +715,16 @@ def test_adaptive_forcing_counts(min_t3_28, sweep_quarter, sweep_fixed80, min_t2
     assert sum(r.result.iterations for r in sweep_quarter) <= 205
     assert sum(r.result.iterations for r in sweep_fixed80) <= 150
     assert min_t2_64[3].iterations <= 65
+
+
+def test_weak_pinning_counts(sweep_quarter, sweep_fixed80, min_t2_64):
+    """Evaluations where every level resolves its core (eps/h >= 4), so the
+    Newton steps keep the covariant translations in (41/40/48/63, 138 and
+    58 with them projected out)."""
+    counts = [r.result.iterations for r in sweep_quarter]
+    assert max(counts) <= 45, counts
+    assert sum(r.result.iterations for r in sweep_fixed80) <= 135
+    assert min_t2_64[3].iterations <= 45
 
 
 @pytest.mark.slow
