@@ -111,24 +111,15 @@ def build_background(geom: TorusGeometry, chern) -> BundleData:
     return BundleData(geom=geom, chern=chern, theta0=theta0, f0=f0)
 
 
-def plaquette_circulation(edge_field: np.ndarray, geom: TorusGeometry) -> np.ndarray:
-    """Oriented boundary sum of a raw per-edge field over every plaquette."""
-    n = geom.dim
-    out = np.zeros(geom.shape(2))
-    for pos, (i, j) in enumerate(components(n, 2)):
-        ei, ej = edge_field[i], edge_field[j]
-        out[pos] = ei + np.roll(ej, -1, axis=i) - np.roll(ei, -1, axis=j) - ej
-    return out
-
-
 def holonomy_residuals(b: BundleData) -> np.ndarray:
     """Per-plaquette residue of (sum theta0 over boundary) - h_i h_j F0_ij mod 2 pi."""
     geom = b.geom
-    circ = plaquette_circulation(b.theta0, geom)
-    res = np.zeros_like(circ)
+    h = geom.spacings
+    # a plaquette's oriented boundary sum of an edge field e is h_i h_j d(e/h)_ij
+    circ = exterior_derivative(Cochain(geom, 1, [t / hi for t, hi in zip(b.theta0, h)])) - b.f0
+    res = np.zeros(geom.shape(2))
     for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        target = geom.spacings[i] * geom.spacings[j] * b.f0.values[pos]
-        diff = circ[pos] - target
+        diff = h[i] * h[j] * circ.values[pos]
         res[pos] = diff - 2.0 * np.pi * np.round(diff / (2.0 * np.pi))
     return res
 

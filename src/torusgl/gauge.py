@@ -73,10 +73,7 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     geom = A.geom
     # the exact Hodge part of A is d(phi), phi = d*(w) with w = -green(A)
     phi = codifferential(-1.0 * green(A)).values[0]
-    theta_total = -phi
-
-    u1 = Section(geom, u.values * np.exp(-1j * phi))
-    A1 = A - exterior_derivative(Cochain(geom, 0, phi[np.newaxis]))
+    u1, A1 = apply_gauge(u, A, GaugePhase(geom, -phi))
 
     # large-gauge reduction of the harmonic (mean) components
     axes = tuple(range(1, geom.dim + 1))
@@ -92,5 +89,4 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
         winding = winding - (2.0 * np.pi * m / L) * geom.coordinates(i)
     u2 = Section(geom, u1.values * np.exp(1j * winding))
     A2 = Cochain(geom, 1, vals)
-    theta_total = theta_total + winding
-    return u2, A2, GaugePhase(geom, theta_total)
+    return u2, A2, GaugePhase(geom, -phi + winding)

@@ -15,10 +15,11 @@ raw gradient units; Kelley, Iterative Methods for Linear and Nonlinear
 Equations, SIAM 1995, section 6.3), so the last round of a run does not
 solve past what convergence asks.  Each state reached gets one local model
 (_Model, on fields.linearize), which forms the links once for the gradient,
-every product and every energy change there.  The preconditioner is a Sobolev metric matched
-to the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J. Sci.
-Comput. 19, 1998): in `minimize` it is phase-aligned, rotating the section
-part of a vector into the local frame u/|u| and applying
+every product and every energy change there, and holds the preconditioner
+and the covariant translations at that state as values.  The preconditioner
+is a Sobolev metric matched to the operator (Neuberger, LNM 1670; Renka and
+Neuberger, SIAM J. Sci. Comput. 19, 1998): in `minimize` it is phase-aligned,
+rotating the section part of a vector into the local frame u/|u| and applying
 (h^n(-Delta + _RADIAL_STIFFNESS/eps^2))^-1 to the modulus direction and
 (h^n(-Delta + 1))^-1 to the phase direction and to A, so the CG count no
 longer grows with 1/eps^2 (see _phase_aligned_preconditioner);
@@ -193,12 +194,12 @@ class _Model:
     hessvec(v), the exact Hessian-vector product, plus at most a term acting
     only along energy-neutral directions (a gauge-fixing term); change(s),
     f(x + s) - f(x) summed term by term, so its sign is resolved far below
-    one ulp of f; precond(), the preconditioner at x, a symmetric positive
-    definite map v -> M v built once per round for all its conjugate-gradient
-    steps; soft_modes(), (R, project) for near-null directions kept out of
-    the conjugate-gradient solve, or None as the field: R holds one row per
-    direction, scaled to a displacement of one lattice cell, and project
-    maps a vector onto the complement of their span.
+    one ulp of f; precond, the preconditioner at x, a symmetric positive
+    definite map v -> M v shared by every conjugate-gradient step from x;
+    soft_modes, (R, project) for near-null directions kept out of the
+    conjugate-gradient solve, or None: R holds one row per direction,
+    scaled to a displacement of one lattice cell, and project maps a vector
+    onto the complement of their span.
     """
 
     g: np.ndarray
@@ -338,37 +339,12 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
     return p, used
 
 
-def _newton_round(m: _Model, x, budget, project, forcing, floor):
-    """One inexact Newton step from x, whose model is m, in the range of
-    `project`: preconditioned CG on exact Hessian-vector products (at most
-    budget - 1 of them) to a residual of `forcing` times the projected
-    gradient, or of `floor` in the 2-norm if that is reached first, halved
-    until the term-by-term energy change certifies an Armijo decrease with
-    the exactly computed slope g.s.
-    Returns (new x, change, products); new x is None if no step certifies a
-    decrease, or if the one that does moves x by at most eps_mach ||x||."""
-    s, used = _projected_cg(
-        m.hessvec, m.g, m.precond(), project, forcing, min(400, budget - 1), floor
-    )
-    slope = float(_dot(m.g, s))
-    if slope < 0.0:
-        step = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            delta = m.change(step * s)
-            if delta <= _ARMIJO_C * step * slope:
-                if step * _norm(s) <= _EPS_MACH * _norm(x):
-                    break  # a rounding-level move: no decrease is left
-                return x + step * s, delta, used
-            step *= _SHRINK
-    return None, 0.0, used
-
-
 def _newton(at, x, fx, scale, opts):
     """Minimize from x by inexact Newton steps; at(x) builds the _Model at
     x, fx is f(x), or any offset the energies passed on should start from.
 
     While the gradient outside the soft modes is above tolerance, each round
-    is one Newton step confined to their complement (_newton_round).  Once
+    is one Newton step confined to their complement (newton_round).  Once
     only the soft modes' share keeps g above tolerance (a vortex held off
     its lattice-pinned position), the round slides along them instead: a
     move downhill by a length in lattice cells, then Newton steps until the
@@ -400,10 +376,29 @@ def _newton(at, x, fx, scale, opts):
     last = None  # (projected gradient 2-norm, forcing) of the previous round
 
     def newton_round(m, x, project):
+        """One Newton step from x, whose model is m, in the range of
+        `project`: CG to the round's forcing or `floor`, on at most one product
+        fewer than the budget left, then halved until the summed energy
+        change certifies an Armijo decrease with the exact slope g.s.
+        Returns (new x, change, products), new x None if no step certifies
+        one or the one that does moves x by at most eps_mach ||x||."""
         nonlocal last
         gnorm2 = _norm(project(m.g))
         last = (gnorm2, _forcing(gnorm2, last))
-        return _newton_round(m, x, budget - used, project, last[1], floor)
+        s, n = _projected_cg(
+            m.hessvec, m.g, m.precond, project, last[1], min(400, budget - used - 1), floor
+        )
+        slope = float(_dot(m.g, s))
+        if slope < 0.0:
+            step = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                delta = m.change(step * s)
+                if delta <= _ARMIJO_C * step * slope:
+                    if step * _norm(s) <= _EPS_MACH * _norm(x):
+                        break  # a rounding-level move: no decrease is left
+                    return x + step * s, delta, n
+                step *= _SHRINK
+        return None, 0.0, n
 
     while True:
         gnorm = float(np.abs(m.g).max()) / scale
@@ -411,7 +406,7 @@ def _newton(at, x, fx, scale, opts):
             return x, gnorm, used, "converged"
         if budget - used < 2:
             return x, gnorm, used, "budget"
-        R, project = m.soft_modes() if m.soft_modes else (None, lambda v: v)
+        R, project = m.soft_modes or (None, lambda v: v)
         if R is None or float(np.abs(project(m.g)).max()) / scale > opts.tol:
             x_new, delta, n = newton_round(m, x, project)
             used += n
@@ -430,7 +425,7 @@ def _newton(at, x, fx, scale, opts):
             m_new = at(x_new)
             used += 1
             while budget - used >= 2:
-                _, proj_new = m_new.soft_modes()
+                _, proj_new = m_new.soft_modes
                 if float(np.abs(proj_new(m_new.g)).max()) / scale <= opts.tol:
                     break
                 x_new, d_new, n = newton_round(m_new, x_new, proj_new)
@@ -451,20 +446,6 @@ def _newton(at, x, fx, scale, opts):
         fx = fx + delta
         if opts.iterate_hook is not None:
             opts.iterate_hook(x, fx, m.g)
-
-
-def _gauge_term(u: Section, du: Section, dA: Cochain):
-    """w G G^T (du, dA) for the gauge-orbit tangent G theta = (i theta u,
-    d theta): the Hessian of the background (Feynman) gauge-fixing term
-    (w/2) |Im(conj(u) du) + d* dA|^2.  Gauge invariance keeps every gradient
-    orthogonal to the orbit, so adding this to the Hessian leaves the Newton
-    step's physical part alone while giving the orbit positive curvature."""
-    geom = u.geom
-    w = geom.cell_volume
-    theta = np.imag(np.conj(u.values) * du.values) + codifferential(dA).values[0]
-    return (w * 1j) * theta * u.values, w * exterior_derivative(
-        Cochain(geom, 0, theta[np.newaxis])
-    )
 
 
 def _covariant_translations(lin: LocalModel, x: np.ndarray):
@@ -540,15 +521,22 @@ def minimize(
         def hessvec(v):
             du, dA = _unpack(v, geom)
             hu, hA = lin.hessvec(du, dA)
-            gu, gA = _gauge_term(uu, du, dA)
-            return _flat(hu + gu, hA + gA)
+            # plus w G G^T (du, dA) for the gauge-orbit tangent G theta =
+            # (i theta u, d theta): the Hessian of the background (Feynman)
+            # gauge-fixing term (w/2) |Im(conj(u) du) + d* dA|^2.  Gauge
+            # invariance keeps every gradient orthogonal to the orbit, so this
+            # leaves the Newton step's physical part alone while giving the
+            # orbit positive curvature.
+            theta = np.imag(np.conj(uu.values) * du.values) + codifferential(dA).values[0]
+            dtheta = exterior_derivative(Cochain(geom, 0, theta[np.newaxis]))
+            return _flat(hu + (w * 1j) * theta * uu.values, hA + w * dtheta)
 
         return _Model(
             _flat(*lin.gradient()),
             hessvec,
             lambda s: lin.change(*_unpack(s, geom)).total,
-            lambda: aligned(uu.values),
-            (lambda: _covariant_translations(lin, x)) if pinned else None,
+            aligned(uu.values),
+            _covariant_translations(lin, x) if pinned else None,
         )
 
     steps = 0
@@ -637,7 +625,7 @@ def relax_connection(
             (2.0 * w) * exterior_derivative(lin.field_equation()).values.ravel(),
             lambda v: 2.0 * exterior_derivative(lin.hessvec(still, codiff(v))[1]).values.ravel(),
             change,
-            lambda: plain,
+            plain,
         )
 
     x, _, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)

@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from . import hodge
-from .bundle import BundleData, Section, curvature, link_transport, plaquette_circulation
+from .bundle import BundleData, Section, curvature, link_transport
 from .lattice import (
     Cochain,
     TorusGeometry,
@@ -101,19 +101,19 @@ def vorticity(u: Section, A: Cochain, b: BundleData) -> VorticityField:
     angle(conj(u(x)) u(x + e_i) U_e), U_e the link variable.
     """
     geom = b.geom
+    h = geom.spacings
     zero_sites = (np.abs(u.values) == 0.0)
-    # gauge-invariant wrapped phase increment per edge
+    # gauge-invariant wrapped phase increment per edge, over h: the oriented
+    # sum of the increments around an (i,j)-plaquette is h_i h_j d(delta)_ij
     delta = np.empty(geom.shape(1))
     for i, (_, fwd) in enumerate(link_transport(u, A, b)):
-        delta[i] = np.angle(np.conj(u.values) * fwd)
+        delta[i] = np.angle(np.conj(u.values) * fwd) / h[i]
 
-    F = curvature(A, b)
-    circ = plaquette_circulation(delta, geom)
+    circ = exterior_derivative(Cochain(geom, 1, delta)) + curvature(A, b)
     raw = np.empty(geom.shape(2))
     flagged = []
     for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        hihj = geom.spacings[i] * geom.spacings[j]
-        raw[pos] = (circ[pos] + hihj * F.values[pos]) / (2.0 * np.pi)
+        raw[pos] = h[i] * h[j] * circ.values[pos] / (2.0 * np.pi)
         if zero_sites.any():
             corner_zero = (
                 zero_sites

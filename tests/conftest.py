@@ -45,6 +45,14 @@ def t3_bundle(t3_geom):
 
 
 @pytest.fixture(scope="session")
+def t3_aniso_bundle():
+    """Multi-pair bundle on an anisotropic T^3: every spacing h_i and every
+    Chern entry differs."""
+    geom = tg.TorusGeometry((9, 7, 5), (1.0, 1.3, 2.0))
+    return tg.build_background(geom, [[0, 1, 2], [-1, 0, -1], [-2, 1, 0]])
+
+
+@pytest.fixture(scope="session")
 def min_t2_64():
     """Converged minimizer on T^2 64^2, c = 1, eps = 0.1, grad tol 1e-8."""
     geom = tg.TorusGeometry((64, 64), (1.0, 1.0))

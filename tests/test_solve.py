@@ -143,28 +143,56 @@ def _count_translation_builds(monkeypatch):
     return built
 
 
+def _count_forcing_restarts(monkeypatch):
+    """Count the rounds that start a forcing sequence: the first round of a
+    run, then the first after each slide tried."""
+    restarts = []
+    forcing = tg.solve._forcing
+
+    def counted(gnorm, last):
+        if last is None:
+            restarts.append(1)
+        return forcing(gnorm, last)
+
+    monkeypatch.setattr(tg.solve, "_forcing", counted)
+    return restarts
+
+
 def test_minimize_slides_pinned_line(monkeypatch):
-    """A coarse line (h = 0.56 eps) stays held by lattice pinning with a
-    force above tolerance once the rest of the gradient is resolved; the
-    terminal phase slides it along the covariant translations, monotonically,
-    to a converged state."""
+    """A coarse core stays held by lattice pinning with a force above
+    tolerance once the rest of the gradient is resolved; the terminal phase
+    slides it along the covariant translations, monotonically, to a
+    converged state.  Inputs: a line on 12^3 (h = 0.56 eps), and a point off
+    the centre of T^2 32^2 (h = 0.5 eps), whose run slides once."""
     built = _count_translation_builds(monkeypatch)
-    geom = tg.TorusGeometry((12, 12, 12), (1.0, 1.0, 1.0))
-    b = tg.build_background(geom, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    spec = AnsatzSpec(windings=(1,), positions=((0.52, 0.51),), axis=2)
-    u, A = vortex_ansatz(spec, b, geom, 0.15)
-    energies = []
+    restarts = _count_forcing_restarts(monkeypatch)
+    cases = (  # sites, eps, core position, line axis, evaluation bound
+        ((12, 12, 12), 0.15, (0.52, 0.51), 2, 330),
+        ((32, 32), 0.0625, (0.31, 0.67), None, 125),
+    )
+    for sites, eps, position, axis, bound in cases:
+        geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+        chern = np.zeros((geom.dim, geom.dim), dtype=int)
+        chern[0, 1], chern[1, 0] = 1, -1
+        b = tg.build_background(geom, chern)
+        spec = AnsatzSpec(windings=(1,), positions=(position,), axis=axis)
+        u, A = vortex_ansatz(spec, b, geom, eps)
+        energies = []
 
-    def hook(x, fx, gvec):
-        energies.append(float(fx))
+        def hook(x, fx, gvec):
+            energies.append(float(fx))
 
-    opts = MinimizeOptions(tol=1e-8, max_iter=20000, iterate_hook=hook)
-    res = tg.minimize(u, A, b, 0.15, opts)
-    assert res.converged
-    assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
-    assert single_dual_loop(vorticity(res.section, res.gauge_field, b))[0]
-    assert res.london_residual <= 1e-6
-    assert built, "eps/h = 1.8 is strong pinning: the translations are built"
+        opts = MinimizeOptions(tol=1e-8, max_iter=20000, iterate_hook=hook)
+        restarts.clear()
+        res = tg.minimize(u, A, b, eps, opts)
+        assert res.converged
+        assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
+        if axis is not None:
+            assert single_dual_loop(vorticity(res.section, res.gauge_field, b))[0]
+        assert res.london_residual <= 1e-6
+        assert len(restarts) > 1, "the run slides"
+        assert res.iterations <= bound
+    assert built, "eps/h = 1.8 and 2 are strong pinning: the translations are built"
 
 
 def test_minimize_weak_pinning_builds_no_translations(monkeypatch):

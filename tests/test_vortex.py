@@ -125,8 +125,8 @@ def test_vorticity_trivial_bundle_total_zero(rng, t2_trivial):
     assert np.array_equal(chern_pairing(v), np.zeros((2, 2), dtype=int))
 
 
-def test_vorticity_integrality_and_pairing(rng, t2_bundle, t3_bundle):
-    for b in (t2_bundle, t3_bundle):
+def test_vorticity_integrality_and_pairing(rng, t2_bundle, t3_bundle, t3_aniso_bundle):
+    for b in (t2_bundle, t3_bundle, t3_aniso_bundle):
         g = b.geom
         for _ in range(10):
             u = random_section(g, rng)

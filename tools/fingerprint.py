@@ -1,0 +1,113 @@
+"""Bit-level fingerprint of the solver and the command line.
+
+    python3 tools/fingerprint.py > fingerprint.txt
+
+Run from the root of a source checkout.  For each test fixture solve
+(tests/conftest.py) and each case that reaches the slide of the Newton loop,
+prints the evaluation count, the stop reason, the energy as a float hex
+string and sha1 digests of the final (u, A) and of its vorticity windings.
+Then runs `torusgl minimize`, `ansatz` and `sweep` on one T^2 quarter-rule
+config and one T^3 config and prints the sha1 of every file they write.
+Two checkouts whose outputs agree byte for byte compute the same numbers, so
+a refactor that claims bit-identical results shows an empty diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import torusgl as tg  # noqa: E402
+from torusgl import cli  # noqa: E402
+
+CHERN_T2 = [[0, 1], [-1, 0]]
+CHERN_T3 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+OPTS = tg.MinimizeOptions(tol=1e-8, max_iter=200000)
+
+# (label, sites, eps, core position): the single solves.  min_t2_64 and
+# min_t3_28 are the conftest fixtures; the other three reach the slide.
+SOLVES = (
+    ("min_t2_64", (64, 64), 0.1, (0.5, 0.5)),
+    ("min_t3_28", (28, 28, 28), 0.08, (0.5, 0.5)),
+    ("slide_t3_12", (12, 12, 12), 0.15, (0.52, 0.51)),
+    ("slide_t3_20", (20, 20, 20), 0.08, (0.5, 0.5)),
+    ("slide_t2_32", (32, 32), 0.0625, (0.31, 0.67)),
+)
+
+# (label, sites, eps list, mesh rule): the conftest sweep fixtures
+SWEEPS = (
+    ("sweep_quarter", (20, 20), (0.2, 0.1, 0.05, 0.025), "quarter"),
+    ("sweep_fixed80", (80, 80), (0.2, 0.1, 0.05), "fixed"),
+)
+
+CONFIGS = {
+    "t2_quarter": (
+        "[geometry]\ndim = 2\nsites = 20 20\nlengths = 1 1\n\n[bundle]\nchern_01 = 1\n\n"
+        "[run]\nepsilons = 0.2 0.1\nseed = 3\nmesh_rule = quarter\nout = {out}\n\n"
+        "[optimizer]\ntol = 1e-8\nmax_iter = 200000\n\n"
+        "[ansatz]\nwindings = 1\npositions = 0.5 0.5\n"
+    ),
+    "t3_line": (
+        "[geometry]\ndim = 3\nsites = 14 14 14\nlengths = 1 1 1\n\n[bundle]\nchern_01 = 1\n\n"
+        "[run]\nepsilons = 0.2 0.15\nseed = 3\nout = {out}\n\n"
+        "[optimizer]\ntol = 1e-8\nmax_iter = 200000\n\n"
+        "[ansatz]\nwindings = 1\npositions = 0.52 0.51\naxis = 2\n"
+    ),
+}
+
+
+def sha1(*arrays) -> str:
+    digest = hashlib.sha1()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def line(label: str, res, b) -> str:
+    u, A = res.section, res.gauge_field
+    windings = tg.vorticity(u, A, b).windings
+    return (f"{label} evaluations {res.iterations} stop {res.stop_reason} "
+            f"energy {res.energy.total.hex()} state {sha1(u.values, A.values)} "
+            f"windings {sha1(windings)}")
+
+
+def main() -> None:
+    for label, sites, eps, position in SOLVES:
+        geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+        b = tg.build_background(geom, CHERN_T2 if len(sites) == 2 else CHERN_T3)
+        spec = tg.AnsatzSpec(windings=(1,), positions=(position,),
+                             axis=2 if len(sites) == 3 else None)
+        u, A = tg.vortex_ansatz(spec, b, geom, eps=eps)
+        print(line(label, tg.minimize(u, A, b, eps, OPTS), b), flush=True)
+
+    for label, sites, eps_list, rule in SWEEPS:
+        geom = tg.TorusGeometry(sites, (1.0, 1.0))
+        b = tg.build_background(geom, CHERN_T2)
+        spec = tg.AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
+        records = tg.epsilon_sweep(spec, b, geom, list(eps_list), OPTS, mesh_rule=rule, seed=3)
+        for r in records:
+            level_bundle = tg.build_background(r.geom, CHERN_T2)
+            print(line(f"{label}[{r.epsilon}]", r.result, level_bundle), flush=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CONFIGS.items():
+            for command in ("minimize", "ansatz", "sweep"):
+                out = Path(tmp) / name / command
+                config = Path(tmp) / f"{name}-{command}.cfg"
+                config.write_text(text.format(out=out))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = cli.main([command, "--config", str(config)])
+                print(f"cli {name} {command} exit {status}")
+                for path in sorted(out.iterdir()):
+                    digest = hashlib.sha1(path.read_bytes()).hexdigest()
+                    print(f"cli {name} {command} {path.name} {digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
