@@ -4,8 +4,8 @@ Poisson / London solvers for periodic cochains.
 On the flat torus every operator here is diagonal in the Fourier basis,
 component by component, with the second-difference multiplier from
 `lattice.stencil_eigenvalues`.  The spectral path is exact to rounding for
-any (also anisotropic) spacings; a plain conjugate-gradient fallback is kept
-behind ``method="cg"`` as an independent cross-check.
+any (also anisotropic) spacings; `tests/test_hodge.py` holds a plain
+conjugate-gradient solver as an independent reference for the two solves.
 
 Sign conventions follow Delta = -(dd* + d*d): the Green operator solves
 Delta G(w) = w - H(w) with H(G(w)) = 0, i.e. a single Fourier mode with
@@ -23,17 +23,13 @@ from .lattice import (
     TorusGeometry,
     codifferential,
     exterior_derivative,
-    inner_product,
-    laplacian,
     norm,
     stencil_eigenvalues,
-    zero_cochain,
 )
 
 __all__ = [
     "HodgeParts",
     "NonCompatibleSourceError",
-    "SolverDivergedError",
     "harmonic_projection",
     "green",
     "hodge_decompose",
@@ -48,14 +44,6 @@ _HARMONIC_TOL = 1e-10
 
 class NonCompatibleSourceError(ValueError):
     """Poisson source has a harmonic part exceeding tolerance."""
-
-
-class SolverDivergedError(RuntimeError):
-    """Iterative fallback failed to reach tolerance; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass
@@ -142,44 +130,13 @@ def hodge_decompose(c: Cochain) -> HodgeParts:
     return HodgeParts(exact_potential=phi, coexact_potential=psi, harmonic=xi)
 
 
-def _cg_solve(apply_op, rhs: Cochain, tol: float, max_iter: int) -> Cochain:
-    """Plain conjugate gradients on cochains for an SPD operator."""
-    x = zero_cochain(rhs.geom, rhs.degree)
-    r = rhs.copy()
-    p = r.copy()
-    rs = inner_product(r, r)
-    target = tol * max(np.sqrt(rs), 1e-300)
-    for _ in range(max_iter):
-        if np.sqrt(rs) <= target:
-            return x
-        Ap = apply_op(p)
-        alpha = rs / inner_product(p, Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = inner_product(r, r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if np.sqrt(rs) <= target:
-        return x
-    raise SolverDivergedError("conjugate gradients did not converge", float(np.sqrt(rs)))
-
-
-def solve_london(f: Cochain, method: str = "spectral") -> Cochain:
+def solve_london(f: Cochain) -> Cochain:
     """Solve (-Delta + I) v = f.  Unique, no compatibility condition."""
-    if method == "spectral":
-        lam = stencil_eigenvalues(f.geom)
-        return Cochain(f.geom, f.degree, _spectral_multiply(f.values, 1.0 / (1.0 + lam)))
-    if method == "cg":
-        return _cg_solve(
-            lambda p: -1.0 * laplacian(p) + p,
-            f,
-            tol=1e-12,
-            max_iter=10 * f.geom.n_sites,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    lam = stencil_eigenvalues(f.geom)
+    return Cochain(f.geom, f.degree, _spectral_multiply(f.values, 1.0 / (1.0 + lam)))
 
 
-def solve_poisson(f: Cochain, method: str = "spectral") -> Cochain:
+def solve_poisson(f: Cochain) -> Cochain:
     """Solve -Delta v = f with H(v) = 0; requires a mean-free source."""
     h_norm = norm(harmonic_projection(f))
     if h_norm > 1e-10 * max(norm(f), 1e-300):
@@ -187,15 +144,4 @@ def solve_poisson(f: Cochain, method: str = "spectral") -> Cochain:
             f"source has harmonic part of norm {h_norm:.3e}; "
             "solve_poisson needs H(f) = 0"
         )
-    if method == "spectral":
-        return -1.0 * green(f)
-    if method == "cg":
-        mean_free = f - harmonic_projection(f)
-        sol = _cg_solve(
-            lambda p: -1.0 * laplacian(p),
-            mean_free,
-            tol=1e-12,
-            max_iter=10 * f.geom.n_sites,
-        )
-        return sol - harmonic_projection(sol)
-    raise ValueError(f"unknown method {method!r}")
+    return -1.0 * green(f)

@@ -425,7 +425,7 @@ def _newton(at, x, fx, scale, opts):
             m_new = at(x_new)
             used += 1
             while budget - used >= 2:
-                _, proj_new = m_new.soft_modes
+                _, proj_new = m_new.soft_modes or (None, lambda v: v)
                 if float(np.abs(proj_new(m_new.g)).max()) / scale <= opts.tol:
                     break
                 x_new, d_new, n = newton_round(m_new, x_new, proj_new)
@@ -531,12 +531,16 @@ def minimize(
             dtheta = exterior_derivative(Cochain(geom, 0, theta[np.newaxis]))
             return _flat(hu + (w * 1j) * theta * uu.values, hA + w * dtheta)
 
+        g = _flat(*lin.gradient())
+        # a state whose gradient meets the tolerance ends the loop without
+        # reading its translations, so they are not built for it
+        soft = pinned and float(np.abs(g).max()) / w > opts.tol
         return _Model(
-            _flat(*lin.gradient()),
+            g,
             hessvec,
             lambda s: lin.change(*_unpack(s, geom)).total,
             aligned(uu.values),
-            _covariant_translations(lin, x) if pinned else None,
+            _covariant_translations(lin, x) if soft else None,
         )
 
     steps = 0

@@ -207,6 +207,27 @@ def test_minimize_weak_pinning_builds_no_translations(monkeypatch):
     assert not built
 
 
+def test_minimize_converged_state_builds_no_translations(monkeypatch):
+    """Under strong pinning (eps/h = 2.24) every model whose gradient is
+    above tolerance gets the covariant translations, and the converged
+    state's model, which ends the loop, does not."""
+    geom = tg.TorusGeometry((28, 28), (1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1], [-1, 0]])
+    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b, geom, 0.08)
+    built = _count_translation_builds(monkeypatch)
+    models = []
+    linearize = tg.solve.linearize
+
+    def counted(*args):
+        models.append(1)
+        return linearize(*args)
+
+    monkeypatch.setattr(tg.solve, "linearize", counted)
+    res = tg.minimize(u, A, b, 0.08, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert res.converged
+    assert len(built) == len(models) - 1
+
+
 def test_minimize_stalls_below_rounding_floor(t2_bundle):
     """A tolerance the rounded gradient cannot reach ends "stalled" once an
     accepted Newton step moves x by a rounding-level amount, long before
@@ -614,6 +635,40 @@ def test_self_dual_two_vortices_energy_is_two_pi():
     pinning, wherever they sit in their flat moduli space."""
     res = _self_dual_minimum(6.0, 2, 48)
     assert abs(res.energy.total / (2.0 * np.pi) - 1.0) <= 5e-4
+
+
+def _centred_line_minimum(sites, lengths, eps):
+    """minimize from the centred ansatz on T^2, or on T^3 with the line
+    along axis 3, with c_01 = 1."""
+    g = tg.TorusGeometry(sites, lengths)
+    chern = np.zeros((g.dim, g.dim), dtype=int)
+    chern[0, 1], chern[1, 0] = 1, -1
+    b = tg.build_background(g, chern)
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=2 if g.dim == 3 else None)
+    u, A = vortex_ansatz(spec, b, g, eps)
+    res = tg.minimize(u, A, b, eps, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert res.converged
+    return res.energy.total
+
+
+def test_energy_converges_at_second_order_in_h():
+    """At fixed eps the lattice error of G is O(h^2): halving h twice on
+    T^2, c = 1, eps 0.2 (eps/h = 4, 8, 16) raises G by amounts in the ratio
+    4 (it reads 4.003)."""
+    energies = [_centred_line_minimum((n, n), (1.0, 1.0), 0.2) for n in (20, 40, 80)]
+    assert energies[0] < energies[1] < energies[2], energies
+    ratio = (energies[1] - energies[0]) / (energies[2] - energies[1])
+    assert 3.5 <= ratio <= 4.5, ratio
+
+
+def test_straight_line_is_the_t2_minimizer_extended():
+    """A line along axis 3 is the T^2 minimizer extended along it, so its
+    energy is L_3 times the T^2 one, to rounding, for L_3 below and above
+    the T^2 side."""
+    g2 = _centred_line_minimum((16, 16), (1.0, 1.0), 0.15)
+    for length, n3 in ((0.5, 4), (2.0, 8)):
+        g3 = _centred_line_minimum((16, 16, n3), (1.0, 1.0, length), 0.15)
+        assert abs(g3 - length * g2) <= 1e-12 * g3, (length, g3, length * g2)
 
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])

@@ -2,10 +2,14 @@
 
     python3 tools/fingerprint.py > fingerprint.txt
 
-Run from the root of a source checkout.  For each test fixture solve
-(tests/conftest.py) and each case that reaches the slide of the Newton loop,
-prints the evaluation count, the stop reason, the energy as a float hex
-string and sha1 digests of the final (u, A) and of its vorticity windings.
+Run from the root of a source checkout.  First, for one seeded random
+cochain of every degree on the 12^2 and 6^3 lattices of acceptance
+criterion 4, prints sha1 digests of `green`, `solve_london`, `solve_poisson`
+on its mean-free part and the three `hodge_decompose` parts.  Then, for each
+test fixture solve (tests/conftest.py) and each case that reaches the slide
+of the Newton loop, prints the evaluation count, the stop reason, the energy
+as a float hex string and sha1 digests of the final (u, A) and of its
+vorticity windings.
 Then runs `torusgl minimize`, `ansatz` and `sweep` on one T^2 quarter-rule
 config and one T^3 config and prints the sha1 of every file they write.
 Two checkouts whose outputs agree byte for byte compute the same numbers, so
@@ -21,6 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import torusgl as tg  # noqa: E402
@@ -29,6 +35,11 @@ from torusgl import cli  # noqa: E402
 CHERN_T2 = [[0, 1], [-1, 0]]
 CHERN_T3 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
 OPTS = tg.MinimizeOptions(tol=1e-8, max_iter=200000)
+
+# the unit-torus lattices of acceptance criterion 4, and the seed of their
+# random cochains
+HODGE_SITES = ((12, 12), (6, 6, 6))
+HODGE_SEED = 104
 
 # (label, sites, eps, core position): the single solves.  min_t2_64 and
 # min_t3_28 are the conftest fixtures; the other three reach the slide.
@@ -78,6 +89,24 @@ def line(label: str, res, b) -> str:
 
 
 def main() -> None:
+    rng = np.random.default_rng(HODGE_SEED)
+    for sites in HODGE_SITES:
+        geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+        for k in range(geom.dim + 1):
+            w = tg.random_cochain(geom, k, rng)
+            parts = tg.hodge_decompose(w)
+            results = {
+                "green": tg.green(w),
+                "london": tg.solve_london(w),
+                "poisson": tg.solve_poisson(w - tg.harmonic_projection(w)),
+                "exact": parts.exact_potential,
+                "coexact": parts.coexact_potential,
+                "harmonic": parts.harmonic,
+            }
+            digests = " ".join(f"{name} {'none' if c is None else sha1(c.values)}"
+                               for name, c in results.items())
+            print(f"hodge {'x'.join(map(str, sites))} degree {k} {digests}", flush=True)
+
     for label, sites, eps, position in SOLVES:
         geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
         b = tg.build_background(geom, CHERN_T2 if len(sites) == 2 else CHERN_T3)
