@@ -7,7 +7,8 @@ edge-collocated, the curvature term plaquette-collocated, all with the full
 cell volume prod(h_i) per sample, matching the lattice inner product.  The
 gauge field enters only through the links of `bundle.link_transport`, formed
 once per axis per state: `linearize` keeps them in a LocalModel, which serves
-the gradient, every Hessian-vector product and every energy change there.
+the gradient, every energy change and, from state factors formed by the first
+of them, every Hessian-vector product there.
 All reductions use plain numpy sums in fixed order, so results are
 reproducible bit-for-bit within a build.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import BundleData, Section, covariant_difference, curvature, link_transport
-from .lattice import Cochain, codifferential, components, exterior_derivative, zero_cochain
+from .lattice import Cochain, _roll_into, codifferential, components, exterior_derivative, zero_cochain
 
 __all__ = [
     "EnergyBreakdown",
@@ -97,12 +98,14 @@ class LocalModel:
     """g_energy near one state (u, A): its gradient, Hessian-vector products
     and term-by-term changes, all read from `links`, the (link, transported
     neighbour) pair of each axis that `linearize` takes from
-    `bundle.link_transport` once; these two complex arrays per axis are all
-    the model holds beyond the state."""
+    `bundle.link_transport` once.  The first product adds conj(link) and
+    Re(conj(u) T) per axis, conj(u) and the products' four complex scratch
+    arrays, so a model used for its gradient alone holds nothing more."""
 
     def __init__(self, u: Section, A: Cochain, b: BundleData, eps: float, links: tuple):
         self.u, self.A, self.b, self.eps, self.links = u, A, b, eps, links
         self.w, self.h = b.geom.cell_volume, b.geom.spacings
+        self._factors = None
 
     def field_equation(self) -> Cochain:
         """d*F_A - j(u, A), the residual of the second Ginzburg-Landau
@@ -126,27 +129,47 @@ class LocalModel:
         grad_u += -(w / (eps * eps)) * (1.0 - (uv.real**2 + uv.imag**2)) * uv
         return grad_u, Cochain(self.b.geom, 1, w * self.field_equation().values)
 
-    def hessvec(self, du: Section, dA: Cochain):
-        """Exact Hessian-vector product of g_energy: the directional
-        derivative of the gradient along (du, dA), returned in the same
-        packing (complex per-vertex field, degree-1 cochain)."""
-        w, h, eps, uv, dv = self.w, self.h, self.eps, self.u.values, du.values
-        hess_u = np.zeros(uv.shape, dtype=np.complex128)
-        minus_dj = np.empty(dA.values.shape)
-        for i, (link, fwd) in enumerate(self.links):
-            dfwd = np.roll(dv, -1, axis=i) * link
-            a = dA.values[i]
-            Du = (fwd - uv) / h[i]
-            dDu = (dfwd - dv) / h[i] - 1j * a * fwd
-            dback = np.conj(link) * (dDu + 1j * h[i] * a * Du)
-            hess_u += (w / h[i]) * (np.roll(dback, +1, axis=i) - dDu)
-            minus_dj[i] = a * np.real(np.conj(uv) * fwd) - np.imag(
-                np.conj(dv) * fwd + np.conj(uv) * dfwd
-            ) / h[i]
-        mod2 = uv.real**2 + uv.imag**2
-        hess_u += -(w / (eps * eps)) * ((1.0 - mod2) * dv - 2.0 * np.real(np.conj(uv) * dv) * uv)
-        hess_A = w * (codifferential(exterior_derivative(dA)).values + minus_dj)
-        return hess_u, Cochain(self.b.geom, 1, hess_A)
+    def hessvec(self, du: Section, dA: Cochain, out: np.ndarray | None = None) -> np.ndarray:
+        """Exact Hessian-vector product of g_energy along (du, dA), written
+        into the flat array `out` (new when None) in solve._pack's order and
+        returned as its (2 + n, *sites) view.  Per axis, with dT = du(x + e_i)
+        link and D = (dT - du)/h, D_A u changes by D - i a T and
+        conj(link) D_A u by conj(link) (D - i a u), a = dA_i."""
+        geom, w, h, uv, dv = self.b.geom, self.w, self.h, self.u.values, du.values
+        if self._factors is None:
+            uc, back = np.conj(uv), [np.conj(link) for link, _ in self.links]
+            hop = [np.real(uc * fwd) for _, fwd in self.links]
+            self._factors = back, hop, uc, np.empty((4, *geom.sites), dtype=np.complex128)
+        back, hop, uc, (S, T, Q, H) = self._factors
+        out = np.empty((2 + geom.dim) * geom.n_sites) if out is None else out
+        planes = out.reshape(2 + geom.dim, *geom.sites)
+        # the potential's part, (w/eps^2)(u (2 t + conj(t)) - du) with t = conj(u) du
+        np.multiply(uc, dv, out=T)
+        np.multiply(T.real, 3.0, out=T.real)
+        np.multiply(uv, T, out=H)
+        H -= dv
+        H *= w / (self.eps * self.eps)
+        for i, ((link, fwd), cl, rho) in enumerate(zip(self.links, back, hop)):
+            a, c = dA.values[i], w / h[i]
+            np.multiply(_roll_into(S, dv, -1, i), link, out=S)
+            # minus the change of j: a Re(conj(u) T) - Im(conj(du) T + conj(u) dT)/h
+            np.multiply(uc, S, out=T)
+            T += np.multiply(np.conjugate(dv, out=Q), fwd, out=Q)
+            np.multiply(a, rho, out=planes[2 + i])
+            planes[2 + i] -= np.multiply(T.imag, 1.0 / h[i], out=T.imag)
+            # the section part: c (shift(conj(link) (D - i a u), +1) - D + i a T)
+            np.multiply(np.subtract(S, dv, out=T), c / h[i], out=T)
+            np.multiply(np.multiply(a, -c * 1j, out=S), fwd, out=Q)
+            S *= uv
+            S += T
+            S *= cl
+            H -= Q
+            H -= T
+            H += _roll_into(Q, S, +1, i)
+        planes[0], planes[1] = H.real, H.imag
+        planes[2:] += codifferential(exterior_derivative(dA)).values
+        planes[2:] *= w
+        return planes
 
     def change(self, du: Section, dA: Cochain) -> EnergyBreakdown:
         """g_energy(u + du, A + dA) - g_energy(u, A), part by part, each

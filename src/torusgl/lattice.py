@@ -170,13 +170,21 @@ def random_cochain(geom: TorusGeometry, degree: int, rng: np.random.Generator) -
     return Cochain(geom, degree, rng.standard_normal(geom.shape(degree)))
 
 
-def _forward_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - arr) / h
+def _roll_into(out: np.ndarray, x: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """Write np.roll(x, shift, axis), shift +1 or -1, into out by two slice copies."""
+    lead = (slice(None),) * axis
+    out[lead + (slice(shift, None),)] = x[lead + (slice(None, -shift),)]
+    out[lead + (slice(None, shift),)] = x[lead + (slice(-shift, None),)]
+    return out
 
 
-def _neg_backward_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    # adjoint of the forward difference under the uniform cell weight
-    return (np.roll(arr, +1, axis=axis) - arr) / h
+def _diff(arr: np.ndarray, shift: int, axis: int, h: float) -> np.ndarray:
+    """(np.roll(arr, shift, axis) - arr) / h: the forward difference for shift
+    -1, and for +1 its adjoint under the uniform cell weight."""
+    out = _roll_into(np.empty_like(arr), arr, shift, axis)
+    out -= arr
+    out /= h
+    return out
 
 
 def exterior_derivative(c: Cochain) -> Cochain:
@@ -190,8 +198,8 @@ def exterior_derivative(c: Cochain) -> Cochain:
     for j_pos, J in enumerate(components(n, k + 1)):
         for m, axis in enumerate(J):
             I = J[:m] + J[m + 1:]
-            sign = -1.0 if m % 2 else 1.0
-            out[j_pos] += sign * _forward_diff(c.values[idx_in[I]], axis, h[axis])
+            diff = _diff(c.values[idx_in[I]], -1, axis, h[axis])
+            (np.subtract if m % 2 else np.add)(out[j_pos], diff, out=out[j_pos])
     return Cochain(c.geom, k + 1, out)
 
 
@@ -206,8 +214,8 @@ def codifferential(c: Cochain) -> Cochain:
     for j_pos, J in enumerate(components(n, k)):
         for m, axis in enumerate(J):
             I = J[:m] + J[m + 1:]
-            sign = -1.0 if m % 2 else 1.0
-            out[idx_out[I]] += sign * _neg_backward_diff(c.values[j_pos], axis, h[axis])
+            diff = _diff(c.values[j_pos], +1, axis, h[axis])
+            (np.subtract if m % 2 else np.add)(out[idx_out[I]], diff, out=out[idx_out[I]])
     return Cochain(c.geom, k - 1, out)
 
 

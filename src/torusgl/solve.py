@@ -15,10 +15,13 @@ raw gradient units; Kelley, Iterative Methods for Linear and Nonlinear
 Equations, SIAM 1995, section 6.3), so the last round of a run does not
 solve past what convergence asks.  Each state reached gets one local model
 (_Model, on fields.linearize), which forms the links once for the gradient,
-every product and every energy change there, and holds the preconditioner
-and the covariant translations at that state as values.  The preconditioner
-is a Sobolev metric matched to the operator (Neuberger, LNM 1670; Renka and
-Neuberger, SIAM J. Sci. Comput. 19, 1998): in `minimize` it is phase-aligned,
+every product and every energy change there, and the products' other state
+factors at the first product, and holds the preconditioner and the
+covariant translations at that state as values.  In `minimize` every
+product of a model writes into one result array, where the gauge-fixing
+term is added in place.  The preconditioner is a Sobolev metric matched to
+the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J. Sci.
+Comput. 19, 1998): in `minimize` it is phase-aligned,
 rotating the section part of a vector into the local frame u/|u| and applying
 (h^n(-Delta + _RADIAL_STIFFNESS/eps^2))^-1 to the modulus direction and
 (h^n(-Delta + 1))^-1 to the phase direction and to A, so the CG count no
@@ -192,7 +195,8 @@ class _Model:
     """What the Newton loop needs of a smooth function f at one state x,
     built once per state by `at(x)`: g, the gradient of f at x;
     hessvec(v), the exact Hessian-vector product, plus at most a term acting
-    only along energy-neutral directions (a gauge-fixing term); change(s),
+    only along energy-neutral directions (a gauge-fixing term), in an array
+    the next product may overwrite; change(s),
     f(x + s) - f(x) summed term by term, so its sign is resolved far below
     one ulp of f; precond, the preconditioner at x, a symmetric positive
     definite map v -> M v shared by every conjugate-gradient step from x;
@@ -312,7 +316,8 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
     stalled.
     Returns (p, Hessian-vector products used).
     """
-    r = project(g)
+    # r, p and d change in place; r is a copy, as project may return g itself
+    r = project(g).copy()
     z = project(precond(r))
     d = -z
     p = np.zeros_like(g)
@@ -329,12 +334,13 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
             break
         a = rz / dHd
         p += a * d
-        r = r + a * Hd
+        r += a * Hd
         if _norm(r) <= target:
             break
         z = project(precond(r))
         rz_new = float(_dot(r, z))
-        d = -z + (rz_new / rz) * d
+        d *= rz_new / rz
+        d -= z
         rz = rz_new
     return p, used
 
@@ -516,20 +522,22 @@ def minimize(
 
     def at(x):
         uu, aa = _unpack(x, geom)
-        lin = linearize(uu, aa, b, eps)
+        lin, out = linearize(uu, aa, b, eps), np.empty(x.size)
 
         def hessvec(v):
             du, dA = _unpack(v, geom)
-            hu, hA = lin.hessvec(du, dA)
+            planes = lin.hessvec(du, dA, out)
             # plus w G G^T (du, dA) for the gauge-orbit tangent G theta =
             # (i theta u, d theta): the Hessian of the background (Feynman)
             # gauge-fixing term (w/2) |Im(conj(u) du) + d* dA|^2.  Gauge
             # invariance keeps every gradient orthogonal to the orbit, so this
             # leaves the Newton step's physical part alone while giving the
             # orbit positive curvature.
-            theta = np.imag(np.conj(uu.values) * du.values) + codifferential(dA).values[0]
-            dtheta = exterior_derivative(Cochain(geom, 0, theta[np.newaxis]))
-            return _flat(hu + (w * 1j) * theta * uu.values, hA + w * dtheta)
+            theta = w * (codifferential(dA).values[0] + np.imag(np.conj(uu.values) * du.values))
+            planes[0] -= theta * uu.values.imag
+            planes[1] += theta * uu.values.real
+            planes[2:] += exterior_derivative(Cochain(geom, 0, theta[np.newaxis])).values
+            return out
 
         g = _flat(*lin.gradient())
         # a state whose gradient meets the tolerance ends the loop without
@@ -627,7 +635,7 @@ def relax_connection(
 
         return _Model(
             (2.0 * w) * exterior_derivative(lin.field_equation()).values.ravel(),
-            lambda v: 2.0 * exterior_derivative(lin.hessvec(still, codiff(v))[1]).values.ravel(),
+            lambda v: 2.0 * exterior_derivative(Cochain(geom, 1, lin.hessvec(still, codiff(v))[2:])).values.ravel(),
             change,
             plain,
         )

@@ -107,7 +107,7 @@ def test_gradient_matches_finite_differences(rng, t2_bundle):
 
 
 def _hessvec_vector(u, A, b, eps, v):
-    return _flat(*linearize(u, A, b, eps).hessvec(*_unpack(v, b.geom)))
+    return linearize(u, A, b, eps).hessvec(*_unpack(v, b.geom)).ravel()
 
 
 def test_hessvec_matches_central_differences():
@@ -147,6 +147,99 @@ def test_hessvec_symmetric(rng, t3_bundle):
     assert abs(vHw - wHv) <= 1e-12 * max(abs(vHw), abs(wHv))
 
 
+def _reference_product(lin, du, dA, gauge):
+    """The Hessian-vector product at lin's state written term by term from
+    the links, with no cached factor or scratch: the reference for
+    LocalModel.hessvec.  With `gauge` it adds minimize's gauge-fixing term
+    w G G^T (du, dA), G theta = (i theta u, d theta).  Packed like _pack."""
+    from torusgl.lattice import codifferential, exterior_derivative
+
+    w, h, eps, uv, dv = lin.w, lin.h, lin.eps, lin.u.values, du.values
+    hess_u = np.zeros(uv.shape, dtype=np.complex128)
+    minus_dj = np.empty(dA.values.shape)
+    for i, (link, fwd) in enumerate(lin.links):
+        dfwd = np.roll(dv, -1, axis=i) * link
+        a = dA.values[i]
+        Du = (fwd - uv) / h[i]
+        dDu = (dfwd - dv) / h[i] - 1j * a * fwd
+        dback = np.conj(link) * (dDu + 1j * h[i] * a * Du)
+        hess_u += (w / h[i]) * (np.roll(dback, +1, axis=i) - dDu)
+        minus_dj[i] = a * np.real(np.conj(uv) * fwd) - np.imag(
+            np.conj(dv) * fwd + np.conj(uv) * dfwd
+        ) / h[i]
+    mod2 = uv.real**2 + uv.imag**2
+    hess_u += -(w / (eps * eps)) * ((1.0 - mod2) * dv - 2.0 * np.real(np.conj(uv) * dv) * uv)
+    hess_A = tg.Cochain(du.geom, 1, w * (codifferential(exterior_derivative(dA)).values + minus_dj))
+    if gauge:
+        theta = np.imag(np.conj(uv) * dv) + codifferential(dA).values[0]
+        dtheta = exterior_derivative(tg.Cochain(du.geom, 0, theta[np.newaxis]))
+        hess_u, hess_A = hess_u + (w * 1j) * theta * uv, hess_A + w * dtheta
+    return _flat(hess_u, hess_A)
+
+
+def _newton_at(monkeypatch, solver, *args):
+    """The `at` that `solver` (minimize or relax_connection) hands to the
+    Newton loop: its local model at a packed state."""
+    seen = {}
+
+    def capture(at, x, fx, scale, opts):
+        seen["at"] = at
+        return x, 0.0, 0, "budget"
+
+    monkeypatch.setattr(tg.solve, "_newton", capture)
+    solver(*args)
+    monkeypatch.undo()
+    return seen["at"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_products_match_the_reference_formula(dim, monkeypatch):
+    """minimize's product (LocalModel.hessvec plus the gauge-fixing term)
+    and relax_connection's (LocalModel.hessvec at a zero section change)
+    agree with the reference formula to 1e-13 of its largest entry, at a
+    vortex core on a nontrivial bundle with A nonzero and u = 0 at a site."""
+    from torusgl.lattice import codifferential, exterior_derivative
+
+    rng = np.random.default_rng(40 + dim)
+    if dim == 2:
+        geom = tg.TorusGeometry((12, 10), (1.0, 1.3))
+        chern = [[0, 1], [-1, 0]]
+    else:
+        geom = tg.TorusGeometry((6, 7, 8), (1.0, 1.0, 1.2))
+        chern = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+    b = tg.build_background(geom, chern)
+    spec = tg.AnsatzSpec(windings=(1,), positions=((0.43, 0.57),), axis=2 if dim == 3 else None)
+    eps = 0.2
+    u, A = tg.vortex_ansatz(spec, b, geom, eps)
+    u.values[(3,) * dim] = 0.0
+    A = A + tg.Cochain(geom, 1, 0.3 * rng.standard_normal(geom.shape(1)))
+    lin = linearize(u, A, b, eps)
+    at = _newton_at(monkeypatch, tg.minimize, u, A, b, eps)
+    model = at(_pack(u, A))
+    worst = 0.0
+    for _ in range(3):
+        v = rng.standard_normal(2 * geom.n_sites + geom.n_cells(1))
+        ref = _reference_product(lin, *_unpack(v, geom), gauge=True)
+        worst = max(worst, float(np.abs(model.hessvec(v) - ref).max() / np.abs(ref).max()))
+    assert worst <= 1e-13, worst
+
+    # relax_connection's product: its zero-section call, then 2 d of the A part
+    at = _newton_at(monkeypatch, tg.relax_connection, u, A, b)
+    still = tg.Section(geom, np.zeros(geom.sites))
+    relax_lin = linearize(u, A, b, 1.0)
+    model = at(np.zeros(geom.n_cells(2)))
+    for _ in range(3):
+        dA = tg.Cochain(geom, 1, rng.standard_normal(geom.shape(1)))
+        ref = _reference_product(relax_lin, still, dA, gauge=False)
+        got = relax_lin.hessvec(still, dA).ravel()
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        psi = rng.standard_normal(geom.n_cells(2))
+        dA = codifferential(tg.Cochain(geom, 2, psi.reshape(geom.shape(2))))
+        ref = _reference_product(relax_lin, still, dA, gauge=False)[2 * geom.n_sites:]
+        ref = 2.0 * exterior_derivative(tg.Cochain(geom, 1, ref.reshape(geom.shape(1)))).values
+        assert np.abs(model.hessvec(psi) - ref.ravel()).max() <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("bundle", ["t2_bundle", "t3_bundle"])
 def test_local_model_reused_matches_fresh_calls(bundle, request):
     """One linearization serves five directions, the gradient and energy
@@ -167,7 +260,7 @@ def test_local_model_reused_matches_fresh_calls(bundle, request):
         du = random_section(g, rng, scale=0.1)
         dA = tg.Cochain(g, 1, 0.1 * rng.standard_normal(g.shape(1)))
         got, fresh = model.hessvec(du, dA), linearize(u, A, b, eps).hessvec(du, dA)
-        assert np.array_equal(_flat(*got), _flat(*fresh))
+        assert np.array_equal(got, fresh)
         assert model.change(du, dA) == linearize(u, A, b, eps).change(du, dA)
     assert np.array_equal(_flat(*model.gradient()), _grad_vector(u, A, b, eps))
     el = codifferential(curvature(A, b)) - supercurrent(u, A, b)

@@ -752,6 +752,22 @@ def test_cg_takes_first_direction_of_negative_curvature():
     assert np.array_equal(p, -2.0 * g)
 
 
+def test_cg_leaves_its_gradient_unchanged():
+    """The in-place CG updates never write into g, which the Newton round
+    reads after the solve for the slope: neither with the identity
+    projection, whose r starts as g itself, nor with a proper one."""
+    from torusgl.solve import _projected_cg
+
+    diag = np.linspace(1.0, 50.0, 30)
+    g = np.cos(np.arange(30.0))
+    keep = g.copy()
+    e = np.ones(30) / np.sqrt(30.0)
+    for project in (lambda v: v, lambda v: v - (e @ v) * e):
+        _, used = _projected_cg(lambda v: diag * v, g, lambda v: 2.0 * v, project, 1e-8, 100)
+        assert used > 1
+        assert np.array_equal(g, keep)
+
+
 def test_forcing_follows_eisenstat_walker_choice_2():
     """The first round takes eta_0; a fast drop is held at gamma eta^alpha
     while that exceeds 0.1, and not below; a rise is capped at eta_max."""
