@@ -131,7 +131,7 @@ class LocalModel:
 
     def hessvec(self, du: Section, dA: Cochain, out: np.ndarray | None = None) -> np.ndarray:
         """Exact Hessian-vector product of g_energy along (du, dA), written
-        into the flat array `out` (new when None) in solve._pack's order and
+        into the flat array `out` (new when None) in solve._flat's order and
         returned as its (2 + n, *sites) view.  Per axis, with dT = du(x + e_i)
         link and D = (dT - du)/h, D_A u changes by D - i a T and
         conj(link) D_A u by conj(link) (D - i a u), a = dA_i."""

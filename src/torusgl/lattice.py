@@ -271,8 +271,8 @@ def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> None:
-    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits);
-    raises ValueError unless its site axes are geom.sites."""
+    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits), formatting a row of
+    one bit pattern once; raises ValueError unless its site axes are geom.sites."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape[1:] != geom.sites:
         raise ValueError(
@@ -287,7 +287,11 @@ def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> N
     )
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, values.reshape(ncomp, -1), fmt="%.17g")
+        for row in values.reshape(ncomp, -1):
+            if np.all(row.view(np.int64) == row.view(np.int64)[0]):  # as bits: -0.0 != 0.0
+                fh.write(" ".join(["%.17g" % row[0]] * row.size) + "\n")
+            else:
+                np.savetxt(fh, row[None], fmt="%.17g")
 
 
 def read_field(path) -> tuple[TorusGeometry, int, np.ndarray]:

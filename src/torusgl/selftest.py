@@ -164,8 +164,8 @@ def _gradient_fd_error(geom, b, rng, points=3, step=1e-5):
     worst = 0.0
     for _ in range(points):
         u, A = _random_pair(geom, rng)
-        x0 = solve_mod._pack(u, A)
-        gvec = solve_mod._grad_vector(u, A, b, 0.3)
+        x0 = solve_mod._flat(u.values, A)
+        gvec = solve_mod._flat(*fields_mod.g_gradient(u, A, b, 0.3))
         idx = rng.choice(len(x0), size=min(40, len(x0)), replace=False)
         fd = np.zeros(len(idx))
         for row, i in enumerate(idx):

@@ -28,7 +28,8 @@ from torusgl.lattice import (
     norm,
     random_cochain,
 )
-from torusgl.solve import _grad_vector, _pack, _unpack
+from torusgl.fields import g_gradient
+from torusgl.solve import _flat, _unpack
 from torusgl.vortex import single_dual_loop
 
 from conftest import random_section
@@ -123,8 +124,8 @@ def test_criterion_03_gradient_oracle():
         u = random_section(geom, rng)
         A = tg.Cochain(geom, 1, rng.standard_normal(geom.shape(1)))
         eps = float(rng.uniform(0.15, 0.7))
-        x0 = _pack(u, A)
-        gvec = _grad_vector(u, A, b, eps)
+        x0 = _flat(u.values, A)
+        gvec = _flat(*g_gradient(u, A, b, eps))
         fd = np.zeros_like(x0)
         for i in range(len(x0)):
             xp = x0.copy()

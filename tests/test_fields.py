@@ -14,7 +14,7 @@ from torusgl.fields import (
     truncate,
 )
 from torusgl.lattice import inner_product, zero_cochain
-from torusgl.solve import _flat, _grad_vector, _pack, _unpack
+from torusgl.solve import _flat, _unpack
 
 from conftest import random_section
 
@@ -88,8 +88,8 @@ def test_gradient_matches_finite_differences(rng, t2_bundle):
     for _ in range(3):
         u = random_section(g, rng)
         A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-        x0 = _pack(u, A)
-        gvec = _grad_vector(u, A, t2_bundle, eps)
+        x0 = _flat(u.values, A)
+        gvec = _flat(*g_gradient(u, A, t2_bundle, eps))
         idx = rng.choice(len(x0), size=60, replace=False)
         fd = np.zeros(len(idx))
         for row, i in enumerate(idx):
@@ -125,12 +125,12 @@ def test_hessvec_matches_central_differences():
             u = random_section(geom, rng)
             A = tg.Cochain(geom, 1, rng.standard_normal(geom.shape(1)))
             eps = float(rng.uniform(0.15, 0.7))
-            x0 = _pack(u, A)
+            x0 = _flat(u.values, A)
             v = rng.standard_normal(x0.size)
             hv = _hessvec_vector(u, A, b, eps, v)
             fd = (
-                _grad_vector(*_unpack(x0 + step * v, geom), b, eps)
-                - _grad_vector(*_unpack(x0 - step * v, geom), b, eps)
+                _flat(*g_gradient(*_unpack(x0 + step * v, geom), b, eps))
+                - _flat(*g_gradient(*_unpack(x0 - step * v, geom), b, eps))
             ) / (2 * step)
             worst = max(worst, float(np.abs(hv - fd).max() / np.abs(fd).max()))
     assert worst < 1e-6, f"max relative error {worst:.2e}"
@@ -151,7 +151,7 @@ def _reference_product(lin, du, dA, gauge):
     """The Hessian-vector product at lin's state written term by term from
     the links, with no cached factor or scratch: the reference for
     LocalModel.hessvec.  With `gauge` it adds minimize's gauge-fixing term
-    w G G^T (du, dA), G theta = (i theta u, d theta).  Packed like _pack."""
+    w G G^T (du, dA), G theta = (i theta u, d theta).  Packed like _flat."""
     from torusgl.lattice import codifferential, exterior_derivative
 
     w, h, eps, uv, dv = lin.w, lin.h, lin.eps, lin.u.values, du.values
@@ -215,7 +215,7 @@ def test_products_match_the_reference_formula(dim, monkeypatch):
     A = A + tg.Cochain(geom, 1, 0.3 * rng.standard_normal(geom.shape(1)))
     lin = linearize(u, A, b, eps)
     at = _newton_at(monkeypatch, tg.minimize, u, A, b, eps)
-    model = at(_pack(u, A))
+    model = at(_flat(u.values, A))
     worst = 0.0
     for _ in range(3):
         v = rng.standard_normal(2 * geom.n_sites + geom.n_cells(1))
@@ -262,7 +262,7 @@ def test_local_model_reused_matches_fresh_calls(bundle, request):
         got, fresh = model.hessvec(du, dA), linearize(u, A, b, eps).hessvec(du, dA)
         assert np.array_equal(got, fresh)
         assert model.change(du, dA) == linearize(u, A, b, eps).change(du, dA)
-    assert np.array_equal(_flat(*model.gradient()), _grad_vector(u, A, b, eps))
+    assert np.array_equal(_flat(*model.gradient()), _flat(*g_gradient(u, A, b, eps)))
     el = codifferential(curvature(A, b)) - supercurrent(u, A, b)
     assert np.array_equal(model.field_equation().values, el.values)
 
@@ -289,10 +289,10 @@ def test_energy_change_resolves_sub_ulp_steps(rng, t2_bundle):
     u = random_section(g, rng)
     A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
     eps = 0.3
-    x0 = _pack(u, A)
+    x0 = _flat(u.values, A)
     total = g_energy(u, A, t2_bundle, eps).total
     s = 1e-16 * rng.standard_normal(x0.size)
-    model = float(_grad_vector(u, A, t2_bundle, eps) @ s) + 0.5 * float(
+    model = float(_flat(*g_gradient(u, A, t2_bundle, eps)) @ s) + 0.5 * float(
         s @ _hessvec_vector(u, A, t2_bundle, eps, s)
     )
     assert abs(model) < np.spacing(total)

@@ -1,6 +1,7 @@
 """Lattice calculus: exterior derivative, codifferential, inner product,
 Laplacian, and the field dump format."""
 
+import io
 import math
 
 import numpy as np
@@ -200,6 +201,50 @@ def test_field_dump_exact_bytes(tmp_path):
         b"0 -4.9406564584124654e-324 -0.5 -0.75 -1 -1.25 -1.5 -1.75 -2 -2.25 -2.5 -2.75 "
         b"-3 -3.25 -3.5 -0.33333333333333331\n"
     )
+
+
+def _savetxt_rows(values):
+    """The reference writer's bytes for the rows of a dump: np.savetxt over
+    one row per component."""
+    buf = io.StringIO()
+    np.savetxt(buf, values.reshape(len(values), -1), fmt="%.17g")
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.0 / 3.0, math.inf, -math.inf, math.nan])
+def test_field_dump_constant_rows(tmp_path, value):
+    """A component that holds one value is written with the bytes np.savetxt
+    writes for it, and reads back bit for bit."""
+    geom = tg.TorusGeometry((4, 5), (1.0, 0.5))
+    values = np.full(geom.shape(1), value)
+    path = tmp_path / "constant.field"
+    write_field(path, geom, 1, values)
+    assert path.read_bytes().split(b"\n", 1)[1] == _savetxt_rows(values)
+    assert np.array_equal(read_field(path)[2].view(np.int64), values.view(np.int64))
+
+
+def test_field_dump_mixes_constant_and_varying_rows(tmp_path, rng):
+    """Constant components interleaved with varying ones, one of them mixing
+    0.0 and -0.0 (equal as floats, not as bits): the bytes are np.savetxt's,
+    both signs of zero are printed, and the dump reads back bit for bit."""
+    geom = tg.TorusGeometry((4, 5, 6), (1.0, 0.5, 2.0))
+    zeros = np.where(rng.random(geom.sites) < 0.5, 0.0, -0.0)
+    zeros.flat[:2] = 0.0, -0.0
+    dumps = [
+        (1, np.stack([np.zeros(geom.sites), zeros, rng.standard_normal(geom.sites)])),
+        (2, np.stack([np.full(geom.sites, 1.0 / 3.0), rng.standard_normal(geom.sites),
+                      np.full(geom.sites, math.nan)])),
+    ]
+    for degree, values in dumps:
+        path = tmp_path / f"mixed_{degree}.field"
+        write_field(path, geom, degree, values)
+        rows = path.read_bytes().split(b"\n", 1)[1]
+        assert rows == _savetxt_rows(values)
+        geom2, degree2, back = read_field(path)
+        assert (geom2, degree2) == (geom, degree)
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+    signed_zero_row = (tmp_path / "mixed_1.field").read_bytes().split(b"\n")[2]
+    assert set(signed_zero_row.split()) == {b"0", b"-0"}
 
 
 def test_field_dump_rejects_mismatched_sites(tmp_path):

@@ -261,7 +261,8 @@ def test_truncated_state_gets_a_fresh_model(t2_bundle, monkeypatch, max_iter):
     and the reported grad_norm is that of a gradient computed afresh at the
     returned state."""
     from torusgl import fields, solve
-    from torusgl.solve import _grad_vector
+    from torusgl.fields import g_gradient
+    from torusgl.solve import _flat
 
     calls = {"models": 0, "products": 0}
     linearize, hessvec = solve.linearize, fields.LocalModel.hessvec
@@ -286,7 +287,7 @@ def test_truncated_state_gets_a_fresh_model(t2_bundle, monkeypatch, max_iter):
     monkeypatch.undo()
     assert res.converged == (max_iter == 5000)
     assert calls["models"] - 1 + calls["products"] == res.iterations <= max_iter
-    grad = _grad_vector(res.section, res.gauge_field, t2_bundle, 0.3)
+    grad = _flat(*g_gradient(res.section, res.gauge_field, t2_bundle, 0.3))
     assert res.grad_norm == float(np.abs(grad).max()) / g.cell_volume
 
 
@@ -905,7 +906,7 @@ def test_spectral_preconditioner_is_scaled_london_solve(sites, lengths):
         A,
     ]
     expected = np.concatenate([tg.solve_london(c).values.ravel() / w for c in blocks])
-    got = precond(tg.solve._pack(u, A))
+    got = precond(tg.solve._flat(u.values, A))
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     psi = tg.Cochain(g, 2, rng.standard_normal(g.shape(2)))
@@ -925,7 +926,7 @@ def test_phase_aligned_preconditioner_is_spd(sites, eps):
     A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
     precond = tg.solve._phase_aligned_preconditioner(g, eps)(u.values)
     for _ in range(3):
-        v, w = rng.standard_normal((2, tg.solve._pack(u, A).size))
+        v, w = rng.standard_normal((2, tg.solve._flat(u.values, A).size))
         vMw, Mvw = v @ precond(w), precond(v) @ w
         assert abs(vMw - Mvw) <= 1e-12 * abs(vMw)
         assert v @ precond(v) > 0.0
