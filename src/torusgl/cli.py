@@ -1,16 +1,16 @@
-"""Command line front end: reproducible minimization runs, epsilon sweeps,
-the built-in invariant selftest, Hodge solver reports, and ansatz emission.
+"""Command line front end: reproducible minimization runs, epsilon sweeps
+and ansatz emission.
 
 Config files are plain sectioned key/value text (see `parse_config`), read
 into a `RunConfig` that holds the library's own `TorusGeometry`,
 `MinimizeOptions` and `AnsatzSpec`; all numeric output is printed with 17
 significant digits so downstream comparisons are byte-stable.  Subcommands:
-minimize, sweep, selftest, hodge-test, ansatz.  Flags: --config, --out,
---seed.  Exit codes: 0 success/converged, 1 config error (a malformed or
-out-of-range value, or an ansatz that does not fit the bundle), 2 not
-converged: the iteration budget was exhausted, or the Newton loop stalled
-with no certified energy decrease left; stderr then names the stop reason
-of each unconverged solve.
+minimize, sweep, ansatz.  Flags: --config, --out, --seed.  Exit codes:
+0 success/converged, 1 usage or config error (an unknown subcommand or
+flag, a malformed or out-of-range value, or an ansatz that does not fit the
+bundle), 2 not converged: the iteration budget was exhausted, or the Newton
+loop stalled with no certified energy decrease left; stderr then names the
+stop reason of each unconverged solve.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 
 from .bundle import build_background, curvature
 from .fields import e_energy, energy_density, g_energy
-from .lattice import TorusGeometry, components, random_cochain, write_field
-from .selftest import run_selftest, solver_residuals
+from .lattice import TorusGeometry, components, write_field
 from .solve import (
     AnsatzSpec,
     MinimizeOptions,
@@ -286,31 +285,6 @@ def _exit_code(solves) -> int:
     return code
 
 
-def cmd_selftest(cfg: RunConfig | None) -> int:
-    results = run_selftest(verbose=True)
-    return 0 if all(ok for _, _, ok, _ in results) else 1
-
-
-def cmd_hodge_test(cfg: RunConfig | None) -> int:
-    geoms = (
-        [cfg.geom]
-        if cfg is not None
-        else [TorusGeometry((12, 12), (1.0, 1.0)), TorusGeometry((6, 6, 6), (1.0, 1.0, 1.0))]
-    )
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for geom in geoms:
-        for k in range(geom.dim + 1):
-            rec, gre, lon, poi = solver_residuals(random_cochain(geom, k, rng))
-            worst = max(worst, rec, gre, lon, poi)
-            print(
-                f"T{geom.dim} degree {k}: reconstruct {rec:.3e}  green {gre:.3e}  "
-                f"london {lon:.3e}  poisson {poi:.3e}"
-            )
-    print(f"worst residual {worst:.3e} (tolerance 1e-10)")
-    return 0 if worst <= 1e-10 else 1
-
-
 def cmd_ansatz(cfg: RunConfig) -> int:
     b = _bundle(cfg)
     eps = cfg.epsilons[0]
@@ -324,13 +298,11 @@ def cmd_ansatz(cfg: RunConfig) -> int:
     return 0
 
 
-# subcommand -> (handler, its use of --config: "required", "optional" or None)
+# subcommand -> handler; every subcommand reads its run from --config
 _COMMANDS = {
-    "minimize": (cmd_minimize, "required"),
-    "sweep": (cmd_sweep, "required"),
-    "selftest": (cmd_selftest, None),
-    "hodge-test": (cmd_hodge_test, "optional"),
-    "ansatz": (cmd_ansatz, "required"),
+    "minimize": cmd_minimize,
+    "sweep": cmd_sweep,
+    "ansatz": cmd_ansatz,
 }
 
 
@@ -343,22 +315,22 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")
-    args = parser.parse_args(argv)
-    run, config_use = _COMMANDS[args.command]
-
     try:
-        cfg = None
-        if config_use == "required" and not args.config:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "not converged" here
+        return 1 if exc.code else 0
+    try:
+        if not args.config:
             raise ConfigError(f"{args.command} requires --config")
-        if config_use and args.config:
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-            # neither override can make a valid config invalid
-            if args.out is not None:
-                cfg = replace(cfg, out=args.out)
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
-        return run(cfg)
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+        # neither override can make a valid config invalid
+        if args.out is not None:
+            cfg = replace(cfg, out=args.out)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError, WindingMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -77,18 +77,20 @@ def test_covariant_difference_plane_wave():
     assert np.abs(D[1]).max() == 0.0
 
 
-def test_exact_gauge_covariance(rng, t2_bundle):
-    g = t2_bundle.geom
-    u = random_section(g, rng)
-    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-    theta = tg.GaugePhase(g, rng.standard_normal(g.sites))
-    u2, A2 = tg.apply_gauge(u, A, theta)
-    D1 = tg.covariant_difference(u, A, b=t2_bundle)
-    D2 = tg.covariant_difference(u2, A2, b=t2_bundle)
-    tail_phase = np.exp(1j * theta.theta)
-    assert np.abs(D2 - tail_phase * D1).max() <= 1e-12 * max(np.abs(D1).max(), 1.0)
-    # moduli coincide exactly up to rounding
-    assert np.abs(np.abs(D2) - np.abs(D1)).max() <= 1e-12 * max(np.abs(D1).max(), 1.0)
+def test_exact_gauge_covariance(rng, t2_bundle, t3_bundle):
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        u = random_section(g, rng)
+        A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+        theta = tg.GaugePhase(g, rng.standard_normal(g.sites))
+        u2, A2 = tg.apply_gauge(u, A, theta)
+        D1 = tg.covariant_difference(u, A, b=b)
+        D2 = tg.covariant_difference(u2, A2, b=b)
+        tail_phase = np.exp(1j * theta.theta)
+        scale = max(np.abs(D1).max(), 1.0)
+        assert np.abs(D2 - tail_phase * D1).max() <= 1e-12 * scale
+        # moduli coincide exactly up to rounding
+        assert np.abs(np.abs(D2) - np.abs(D1)).max() <= 1e-12 * scale
 
 
 def test_curvature_of_zero_and_pure_gauge(rng, t2_bundle):
@@ -128,12 +130,13 @@ def test_curvature_closed_t3(rng):
     assert np.abs(dF.values).max() <= 1e-12 * scale
 
 
-def test_chern_pairing_of_curvature_any_A(rng, t2_bundle):
-    g = t2_bundle.geom
-    for _ in range(5):
-        A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-        pairing = flux_pairing(tg.curvature(A, t2_bundle))
-        assert pairing[0, 1] == pytest.approx(1.0, abs=1e-10)
+def test_chern_pairing_of_curvature_any_A(rng, t2_bundle, t3_bundle):
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        for _ in range(5):
+            A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+            pairing = flux_pairing(tg.curvature(A, b))
+            assert np.abs(pairing - b.chern).max() <= 1e-10
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,11 @@ def test_cmd_minimize_exit_codes(tmp_path, capsys):
     assert main(["minimize", "--config", str(budget)]) == 2
     err = capsys.readouterr().err
     assert err == "minimize: not converged (budget) after 0 iterations\n"
+    # usage errors exit 1 as well, so that 2 always means "not converged"
+    assert main(["selftest"]) == 1
+    assert main(["minimize", "--seed", "x"]) == 1
+    assert "usage: torusgl" in capsys.readouterr().err
+    assert main(["--help"]) == 0
 
 
 def test_nonfinite_lengths_are_config_errors(tmp_path, capsys):
@@ -238,12 +243,6 @@ def test_cmd_ansatz(tmp_path, capsys):
     assert "total_winding = 1" in stdout
     assert (out / "ansatz.txt").exists()
     assert (out / "u.field").exists()
-
-
-def test_cmd_hodge_test(capsys):
-    assert main(["hodge-test"]) == 0
-    out = capsys.readouterr().out
-    assert "worst residual" in out
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

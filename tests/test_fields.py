@@ -82,28 +82,28 @@ def test_gradient_zero_at_ground_state(t2_trivial):
     assert np.abs(gA.values).max() == 0.0
 
 
-def test_gradient_matches_finite_differences(rng, t2_bundle):
-    g = t2_bundle.geom
+def test_gradient_matches_finite_differences(rng, t2_bundle, t3_bundle):
     eps, step = 0.3, 1e-5
-    for _ in range(3):
-        u = random_section(g, rng)
-        A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-        x0 = _flat(u.values, A)
-        gvec = _flat(*g_gradient(u, A, t2_bundle, eps))
-        idx = rng.choice(len(x0), size=60, replace=False)
-        fd = np.zeros(len(idx))
-        for row, i in enumerate(idx):
-            xp = x0.copy()
-            xp[i] += step
-            up, Ap = _unpack(xp, g)
-            xm = x0.copy()
-            xm[i] -= step
-            um, Am = _unpack(xm, g)
-            fd[row] = (
-                g_energy(up, Ap, t2_bundle, eps).total
-                - g_energy(um, Am, t2_bundle, eps).total
-            ) / (2 * step)
-        assert np.abs(gvec[idx] - fd).max() <= 1e-6 * np.abs(fd).max()
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        for _ in range(3):
+            u = random_section(g, rng)
+            A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+            x0 = _flat(u.values, A)
+            gvec = _flat(*g_gradient(u, A, b, eps))
+            idx = rng.choice(len(x0), size=60, replace=False)
+            fd = np.zeros(len(idx))
+            for row, i in enumerate(idx):
+                xp = x0.copy()
+                xp[i] += step
+                up, Ap = _unpack(xp, g)
+                xm = x0.copy()
+                xm[i] -= step
+                um, Am = _unpack(xm, g)
+                fd[row] = (
+                    g_energy(up, Ap, b, eps).total - g_energy(um, Am, b, eps).total
+                ) / (2 * step)
+            assert np.abs(gvec[idx] - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def _hessvec_vector(u, A, b, eps, v):
@@ -300,19 +300,26 @@ def test_energy_change_resolves_sub_ulp_steps(rng, t2_bundle):
     assert d == pytest.approx(model, rel=1e-8)
 
 
-def test_gradient_A_part_is_el_equation(rng, t2_bundle):
-    from torusgl.lattice import codifferential
-    from torusgl.vortex import supercurrent
+def test_gradient_A_part_is_el_equation(rng, t2_bundle, t3_bundle):
+    from torusgl.lattice import codifferential, exterior_derivative, laplacian, norm
+    from torusgl.vortex import jacobian, supercurrent
 
-    g = t2_bundle.geom
-    u = random_section(g, rng)
-    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-    _, gA = g_gradient(u, A, t2_bundle, 0.3)
-    F = tg.curvature(A, t2_bundle)
-    expected = g.cell_volume * (codifferential(F) - supercurrent(u, A, t2_bundle))
-    assert np.abs(gA.values - expected.values).max() <= 1e-12 * max(
-        np.abs(expected.values).max(), 1.0
-    )
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        u = random_section(g, rng)
+        A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+        _, gA = g_gradient(u, A, b, 0.3)
+        F = tg.curvature(A, b)
+        expected = g.cell_volume * (codifferential(F) - supercurrent(u, A, b))
+        assert np.abs(gA.values - expected.values).max() <= 1e-12 * max(
+            np.abs(expected.values).max(), 1.0
+        )
+        # the London defect is d of the A-gradient on every state, not only
+        # near criticality: dF = 0 and 2J = dj + F give
+        # -Delta F + F - 2J = d(d*F - j) = d(gA) / w
+        defect = -1.0 * laplacian(F) + F - 2.0 * jacobian(u, A, b)
+        d_grad = (1.0 / g.cell_volume) * exterior_derivative(gA)
+        assert norm(defect - d_grad) <= 1e-12 * norm(d_grad)
 
 
 def test_gradient_gauge_equivariance(rng, t2_bundle):
@@ -342,25 +349,27 @@ def test_truncate_pointwise():
     assert np.allclose(np.abs(t.values), np.minimum(np.abs(w.values), 1.0))
 
 
-def test_truncation_never_increases_energy(rng, t2_bundle):
-    g = t2_bundle.geom
-    for _ in range(100):
-        u = random_section(g, rng, scale=1.5)
+def test_truncation_never_increases_energy(rng, t2_bundle, t3_bundle):
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        for _ in range(100):
+            u = random_section(g, rng, scale=1.5)
+            A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+            eps = float(rng.uniform(0.1, 0.8))
+            before = g_energy(u, A, b, eps).total
+            after = g_energy(truncate(u), A, b, eps).total
+            assert after <= before
+
+
+def test_potential_scaling_exact(rng, t2_bundle, t3_bundle):
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        u = random_section(g, rng)
         A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-        eps = float(rng.uniform(0.1, 0.8))
-        before = g_energy(u, A, t2_bundle, eps).total
-        after = g_energy(truncate(u), A, t2_bundle, eps).total
-        assert after <= before
-
-
-def test_potential_scaling_exact(rng, t2_bundle):
-    g = t2_bundle.geom
-    u = random_section(g, rng)
-    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-    for eps in (0.8, 0.3, 0.11):
-        p1 = g_energy(u, A, t2_bundle, eps).potential
-        p2 = g_energy(u, A, t2_bundle, eps / 2.0).potential
-        assert p2 == 4.0 * p1
+        for eps in (0.8, 0.3, 0.11):
+            p1 = g_energy(u, A, b, eps).potential
+            p2 = g_energy(u, A, b, eps / 2.0).potential
+            assert p2 == 4.0 * p1
 
 
 def test_energy_density_total(rng, t2_bundle, t3_bundle):

@@ -83,38 +83,39 @@ def test_coulomb_large_gauge_exact(rng, t2_geom):
     assert np.abs(A2.values).max() == 0.0
 
 
-def test_coulomb_postconditions(rng, t2_bundle):
-    g = t2_bundle.geom
-    for _ in range(5):
+def test_coulomb_postconditions(rng, t2_bundle, t3_bundle):
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        for _ in range(5):
+            u = random_section(g, rng)
+            A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+            for i in range(g.dim):
+                A.values[i] += float(rng.uniform(-12, 12))
+            u2, A2, theta = coulomb_fix(u, A)
+            # d*A' ~ 0
+            assert np.abs(codifferential(A2).values).max() <= 1e-9 * (1.0 + norm(A))
+            # harmonic components in the fundamental intervals
+            means = A2.values.mean(axis=tuple(range(1, g.dim + 1)))
+            for i, m in enumerate(means):
+                assert abs(m) <= np.pi / g.lengths[i] + 1e-9
+            # gauge equivalence: energies identical
+            e1 = tg.g_energy(u, A, b, 0.3)
+            e2 = tg.g_energy(u2, A2, b, 0.3)
+            assert abs(e2.total - e1.total) <= 1e-10 * e1.total
+            # vorticity identical
+            assert np.array_equal(
+                tg.vorticity(u, A, b).windings,
+                tg.vorticity(u2, A2, b).windings,
+            )
+
+
+def test_coulomb_idempotent(rng, t2_geom, t3_geom):
+    for g in (t3_geom, t2_geom):
         u = random_section(g, rng)
         A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-        A.values[0] += float(rng.uniform(-12, 12))
-        A.values[1] += float(rng.uniform(-12, 12))
-        u2, A2, theta = coulomb_fix(u, A)
-        # d*A' ~ 0
-        assert np.abs(codifferential(A2).values).max() <= 1e-9 * (1.0 + norm(A))
-        # harmonic components in the fundamental intervals
-        means = A2.values.mean(axis=(1, 2))
-        for i, m in enumerate(means):
-            assert abs(m) <= np.pi / g.lengths[i] + 1e-9
-        # gauge equivalence: energies identical
-        e1 = tg.g_energy(u, A, t2_bundle, 0.3)
-        e2 = tg.g_energy(u2, A2, t2_bundle, 0.3)
-        assert abs(e2.total - e1.total) <= 1e-10 * e1.total
-        # vorticity identical
-        assert np.array_equal(
-            tg.vorticity(u, A, t2_bundle).windings,
-            tg.vorticity(u2, A2, t2_bundle).windings,
-        )
-
-
-def test_coulomb_idempotent(rng, t3_geom):
-    g = t3_geom
-    u = random_section(g, rng)
-    A = tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
-    u2, A2, _ = coulomb_fix(u, A)
-    u3, A3, _ = coulomb_fix(u2, A2)
-    assert np.abs(A3.values - A2.values).max() <= 1e-9
+        u2, A2, _ = coulomb_fix(u, A)
+        u3, A3, _ = coulomb_fix(u2, A2)
+        assert np.abs(A3.values - A2.values).max() <= 1e-9
 
 
 def test_coulomb_l2_reduction(rng, t2_geom):

@@ -195,7 +195,7 @@ def cg_solve(apply_op, rhs):
     return x
 
 
-def test_cg_fallback_agrees(rng):
+def test_spectral_solves_match_cg_reference(rng):
     """The spectral solves agree with conjugate gradients on the stencil
     operators, an independent path."""
     geom = GEOMS[0]
