@@ -11,9 +11,11 @@ holonomy/flux consistency and the Chern pairing hold exactly.
 The gauge field couples compactly, through the link variable
 U_e = exp(-i(theta0_e + h_i A_e)) (Wilson's lattice link), so lattice gauge
 transformations leave |D_A u| invariant exactly.  `link_transport` is the one
-place the link is formed (from its phase, `link_phase`); the covariant
-difference, energies, gradients, Hessian products, supercurrent and vorticity
-are all built on it, and sweeps refine sections along its phases.
+place the link is formed, as cos(phase) - i sin(phase) of its phase
+`link_phase` (numpy's complex exp of -i phase, without the complex
+temporaries); the covariant difference, energies, gradients, Hessian
+products, supercurrent and vorticity are all built on it, and sweeps refine
+sections along its phases.
 """
 
 from __future__ import annotations
@@ -138,7 +140,10 @@ def link_transport(u: Section, A: Cochain, b: BundleData):
     if u.geom != b.geom:
         raise ValueError("section/bundle geometry mismatch")
     for i in range(b.geom.dim):
-        link = np.exp(-1j * link_phase(A, b, i))
+        phase = link_phase(A, b, i)
+        link = np.empty(phase.shape, dtype=np.complex128)
+        np.cos(phase, out=link.real)
+        np.negative(np.sin(phase, out=phase), out=link.imag)
         yield link, np.roll(u.values, -1, axis=i) * link
 
 
@@ -157,7 +162,8 @@ def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:
     h = b.geom.spacings
     out = np.empty((b.geom.dim, *b.geom.sites), dtype=np.complex128)
     for i, (_, fwd) in enumerate(link_transport(u, A, b)):
-        out[i] = (fwd - u.values) / h[i]
+        np.subtract(fwd, u.values, out=out[i])
+        out[i] *= 1.0 / h[i]
     return out
 
 

@@ -124,7 +124,7 @@ class LocalModel:
         w, h, eps, uv = self.w, self.h, self.eps, self.u.values
         grad_u = np.zeros(uv.shape, dtype=np.complex128)
         for i, (link, fwd) in enumerate(self.links):
-            Du = (fwd - uv) / h[i]
+            Du = (fwd - uv) * (1.0 / h[i])
             grad_u += (w / h[i]) * (np.roll(np.conj(link) * Du, +1, axis=i) - Du)
         grad_u += -(w / (eps * eps)) * (1.0 - (uv.real**2 + uv.imag**2)) * uv
         return grad_u, Cochain(self.b.geom, 1, w * self.field_equation().values)
@@ -174,15 +174,20 @@ class LocalModel:
     def change(self, du: Section, dA: Cochain) -> EnergyBreakdown:
         """g_energy(u + du, A + dA) - g_energy(u, A), part by part, each
         local term's change formed from the increments (|D'|^2 - |D|^2 =
-        Re(conj(dD)(2 D + dD)), the link change through expm1), so rounding
-        is relative to the change, not to the energy: the sign of a decrease
-        far below one ulp of the total is still resolved."""
+        Re(conj(dD)(2 D + dD)), the link change through the turn
+        expm1(i t) = -2 sin(t/2)^2 + i sin(t), t = -h dA, numpy's complex
+        expm1 formed from real sines), so rounding is relative to the change,
+        not to the energy: the sign of a decrease far below one ulp of the
+        total is still resolved."""
         w, h, eps, uv, dv = self.w, self.h, self.eps, self.u.values, du.values
         kin = 0.0
         for i, (link, fwd) in enumerate(self.links):
-            turn = np.expm1(-1j * h[i] * dA.values[i])
-            Du = (fwd - uv) / h[i]
-            dDu = (np.roll(dv, -1, axis=i) * link * (1.0 + turn) + fwd * turn - dv) / h[i]
+            angle, turn = -h[i] * dA.values[i], np.empty(uv.shape, dtype=np.complex128)
+            np.sin(angle, out=turn.imag)
+            half = np.sin(np.multiply(angle, 0.5, out=angle), out=angle)
+            np.multiply(np.square(half, out=half), -2.0, out=turn.real)
+            Du = (fwd - uv) * (1.0 / h[i])
+            dDu = (np.roll(dv, -1, axis=i) * link * (1.0 + turn) + fwd * turn - dv) * (1.0 / h[i])
             kin += float(np.sum(np.real(np.conj(dDu) * (2.0 * Du + dDu))))
         kin *= 0.5 * w
 

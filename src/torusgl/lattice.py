@@ -271,8 +271,9 @@ def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> None:
-    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits), formatting a row of
-    one bit pattern once; raises ValueError unless its site axes are geom.sites."""
+    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits), formatting each
+    distinct bit pattern of a row once when at most half its values are distinct; raises
+    ValueError unless its site axes are geom.sites."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape[1:] != geom.sites:
         raise ValueError(
@@ -288,8 +289,10 @@ def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> N
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in values.reshape(ncomp, -1):
-            if np.all(row.view(np.int64) == row.view(np.int64)[0]):  # as bits: -0.0 != 0.0
-                fh.write(" ".join(["%.17g" % row[0]] * row.size) + "\n")
+            bits, where = np.unique(row.view(np.int64), return_inverse=True)  # as bits: -0.0 != 0.0
+            if 2 * bits.size <= row.size:
+                words = np.array(["%.17g" % x for x in bits.view(np.float64)], dtype=object)
+                fh.write(" ".join(words[where].tolist()) + "\n")
             else:
                 np.savetxt(fh, row[None], fmt="%.17g")
 

@@ -318,16 +318,24 @@ def test_sweep_independent_of_thread_count(tmp_path):
 
 @pytest.mark.slow
 def test_minimize_independent_of_thread_count(tmp_path):
-    """T^2 64^2 at eps 0.1 runs long enough (~430 steps on vectors of 16k
-    entries) for threaded BLAS reductions to change the last bits."""
+    """A T^3 12^3 line at eps 0.15, its core off the lattice's symmetry
+    axes at (0.52, 0.51), reaches the slide of the Newton loop and takes 323
+    evaluations, enough for threaded BLAS reductions to change the last
+    bits if they could.  mesh_rule = quarter only passes config validation:
+    minimize solves on the given lattice, and the fixed rule's h <= eps/2
+    check would refuse h = 1/12."""
     text = (
-        T2_CONFIG.replace("sites = 12 12", "sites = 64 64")
-        .replace("epsilons = 0.3 0.25", "epsilons = 0.1")
+        T3_AXIS_CONFIG.replace("sites = 8 8 10", "sites = 12 12 12")
+        .replace("lengths = 1 1 1.25", "lengths = 1 1 1")
+        .replace("epsilons = 0.3 0.25", "epsilons = 0.15\nmesh_rule = quarter")
         .replace("max_iter = 40000", "max_iter = 200000")
+        .replace("positions = 0.5 0.5", "positions = 0.52 0.51")
     )
     summaries = []
     for threads in ("1", "2"):
         out = tmp_path / f"thr{threads}"
         _run_with_threads("minimize", write_config(tmp_path, text=text, out=out), threads)
         summaries.append((out / "summary.txt").read_bytes())
+    record = dict(line.split(" = ") for line in summaries[0].decode().splitlines())
+    assert int(record["iterations"]) >= 200, "the solve no longer runs long enough to test this"
     assert summaries[0] == summaries[1]

@@ -211,16 +211,21 @@ def _savetxt_rows(values):
     return buf.getvalue().encode()
 
 
+def _assert_dump_is_savetxt(path, geom, degree, values):
+    """write_field's rows are np.savetxt's bytes and read back bit for bit."""
+    write_field(path, geom, degree, values)
+    assert path.read_bytes().split(b"\n", 1)[1] == _savetxt_rows(values)
+    geom2, degree2, back = read_field(path)
+    assert (geom2, degree2) == (geom, degree)
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
 @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.0 / 3.0, math.inf, -math.inf, math.nan])
 def test_field_dump_constant_rows(tmp_path, value):
     """A component that holds one value is written with the bytes np.savetxt
     writes for it, and reads back bit for bit."""
     geom = tg.TorusGeometry((4, 5), (1.0, 0.5))
-    values = np.full(geom.shape(1), value)
-    path = tmp_path / "constant.field"
-    write_field(path, geom, 1, values)
-    assert path.read_bytes().split(b"\n", 1)[1] == _savetxt_rows(values)
-    assert np.array_equal(read_field(path)[2].view(np.int64), values.view(np.int64))
+    _assert_dump_is_savetxt(tmp_path / "constant.field", geom, 1, np.full(geom.shape(1), value))
 
 
 def test_field_dump_mixes_constant_and_varying_rows(tmp_path, rng):
@@ -236,15 +241,40 @@ def test_field_dump_mixes_constant_and_varying_rows(tmp_path, rng):
                       np.full(geom.sites, math.nan)])),
     ]
     for degree, values in dumps:
-        path = tmp_path / f"mixed_{degree}.field"
-        write_field(path, geom, degree, values)
-        rows = path.read_bytes().split(b"\n", 1)[1]
-        assert rows == _savetxt_rows(values)
-        geom2, degree2, back = read_field(path)
-        assert (geom2, degree2) == (geom, degree)
-        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+        _assert_dump_is_savetxt(tmp_path / f"mixed_{degree}.field", geom, degree, values)
     signed_zero_row = (tmp_path / "mixed_1.field").read_bytes().split(b"\n")[2]
     assert set(signed_zero_row.split()) == {b"0", b"-0"}
+
+
+def test_field_dump_line_rows(tmp_path, rng):
+    """Components constant along the last axis, as every field of a T^3
+    line is along its axis: N/64 distinct values per row of N."""
+    geom = tg.TorusGeometry((8, 8, 64), (1.0, 1.0, 2.0))
+    values = np.repeat(rng.standard_normal((3, 8, 8, 1)), 64, axis=3)
+    assert len(np.unique(values[0])) == geom.n_sites // 64
+    _assert_dump_is_savetxt(tmp_path / "line.field", geom, 1, values)
+
+
+@pytest.mark.parametrize("distinct", [10, 11])
+def test_field_dump_rows_at_the_distinct_value_threshold(tmp_path, rng, distinct):
+    """Rows of 20 values with exactly half of them distinct, and one more."""
+    geom = tg.TorusGeometry((4, 5), (1.0, 0.5))
+    pool = rng.standard_normal(distinct)
+    values = np.stack([rng.permutation(np.resize(pool, 20)) for _ in range(2)])
+    assert [len(np.unique(row)) for row in values] == [distinct, distinct]
+    _assert_dump_is_savetxt(tmp_path / "threshold.field", geom, 1, values.reshape(2, 4, 5))
+
+
+def test_field_dump_repeated_special_values(tmp_path, rng):
+    """A repeated row mixing 0.0, -0.0 (equal as floats, not as bits), NaN,
+    both infinities and the smallest subnormal."""
+    geom = tg.TorusGeometry((6, 8), (1.0, 0.5))
+    special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])
+    values = rng.choice(special, size=(1, *geom.sites))
+    values.flat[:6] = special
+    _assert_dump_is_savetxt(tmp_path / "special.field", geom, 0, values)
+    row = (tmp_path / "special.field").read_bytes().split(b"\n")[1]
+    assert set(row.split()) == {b"0", b"-0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324"}
 
 
 def test_field_dump_rejects_mismatched_sites(tmp_path):

@@ -5,7 +5,11 @@
 Run from the root of a source checkout.  First, for one seeded random
 cochain of every degree on the 12^2 and 6^3 lattices of acceptance
 criterion 4, prints sha1 digests of `green`, `solve_london`, `solve_poisson`
-on its mean-free part and the three `hodge_decompose` parts.  Then, for each
+on its mean-free part and the three `hodge_decompose` parts.  For one seeded
+random state (u, A) and step (du, dA) on the 28^3 and 160^2 lattices it
+prints the sha1 of both parts of `linearize(...).gradient()` and each part
+of `LocalModel.change(du, dA)` as a float hex string, so a kernel rewrite
+shows directly, not only through solve trajectories.  Then, for each
 test fixture solve (tests/conftest.py) and each case that reaches the slide
 of the Newton loop, prints the evaluation count, the stop reason, the energy
 as a float hex string and sha1 digests of the final (u, A) and of its
@@ -31,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import torusgl as tg  # noqa: E402
 from torusgl import cli  # noqa: E402
+from torusgl.fields import linearize  # noqa: E402
 
 CHERN_T2 = [[0, 1], [-1, 0]]
 CHERN_T3 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
@@ -40,6 +45,11 @@ OPTS = tg.MinimizeOptions(tol=1e-8, max_iter=200000)
 # random cochains
 HODGE_SITES = ((12, 12), (6, 6, 6))
 HODGE_SEED = 104
+
+# the lattices, seed and epsilon of the kernel digests
+KERNEL_SITES = ((28, 28, 28), (160, 160))
+KERNEL_SEED = 22
+KERNEL_EPS = 0.1
 
 # (label, sites, eps, core position): the single solves.  min_t2_64 and
 # min_t3_28 are the conftest fixtures; the other three reach the slide.
@@ -106,6 +116,21 @@ def main() -> None:
             digests = " ".join(f"{name} {'none' if c is None else sha1(c.values)}"
                                for name, c in results.items())
             print(f"hodge {'x'.join(map(str, sites))} degree {k} {digests}", flush=True)
+
+    rng = np.random.default_rng(KERNEL_SEED)
+    for sites in KERNEL_SITES:
+        geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+        b = tg.build_background(geom, CHERN_T2 if len(sites) == 2 else CHERN_T3)
+        u, du = (tg.Section(geom, rng.standard_normal(sites) + 1j * rng.standard_normal(sites))
+                 for _ in range(2))
+        A, dA = (tg.random_cochain(geom, 1, rng) for _ in range(2))
+        model = linearize(u, A, b, KERNEL_EPS)
+        grad_u, grad_A = model.gradient()
+        change = model.change(du, dA)
+        parts = " ".join(f"{name} {getattr(change, name).hex()}"
+                         for name in ("kinetic", "potential", "curvature", "total"))
+        print(f"kernel {'x'.join(map(str, sites))} gradient_u {sha1(grad_u)} "
+              f"gradient_A {sha1(grad_A.values)} change {parts}", flush=True)
 
     for label, sites, eps, position in SOLVES:
         geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
