@@ -113,7 +113,8 @@ def parse_config(text: str) -> RunConfig:
     ansatz is built only when windings are given.  Every unknown section or
     key, every malformed value, chern indices outside 0 <= i < j < dim, and
     every value `TorusGeometry`, `AnsatzSpec`, `MinimizeOptions` or
-    `check_sweep` rejects, raises `ConfigError`.
+    `check_sweep` without a lattice rejects, raises `ConfigError`; the
+    lattice rules of mesh_rule bind the sweep command only (see cmd_sweep).
     """
     sections: dict[str, dict[str, str]] = {}
     current = None
@@ -176,7 +177,7 @@ def parse_config(text: str) -> RunConfig:
         geom = TorusGeometry(sites, lengths)
         if geom.dim != dim:
             raise ValueError(f"[geometry] sites lists {geom.dim} entries for dim = {dim}")
-        check_sweep(geom, epsilons, mesh_rule)
+        check_sweep(None, epsilons, mesh_rule)
         optimizer = MinimizeOptions(**options)
         ansatz = AnsatzSpec(windings=windings, positions=positions, axis=axis) if windings else None
     except ValueError as exc:
@@ -258,6 +259,10 @@ def cmd_minimize(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if len(cfg.epsilons) < 2:
         raise ConfigError("sweep needs >= 2 epsilon values")
+    try:
+        check_sweep(cfg.geom, cfg.epsilons, cfg.mesh_rule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     records = epsilon_sweep(
         cfg.ansatz, _bundle(cfg), cfg.geom, list(cfg.epsilons), cfg.optimizer,
         mesh_rule=cfg.mesh_rule, seed=cfg.seed,

@@ -6,9 +6,10 @@ Quadrature: the potential is vertex-collocated, the kinetic term
 edge-collocated, the curvature term plaquette-collocated, all with the full
 cell volume prod(h_i) per sample, matching the lattice inner product.  The
 gauge field enters only through the links of `bundle.link_transport`, formed
-once per axis per state: `linearize` keeps them in a LocalModel, which serves
-the gradient, every energy change and, from state factors formed by the first
-of them, every Hessian-vector product there.
+once per axis per state, and the curvature F_A: `linearize` forms both once
+and keeps them in a LocalModel, which serves the gradient, every energy
+change and, from state factors formed by the first of them, every
+Hessian-vector product there.
 All reductions use plain numpy sums in fixed order, so results are
 reproducible bit-for-bit within a build.
 """
@@ -53,22 +54,22 @@ def _check_epsilon(eps: float) -> float:
     return eps
 
 
-def _energy_terms(u: Section, A: Cochain, b: BundleData, dtype=np.float64):
-    """Lattice sums of |D_A u|^2, (1 - |u|^2)^2 and |F_A|^2, each accumulated
-    in `dtype`; the energies weight them by the cell volume."""
-    Du = covariant_difference(u, A, b)
-    kin = np.sum(Du.real**2 + Du.imag**2, dtype=dtype)
-    one_minus = 1.0 - (u.values.real**2 + u.values.imag**2)
-    pot = np.sum(one_minus**2, dtype=dtype)
-    curv = np.sum(curvature(A, b).values ** 2, dtype=dtype)
-    return kin, pot, curv
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
+
+
+def _densities(u: Section, A: Cochain, b: BundleData):
+    """|D_A u|^2 per edge, (1 - |u|^2)^2 per vertex and |F_A|^2 per
+    plaquette; the energies weight their sums by the cell volume."""
+    kin = _abs2(covariant_difference(u, A, b))
+    return kin, (1.0 - _abs2(u.values)) ** 2, curvature(A, b).values ** 2
 
 
 def g_energy(u: Section, A: Cochain, b: BundleData, eps: float) -> EnergyBreakdown:
     """Full gauged energy; exactly gauge invariant by construction."""
     eps = _check_epsilon(eps)
     w = b.geom.cell_volume
-    kin, pot, curv = _energy_terms(u, A, b)
+    kin, pot, curv = (np.sum(d) for d in _densities(u, A, b))
     kin = 0.5 * w * float(kin)
     pot = w * float(pot) / (4.0 * eps * eps)
     curv = 0.5 * w * float(curv)
@@ -82,28 +83,28 @@ def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float):
     """
     eps = _check_epsilon(eps)
     w = b.geom.cell_volume
-    kin, pot, curv = _energy_terms(u, A, b, np.longdouble)
+    kin, pot, curv = (np.sum(d, dtype=np.longdouble) for d in _densities(u, A, b))
     return 0.5 * w * kin + w * pot / (4.0 * eps * eps) + 0.5 * w * curv
 
 
 def e_energy(u: Section, b: BundleData, eps: float) -> EnergyBreakdown:
     """Reference-connection energy: g_energy at A = 0 without the curvature term."""
-    eps = _check_epsilon(eps)
     full = g_energy(u, zero_cochain(b.geom, 1), b, eps)
     total = full.kinetic + full.potential
-    return EnergyBreakdown(full.kinetic, full.potential, 0.0, total, eps)
+    return EnergyBreakdown(full.kinetic, full.potential, 0.0, total, full.epsilon)
 
 
 class LocalModel:
     """g_energy near one state (u, A): its gradient, Hessian-vector products
     and term-by-term changes, all read from `links`, the (link, transported
     neighbour) pair of each axis that `linearize` takes from
-    `bundle.link_transport` once.  The first product adds conj(link) and
-    Re(conj(u) T) per axis, conj(u) and the products' four complex scratch
-    arrays, so a model used for its gradient alone holds nothing more."""
+    `bundle.link_transport` once, and `F`, the curvature F_A it forms once.
+    The first product adds conj(link) and Re(conj(u) T) per axis, conj(u)
+    and the products' four complex scratch arrays, so a model used for its
+    gradient alone holds nothing more."""
 
-    def __init__(self, u: Section, A: Cochain, b: BundleData, eps: float, links: tuple):
-        self.u, self.A, self.b, self.eps, self.links = u, A, b, eps, links
+    def __init__(self, u: Section, A: Cochain, b: BundleData, eps: float, links: tuple, F: Cochain):
+        self.u, self.A, self.b, self.eps, self.links, self.F = u, A, b, eps, links, F
         self.w, self.h = b.geom.cell_volume, b.geom.spacings
         self._factors = None
 
@@ -113,7 +114,7 @@ class LocalModel:
         current = np.empty(self.b.geom.shape(1))
         for i, (_, fwd) in enumerate(self.links):
             current[i] = np.imag(np.conj(self.u.values) * fwd) / self.h[i]
-        return codifferential(curvature(self.A, self.b)) - Cochain(self.b.geom, 1, current)
+        return codifferential(self.F) - Cochain(self.b.geom, 1, current)
 
     def gradient(self):
         """Exact gradient of g_energy: (complex per-vertex field d/d(Re u,
@@ -195,15 +196,14 @@ class LocalModel:
         dmod2 = 2.0 * np.real(np.conj(uv) * dv) + (dv.real**2 + dv.imag**2)
         pot = w * float(np.sum(dmod2 * (dmod2 - 2.0 * one_minus))) / (4.0 * eps * eps)
 
-        F = curvature(self.A, self.b).values
         dF = exterior_derivative(dA).values
-        curv = 0.5 * w * float(np.sum(dF * (2.0 * F + dF)))
+        curv = 0.5 * w * float(np.sum(dF * (2.0 * self.F.values + dF)))
         return EnergyBreakdown(kin, pot, curv, kin + pot + curv, eps)
 
 
 def linearize(u: Section, A: Cochain, b: BundleData, eps: float) -> LocalModel:
-    """The local model of g_energy at (u, A), its links formed here, once."""
-    return LocalModel(u, A, b, _check_epsilon(eps), tuple(link_transport(u, A, b)))
+    """The local model of g_energy at (u, A), its links and F_A formed here, once."""
+    return LocalModel(u, A, b, _check_epsilon(eps), tuple(link_transport(u, A, b)), curvature(A, b))
 
 
 def g_gradient(u: Section, A: Cochain, b: BundleData, eps: float):
@@ -233,20 +233,18 @@ def energy_density(u: Section, A: Cochain, b: BundleData, eps: float) -> Cochain
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon in (0, 1) required, got {eps}")
     geom = b.geom
-    Du = covariant_difference(u, A, b)
+    kin, pot, curv = _densities(u, A, b)
     dens = np.zeros(geom.sites)
 
     for i in range(geom.dim):
-        e_kin = 0.5 * (Du[i].real**2 + Du[i].imag**2)
+        e_kin = 0.5 * kin[i]
         dens += 0.5 * e_kin
         dens += 0.5 * np.roll(e_kin, +1, axis=i)
 
-    mod2 = u.values.real**2 + u.values.imag**2
-    dens += (1.0 - mod2) ** 2 / (4.0 * eps * eps)
+    dens += pot / (4.0 * eps * eps)
 
-    F = curvature(A, b)
     for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        e_curv = 0.5 * F.values[pos] ** 2
+        e_curv = 0.5 * curv[pos]
         quarter = 0.25 * e_curv
         dens += quarter
         dens += np.roll(quarter, +1, axis=i)

@@ -64,7 +64,7 @@ def _nearest_int_ties_to_zero(x: float) -> int:
 
 def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     """Gauge-equivalent representative with d*A' ~ 0 and harmonic components
-    of A' in [-pi/L_i, pi/L_i).
+    of A' in [-pi/L_i, pi/L_i]; a tie removes the large-gauge winding nearer zero.
 
     Returns (u', A', phase) where phase records the total vertex rotation
     applied to u.  Energies and all gauge-invariant observables agree with

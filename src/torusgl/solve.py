@@ -14,15 +14,15 @@ residual's 2-norm is _CG_FLOOR = 0.5 times the convergence tolerance (in
 raw gradient units; Kelley, Iterative Methods for Linear and Nonlinear
 Equations, SIAM 1995, section 6.3), so the last round of a run does not
 solve past what convergence asks.  Each state reached gets one local model
-(_Model, on fields.linearize), which forms the links once for the gradient,
-every product and every energy change there, and the products' other state
-factors at the first product, and holds the preconditioner and the
-covariant translations at that state as values.  In `minimize` every
-product of a model writes into one result array, where the gauge-fixing
-term is added in place.  The preconditioner is a Sobolev metric matched to
-the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J. Sci.
-Comput. 19, 1998): in `minimize` it is phase-aligned,
-rotating the section part of a vector into the local frame u/|u| and applying
+(_Model, on fields.linearize), which forms the links and the curvature once
+for the gradient, every product and every energy change there, and the
+products' other state factors at the first product, and holds the
+preconditioner and the covariant translations at that state as values.  In
+`minimize` every product of a model writes into one result array, where the
+gauge-fixing term is added in place.  The preconditioner is a Sobolev metric
+matched to the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J.
+Sci. Comput. 19, 1998): in `minimize` it is phase-aligned, rotating the
+section part of a vector into the local frame u/|u| and applying
 (h^n(-Delta + _RADIAL_STIFFNESS/eps^2))^-1 to the modulus direction and
 (h^n(-Delta + 1))^-1 to the phase direction and to A, so the CG count no
 longer grows with 1/eps^2 (see _phase_aligned_preconditioner);
@@ -46,12 +46,12 @@ state by at most eps_mach times its norm, or a slide too short to move it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite, log, pi, sqrt
 
 import numpy as np
 
-from .bundle import BundleData, Section, build_background, curvature, link_phase
+from .bundle import BundleData, Section, build_background, link_phase
 from .fields import (
     EnergyBreakdown,
     LocalModel,
@@ -112,7 +112,6 @@ class MinimizeOptions:
                                    # rounding floor ends "stalled" at an ulp-sized step
     max_iter: int = 50000
     log_every: int = 0             # minimize only: 0 = silent; else print a line every k steps
-    iterate_hook: object = None    # internal: sees (x, fx, g) after each step
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -341,9 +340,9 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
     return p, used
 
 
-def _newton(at, x, fx, scale, opts):
+def _newton(at, x, scale, opts, on_step=None):
     """Minimize from x by inexact Newton steps; at(x) builds the _Model at
-    x, fx is f(x), or any offset the energies passed on should start from.
+    x, and on_step, when given, sees (x, g) after each accepted step.
 
     While the gradient outside the soft modes is above tolerance, each round
     is one Newton step confined to their complement (newton_round).  Once
@@ -352,11 +351,10 @@ def _newton(at, x, fx, scale, opts):
     move downhill by a length in lattice cells, then Newton steps until the
     rest of g meets the tolerance again.  The slide is kept, and its length
     doubled up to half a cell, when the summed energy change is negative;
-    otherwise it is undone and its length halved.  Energies passed on are
-    fx plus certified changes, so they strictly decrease; no decision rests
-    on a float64 tie.  `scale` divides the sup-norm of the raw gradient to
-    form the scale-free convergence metric.  After each accepted step
-    opts.iterate_hook sees (x, fx, g).
+    otherwise it is undone and its length halved.  Every accepted step
+    certifies a negative change, so no decision rests on a float64 tie.
+    `scale` divides the sup-norm of the raw gradient to form the scale-free
+    convergence metric.
     Each round's CG forcing follows Eisenstat and Walker's choice 2 on the
     2-norm of the projected gradient (_forcing), loose far from the solution
     and tight near it; a slide restarts the sequence at _ETA_0.  CG also
@@ -445,9 +443,8 @@ def _newton(at, x, fx, scale, opts):
             m = m_new
             cells = min(2.0 * cells, 0.5)
         x = x_new
-        fx = fx + delta
-        if opts.iterate_hook is not None:
-            opts.iterate_hook(x, fx, m.g)
+        if on_step is not None:
+            on_step(x, m.g)
 
 
 def _covariant_translations(lin: LocalModel, x: np.ndarray):
@@ -464,7 +461,7 @@ def _covariant_translations(lin: LocalModel, x: np.ndarray):
     """
     geom = lin.b.geom
     n, h = geom.dim, geom.spacings
-    F = curvature(lin.A, lin.b).values
+    F = lin.F.values
     floor = sqrt(_EPS_MACH) * (_norm(x) + 1.0)
     rows, basis = [], []
     for k, (_, fwd) in enumerate(lin.links):
@@ -508,7 +505,8 @@ def minimize(
     Never raises for lack of convergence.  It returns the last accepted
     iterate, which has the lowest energy, with converged=False and
     stop_reason "budget" when max_iter runs out, or "stalled" when no
-    certified energy decrease is left.
+    certified energy decrease is left.  It evaluates g_energy only for the
+    result and for the log_every lines.
     """
     opts = opts or MinimizeOptions()
     geom = b.geom
@@ -549,14 +547,11 @@ def minimize(
 
     steps = 0
 
-    def step_hook(x, fx, g):
-        """Runs after every accepted step: the caller's hook, then the
-        log_every record."""
+    def report(x, g):
+        """Runs after every accepted step: prints every log_every-th."""
         nonlocal steps
-        if opts.iterate_hook is not None:
-            opts.iterate_hook(x, fx, g)
         steps += 1
-        if opts.log_every and steps % opts.log_every == 0:
+        if steps % opts.log_every == 0:
             e = g_energy(*_unpack(x, geom), b, eps)
             print(
                 f"iteration {steps} kinetic {e.kinetic:.17g} "
@@ -565,8 +560,7 @@ def minimize(
             )
 
     x, gnorm, iters, reason = _newton(
-        at, _flat(u0.values, A0), g_energy(u0, A0, b, eps).total, w,
-        replace(opts, iterate_hook=step_hook),
+        at, _flat(u0.values, A0), w, opts, report if opts.log_every else None
     )
 
     u_fin, A_fin = _unpack(x, geom)
@@ -601,11 +595,10 @@ def relax_connection(
     volume; at convergence B satisfies the discrete London equation.
     Runs the same Newton loop as `minimize` (see _newton), without the gauge
     term or the slide, and decides on term-by-term changes only, so it
-    evaluates no energy; a caller's iterate_hook sees the summed change from
-    the start.  Returns (B, stop reason), B the last accepted iterate; like
-    `minimize` it never raises for lack of convergence, and the reason is
-    "converged", "budget" or "stalled".  It prints nothing: opts goes to
-    _newton as given, so log_every has no effect here.
+    evaluates no energy.  Returns (B, stop reason), B the last accepted
+    iterate; like `minimize` it never raises for lack of convergence, and
+    the reason is "converged", "budget" or "stalled".  It prints nothing:
+    log_every has no effect here.
     """
     opts = opts or MinimizeOptions()
     geom = b.geom
@@ -636,7 +629,7 @@ def relax_connection(
             plain,
         )
 
-    x, _, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 0.0, 2.0 * w, opts)
+    x, _, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 2.0 * w, opts)
     return A + codiff(x), reason
 
 
@@ -877,11 +870,12 @@ def _quarter_rule_geometry(base: TorusGeometry, eps: float) -> TorusGeometry:
     return TorusGeometry(sites, base.lengths)
 
 
-def check_sweep(geom: TorusGeometry, eps_list, mesh_rule: str) -> None:
+def check_sweep(geom: TorusGeometry | None, eps_list, mesh_rule: str) -> None:
     """Raise ValueError unless eps_list is a non-empty, strictly decreasing
-    list in (0, 1) and mesh_rule is "fixed" or "quarter"; "fixed" keeps one
-    lattice, so its spacing h must satisfy h <= eps/2 for every entry;
-    "quarter" needs each level's site counts to divide the next level's."""
+    list in (0, 1), mesh_rule is "fixed" or "quarter" and, geom given, its
+    lattice fits the rule: "fixed" keeps one lattice, so its spacing h must
+    satisfy h <= eps/2 for every entry; "quarter" needs each level's site
+    counts to divide the next level's."""
     if not eps_list:
         raise ValueError("at least one epsilon required")
     for e in eps_list:
@@ -892,6 +886,8 @@ def check_sweep(geom: TorusGeometry, eps_list, mesh_rule: str) -> None:
         raise ValueError("epsilon list must be strictly decreasing")
     if mesh_rule not in ("fixed", "quarter"):
         raise ValueError(f"mesh_rule must be fixed or quarter, got {mesh_rule!r}")
+    if geom is None:
+        return
     h, smallest = max(geom.spacings), eps_list[-1]
     if mesh_rule == "fixed" and h > smallest / 2.0 + 1e-15:
         raise ValueError(f"mesh_rule fixed needs h <= epsilon/2 (h = {h!r}, epsilon = {smallest!r})")

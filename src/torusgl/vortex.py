@@ -186,7 +186,7 @@ def london_residual(u: Section, A: Cochain, b: BundleData) -> float:
     Exactly zero at discrete critical points, where d*F = j and dF = 0.
     """
     F = curvature(A, b)
-    defect = -1.0 * laplacian(F) + F - 2.0 * jacobian(u, A, b)
+    defect = -1.0 * laplacian(F) + F - (exterior_derivative(supercurrent(u, A, b)) + F)
     return norm(defect) / (1.0 + norm(F))
 
 

@@ -32,6 +32,15 @@ def test_background_validation():
         tg.build_background(g, [[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         tg.build_background(g, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="section shape"):
+        tg.Section(g, np.zeros((6, 5)))
+    # the links need a degree-1 A and a section, both on the bundle's lattice
+    b, other = tg.build_background(g, [[0, 1], [-1, 0]]), tg.TorusGeometry((8, 6), (1.0, 1.0))
+    u, A = constant_section(g), zero_cochain(g, 1)
+    for args in ((u, zero_cochain(g, 2), b), (u, zero_cochain(other, 1), b),
+                 (constant_section(other), A, b)):
+        with pytest.raises(ValueError, match="geometry"):
+            tg.covariant_difference(*args)
 
 
 def test_flux_per_plaquette_t2():

@@ -94,22 +94,58 @@ def test_config_validation_messages():
         parse_config(base.replace("sites = 12 12", "sites = 12 x"))
     with pytest.raises(ConfigError, match=r"unknown \[optimizer\] key truncate_each"):
         parse_config(base.replace("tol = 1e-8", "tol = 1e-8\ntruncate_each = true"))
-    # h = 1.5/8 > 0.125/2 on one fixed lattice; under the quarter rule the
-    # lattices nest (16 -> 32, 24 -> 48 sites)
-    bad = (
-        base.replace("epsilons = 0.3 0.25", "epsilons = 0.25 0.125")
-        .replace("sites = 12 12", "sites = 8 8 8")
-        .replace("dim = 2", "dim = 3")
-        .replace("lengths = 1 1", "lengths = 1 1 1.5")
-        .replace("seed = 7", "seed = 7\nmesh_rule = fixed")
-        .split("[ansatz]")[0]
-    )
-    with pytest.raises(ConfigError, match="epsilon/2"):
-        parse_config(bad)
-    parse_config(bad.replace("mesh_rule = fixed", "mesh_rule = quarter"))
-    # 14 -> 16 sites per axis: the warm start cannot be refined
-    with pytest.raises(ConfigError, match="integer multiples"):
-        parse_config(quarter)
+    for old, new, message in [
+        ("[geometry]", "dim = 2\n[geometry]", "expected 'key = value'"),
+        ("tol = 1e-8", "tol 1e-8", "expected 'key = value'"),
+        ("dim = 2\n", "", r"missing \[geometry\] dim"),
+        ("chern_01 = 1", "flux_01 = 1", r"unknown \[bundle\] key flux_01"),
+        ("chern_01 = 1", "chern_10 = 1", "0 <= i < j < dim"),
+        ("chern_01 = 1", "chern_02 = 1", "0 <= i < j < dim"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(base.replace(old, new))
+    # the lattice rules of mesh_rule bind the sweep command only
+    parse_config(quarter)
+    parse_config(FIXED_RULE_VIOLATION.format(out="x"))
+
+
+# h = 1.5/8 > 0.125/2 on one fixed lattice; under the quarter rule the
+# lattices nest (16 -> 32, 24 -> 48 sites)
+FIXED_RULE_VIOLATION = (
+    T2_CONFIG.replace("epsilons = 0.3 0.25", "epsilons = 0.25 0.125")
+    .replace("sites = 12 12", "sites = 8 8 8")
+    .replace("dim = 2", "dim = 3")
+    .replace("lengths = 1 1", "lengths = 1 1 1.5")
+    .replace("seed = 7", "seed = 7\nmesh_rule = fixed")
+    .split("[ansatz]")[0]
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (FIXED_RULE_VIOLATION, "epsilon/2"),
+        # 14 -> 16 sites per axis: the warm start cannot be refined
+        (T2_CONFIG.replace("seed = 7", "seed = 7\nmesh_rule = quarter"), "integer multiples"),
+        (T2_CONFIG.replace("epsilons = 0.3 0.25", "epsilons = 0.3"), ">= 2 epsilon"),
+    ],
+    ids=["fixed", "quarter", "one-epsilon"],
+)
+def test_sweep_config_errors(tmp_path, capsys, text, message):
+    """A config the sweep alone refuses (a lattice that breaks its
+    mesh_rule, or a single epsilon) ends `sweep` with exit 1 and one config
+    error line before any solve writes output, and passes for `minimize`,
+    which solves on the given lattice at the first epsilon."""
+    out = tmp_path / "rules"
+    path = write_config(tmp_path, text=text, out=out)
+    assert main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+    path = write_config(tmp_path, text=text.replace("max_iter = 40000", "max_iter = 1"), out=out)
+    assert main(["minimize", "--config", str(path)]) == 2
+    assert "not converged (budget)" in capsys.readouterr().err
 
 
 def test_unknown_config_keys_and_sections_rejected(tmp_path, capsys):
@@ -169,6 +205,8 @@ def test_cmd_minimize_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "minimize: not converged (budget) after 0 iterations\n"
     # usage errors exit 1 as well, so that 2 always means "not converged"
+    assert main(["minimize"]) == 1
+    assert capsys.readouterr().err == "config error: minimize requires --config\n"
     assert main(["selftest"]) == 1
     assert main(["minimize", "--seed", "x"]) == 1
     assert "usage: torusgl" in capsys.readouterr().err
@@ -321,13 +359,12 @@ def test_minimize_independent_of_thread_count(tmp_path):
     """A T^3 12^3 line at eps 0.15, its core off the lattice's symmetry
     axes at (0.52, 0.51), reaches the slide of the Newton loop and takes 323
     evaluations, enough for threaded BLAS reductions to change the last
-    bits if they could.  mesh_rule = quarter only passes config validation:
-    minimize solves on the given lattice, and the fixed rule's h <= eps/2
-    check would refuse h = 1/12."""
+    bits if they could.  Its h = 1/12 exceeds eps/2, which binds sweeps
+    only: minimize takes it under the default mesh_rule."""
     text = (
         T3_AXIS_CONFIG.replace("sites = 8 8 10", "sites = 12 12 12")
         .replace("lengths = 1 1 1.25", "lengths = 1 1 1")
-        .replace("epsilons = 0.3 0.25", "epsilons = 0.15\nmesh_rule = quarter")
+        .replace("epsilons = 0.3 0.25", "epsilons = 0.15")
         .replace("max_iter = 40000", "max_iter = 200000")
         .replace("positions = 0.5 0.5", "positions = 0.52 0.51")
     )

@@ -182,7 +182,7 @@ def _newton_at(monkeypatch, solver, *args):
     Newton loop: its local model at a packed state."""
     seen = {}
 
-    def capture(at, x, fx, scale, opts):
+    def capture(at, x, scale, opts, on_step=None):
         seen["at"] = at
         return x, 0.0, 0, "budget"
 

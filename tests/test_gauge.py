@@ -81,6 +81,14 @@ def test_coulomb_large_gauge_exact(rng, t2_geom):
     A = tg.constant_cochain(g, 1, [2 * np.pi * 3 / g.lengths[0], 0.0])
     _, A2, _ = coulomb_fix(u, A)
     assert np.abs(A2.values).max() == 0.0
+    # A_0 = +-8 on L_0 = 2.5 (2 pi / 8) is a harmonic part of exactly +-2.5
+    # windings, a tie: the winding nearer zero goes, leaving A'_0 = +-pi/L_0
+    g = tg.TorusGeometry((16, 16), (2.5 * 2 * np.pi / 8.0, 1.0))
+    for sign in (1.0, -1.0):
+        A = tg.constant_cochain(g, 1, [sign * 8.0, 0.0])
+        _, A2, _ = coulomb_fix(random_section(g, rng), A)
+        assert np.abs(A2.values[0] - sign * np.pi / g.lengths[0]).max() <= 1e-12
+        assert np.abs(A2.values[1]).max() <= 1e-12
 
 
 def test_coulomb_postconditions(rng, t2_bundle, t3_bundle):
@@ -127,6 +135,9 @@ def test_coulomb_l2_reduction(rng, t2_geom):
     assert norm(A2) <= norm(A) + 1e-12
 
 
-def test_gauge_phase_shape_validation(t2_geom):
+def test_gauge_phase_shape_validation(t2_geom, t3_geom):
     with pytest.raises(ValueError):
         GaugePhase(t2_geom, np.zeros((3, 3)))
+    theta = GaugePhase(t2_geom, np.zeros(t2_geom.sites))
+    with pytest.raises(ValueError, match="geometry mismatch"):
+        apply_gauge(tg.constant_section(t3_geom), tg.zero_cochain(t3_geom, 1), theta)

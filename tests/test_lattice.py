@@ -121,6 +121,11 @@ def test_inner_product_basics():
 
 def test_degree_bounds():
     g = GEOMS[0]
+    for degree in (-1, g.dim + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            tg.Cochain(g, degree, np.zeros(g.shape(0)))
+    with pytest.raises(ValueError, match="values shape"):
+        tg.Cochain(g, 1, np.zeros(g.shape(0)))
     with pytest.raises(ValueError):
         exterior_derivative(random_cochain(g, g.dim, np.random.default_rng(0)))
     with pytest.raises(ValueError):

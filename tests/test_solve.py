@@ -5,11 +5,13 @@ import pytest
 
 import torusgl as tg
 from torusgl.bundle import constant_section
+from torusgl.fields import linearize
 from torusgl.lattice import codifferential, exterior_derivative, norm, zero_cochain
 from torusgl.solve import (
     AnsatzSpec,
     MinimizeOptions,
     WindingMismatchError,
+    _unpack,
     default_initial_pair,
     epsilon_sweep,
     refine_cochain,
@@ -47,19 +49,44 @@ def test_minimize_small_vortex(t2_bundle):
     assert np.abs(el.values).max() <= 100 * 1e-8
 
 
-def test_minimize_descent_is_monotone(t2_bundle):
+def _accepted_states(monkeypatch):
+    """Record the start state and every state the Newton loop accepts, read
+    through the per-step callback of solve._newton; minimize's own callback
+    (the log_every printer, or none) still runs after the record."""
+    states = []
+    newton = tg.solve._newton
+
+    def recording(at, x, scale, opts, on_step=None):
+        states.append(x)
+
+        def step(x, g):
+            states.append(x)
+            if on_step is not None:
+                on_step(x, g)
+
+        return newton(at, x, scale, opts, step)
+
+    monkeypatch.setattr(tg.solve, "_newton", recording)
+    return states
+
+
+def _assert_each_step_descends(states, b, eps):
+    """Re-check the accepted steps apart from the loop's own bookkeeping:
+    the energy change from each state to the next, summed term by term at
+    the earlier one, is negative."""
+    assert len(states) > 1, "no step accepted"
+    for prev, nxt in zip(states, states[1:]):
+        model = linearize(*_unpack(prev, b.geom), b, eps)
+        assert model.change(*_unpack(nxt - prev, b.geom)).total < 0.0
+
+
+def test_minimize_descent_is_monotone(t2_bundle, monkeypatch):
     g = t2_bundle.geom
     spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
     u, A = vortex_ansatz(spec, t2_bundle, g, 0.25)
-    energies = []
-
-    def hook(x, fx, gvec):
-        energies.append(float(fx))
-
-    opts = MinimizeOptions(tol=1e-8, max_iter=50000, iterate_hook=hook)
-    tg.minimize(u, A, t2_bundle, 0.25, opts)
-    assert energies, "hook never ran"
-    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    states = _accepted_states(monkeypatch)
+    tg.minimize(u, A, t2_bundle, 0.25, MinimizeOptions(tol=1e-8, max_iter=50000))
+    _assert_each_step_descends(states, t2_bundle, 0.25)
 
 
 def test_minimize_budget_returns_best(t2_bundle):
@@ -166,6 +193,7 @@ def test_minimize_slides_pinned_line(monkeypatch):
     the centre of T^2 32^2 (h = 0.5 eps), whose run slides once."""
     built = _count_translation_builds(monkeypatch)
     restarts = _count_forcing_restarts(monkeypatch)
+    states = _accepted_states(monkeypatch)
     cases = (  # sites, eps, core position, line axis, evaluation bound
         ((12, 12, 12), 0.15, (0.52, 0.51), 2, 330),
         ((32, 32), 0.0625, (0.31, 0.67), None, 125),
@@ -177,16 +205,11 @@ def test_minimize_slides_pinned_line(monkeypatch):
         b = tg.build_background(geom, chern)
         spec = AnsatzSpec(windings=(1,), positions=(position,), axis=axis)
         u, A = vortex_ansatz(spec, b, geom, eps)
-        energies = []
-
-        def hook(x, fx, gvec):
-            energies.append(float(fx))
-
-        opts = MinimizeOptions(tol=1e-8, max_iter=20000, iterate_hook=hook)
+        states.clear()
         restarts.clear()
-        res = tg.minimize(u, A, b, eps, opts)
+        res = tg.minimize(u, A, b, eps, MinimizeOptions(tol=1e-8, max_iter=20000))
         assert res.converged
-        assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
+        _assert_each_step_descends(states, b, eps)
         if axis is not None:
             assert single_dual_loop(vorticity(res.section, res.gauge_field, b))[0]
         assert res.london_residual <= 1e-6
@@ -226,6 +249,37 @@ def test_minimize_converged_state_builds_no_translations(monkeypatch):
     res = tg.minimize(u, A, b, 0.08, MinimizeOptions(tol=1e-8, max_iter=20000))
     assert res.converged
     assert len(built) == len(models) - 1
+
+
+def test_minimize_forms_one_curvature_per_model(monkeypatch):
+    """Under strong pinning (eps/h = 2.24), with the covariant translations
+    built, minimize forms F_A once per local model, in fields.linearize,
+    and once for the result's energy; solve forms none, and the result's
+    London residual forms its own once."""
+    from torusgl import fields, solve, vortex
+
+    geom = tg.TorusGeometry((28, 28), (1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1], [-1, 0]])
+    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b, geom, 0.08)
+    built = _count_translation_builds(monkeypatch)
+    calls = {"models": 0}
+    linearize = solve.linearize
+
+    def counted_linearize(*args):
+        calls["models"] += 1
+        return linearize(*args)
+
+    monkeypatch.setattr(solve, "linearize", counted_linearize)
+    for module in (fields, solve, vortex):
+        def counted(*args, _f=tg.bundle.curvature, _name=module.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(module, "curvature", counted, raising=False)
+    res = tg.minimize(u, A, b, 0.08, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert res.converged and built
+    assert calls["torusgl.fields"] == calls["models"] + 1
+    assert "torusgl.solve" not in calls
+    assert calls["torusgl.vortex"] == 1
 
 
 def test_minimize_stalls_below_rounding_floor(t2_bundle):
@@ -292,28 +346,21 @@ def test_truncated_state_gets_a_fresh_model(t2_bundle, monkeypatch, max_iter):
 
 
 @pytest.mark.parametrize("option", [{}, {"log_every": 2}])
-def test_minimize_hook_runs_beside_truncation_and_logging(t2_bundle, capsys, option):
-    """A caller's iterate_hook runs with and without log_every set, sees
-    energies that never increase, and log_every counts the same steps the
-    hook sees."""
+def test_minimize_log_every_counts_accepted_steps(t2_bundle, capsys, monkeypatch, option):
+    """With and without log_every set every accepted step descends, and
+    log_every counts the accepted steps: one line per log_every of them."""
     g = t2_bundle.geom
     spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
     u, A = vortex_ansatz(spec, t2_bundle, g, 0.25)
-    energies = []
-
-    def hook(x, fx, gvec):
-        energies.append(float(fx))
-
-    opts = MinimizeOptions(tol=1e-8, max_iter=50000, iterate_hook=hook, **option)
-    res = tg.minimize(u, A, t2_bundle, 0.25, opts)
+    states = _accepted_states(monkeypatch)
+    res = tg.minimize(u, A, t2_bundle, 0.25, MinimizeOptions(tol=1e-8, max_iter=50000, **option))
     assert res.converged
-    assert energies, "hook never ran"
-    assert all(e1 <= e0 for e0, e1 in zip(energies, energies[1:]))
+    _assert_each_step_descends(states, t2_bundle, 0.25)
     stream = [l for l in capsys.readouterr().out.splitlines() if l.startswith("iteration ")]
     cadence = option.get("log_every", 0)
     if cadence:
         assert stream, "no per-iteration records emitted"
-    assert len(stream) == (len(energies) // cadence if cadence else 0)
+    assert len(stream) == ((len(states) - 1) // cadence if cadence else 0)
     for n, line in enumerate(stream, start=1):
         words = line.split()
         assert words[:2] == ["iteration", str(cadence * n)]
@@ -453,6 +500,10 @@ def test_ansatz_winding_validation(t2_bundle, t3_bundle):
             t3_bundle.geom,
             0.1,
         )
+    with pytest.raises(ValueError, match="geometry must match"):
+        vortex_ansatz(
+            AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), t2_bundle, t3_bundle.geom, 0.1
+        )
 
 
 def test_ansatz_t3_line(t3_bundle):
@@ -501,6 +552,11 @@ def test_default_initial_pair(t2_bundle, t2_trivial):
     assert np.abs(np.abs(u2.values) - 1.0).max() < 0.7  # perturbed ones
     u3, _ = default_initial_pair(t2_trivial, 0.2, seed=1)
     assert np.array_equal(u2.values, u3.values)  # seeded determinism
+    # the default ansatz is straight lines along one axis: one Chern pair
+    geom = tg.TorusGeometry((8, 8, 8), (1.0, 1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])
+    with pytest.raises(WindingMismatchError, match="single nonzero Chern pair"):
+        default_initial_pair(b, 0.2, seed=1)
 
 
 # ----------------------------------------------------------------------------
@@ -519,6 +575,8 @@ def test_sweep_validation(t2_bundle):
         epsilon_sweep(None, t2_bundle, g, [0.3, 0.05], opts)
     with pytest.raises(ValueError, match="at least one"):
         epsilon_sweep(None, t2_bundle, g, [], opts)
+    with pytest.raises(ValueError, match="mesh_rule must be"):
+        epsilon_sweep(None, t2_bundle, g, [0.3, 0.2], opts, mesh_rule="halving")
 
 
 @pytest.mark.parametrize("option", [{"tol": 0.0}, {"max_iter": 0}, {"log_every": -1}])

@@ -138,6 +138,16 @@ def test_vorticity_integrality_and_pairing(rng, t2_bundle, t3_bundle, t3_aniso_b
             u2, A2 = tg.apply_gauge(u, A, theta)
             v2 = vorticity(u2, A2, b)
             assert np.array_equal(v.windings, v2.windings)
+    # link phases h A ~ 1e9 rad round away the winding's integrality
+    u = random_section(t2_bundle.geom, rng)
+    A = tg.Cochain(t2_bundle.geom, 1, 1e10 * rng.standard_normal(t2_bundle.geom.shape(1)))
+    with pytest.raises(ValueError, match="integrality residue"):
+        vorticity(u, A, t2_bundle)
+    # parallel slices that disagree carry no closed current
+    v = tg.VorticityField(t3_bundle.geom, np.zeros(t3_bundle.geom.shape(2), dtype=np.int64))
+    v.windings[0, 1, 1, 0] = 1
+    with pytest.raises(ValueError, match="slice sums"):
+        chern_pairing(v)
 
 
 def test_vorticity_flags_zeros(t2_bundle):
@@ -161,6 +171,16 @@ def test_vortex_ansatz_line_support():
     assert all(comp == 0 for comp, *_ in support)  # only (0,1)-plaquettes
     ok, length = single_dual_loop(v)
     assert ok and length == geom.sites[2]
+    # no support; two crossing lines meet a cube with four dual edges;
+    # no dual loops on T^2
+    v.windings[:] = 0
+    assert single_dual_loop(v) == (False, 0)
+    v.windings[0, 3, 3, :] = 1
+    v.windings[1, 3, :, 3] = 1
+    assert single_dual_loop(v) == (False, 2 * geom.sites[2])
+    flat = tg.TorusGeometry((8, 8), (1.0, 1.0))
+    with pytest.raises(ValueError, match="n = 3"):
+        single_dual_loop(tg.VorticityField(flat, np.zeros(flat.shape(2), dtype=np.int64)))
 
 
 def test_vortex_mass():

@@ -8,8 +8,11 @@ criterion 4, prints sha1 digests of `green`, `solve_london`, `solve_poisson`
 on its mean-free part and the three `hodge_decompose` parts.  For one seeded
 random state (u, A) and step (du, dA) on the 28^3 and 160^2 lattices it
 prints the sha1 of both parts of `linearize(...).gradient()` and each part
-of `LocalModel.change(du, dA)` as a float hex string, so a kernel rewrite
-shows directly, not only through solve trajectories.  Then, for each
+of `LocalModel.change(du, dA)` as a float hex string, then the sha1 of the
+state's `supercurrent`, `jacobian`, `energy_density` and `vorticity`
+windings and the float hex of its `london_residual` and of each `g_energy`
+part, so a kernel or observable rewrite shows directly, not only through
+solve trajectories.  Then, for each
 test fixture solve (tests/conftest.py) and each case that reaches the slide
 of the Newton loop, prints the evaluation count, the stop reason, the energy
 as a float hex string and sha1 digests of the final (u, A) and of its
@@ -131,6 +134,15 @@ def main() -> None:
                          for name in ("kinetic", "potential", "curvature", "total"))
         print(f"kernel {'x'.join(map(str, sites))} gradient_u {sha1(grad_u)} "
               f"gradient_A {sha1(grad_A.values)} change {parts}", flush=True)
+        energy = tg.g_energy(u, A, b, KERNEL_EPS)
+        parts = " ".join(f"{name} {getattr(energy, name).hex()}"
+                         for name in ("kinetic", "potential", "curvature", "total"))
+        print(f"observables {'x'.join(map(str, sites))} "
+              f"supercurrent {sha1(tg.supercurrent(u, A, b).values)} "
+              f"jacobian {sha1(tg.jacobian(u, A, b).values)} "
+              f"energy_density {sha1(tg.energy_density(u, A, b, KERNEL_EPS).values)} "
+              f"windings {sha1(tg.vorticity(u, A, b).windings)} "
+              f"london_residual {tg.london_residual(u, A, b).hex()} energy {parts}", flush=True)
 
     for label, sites, eps, position in SOLVES:
         geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
