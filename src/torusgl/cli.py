@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bundle import build_background, curvature
-from .fields import e_energy, energy_density, g_energy
+from .bundle import _difference, _transported, build_background, curvature
+from .fields import _energy_and_density
 from .lattice import TorusGeometry, components, write_field
 from .solve import (
     AnsatzSpec,
@@ -34,7 +34,7 @@ from .solve import (
     epsilon_sweep,
     minimize,
 )
-from .vortex import chern_pairing, sparse_windings, vortex_mass, vorticity
+from .vortex import _increments, _vorticity, chern_pairing, sparse_windings, vortex_mass
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "main"]
 
@@ -208,17 +208,29 @@ def _bundle(cfg: RunConfig):
 
 
 def _write_fields(outdir, b, u, A, eps):
+    """Dump u, A, F_A, the energy density mu and the vorticity of one state,
+    whose links and F_A are formed once; returns the vorticity and the
+    g_energy breakdown."""
     geom = b.geom
+    F = curvature(A, b)
+    fwds = tuple(_transported(u, A, b))
+    delta, D = _increments(u, fwds), _difference(u, fwds)
+    # each array is dropped once read, so the peak memory stays that of one
+    # observable at a time
+    del fwds
+    v = _vorticity(u, delta, F)
+    del delta
+    energy, mu = _energy_and_density(D, u, F, eps)
+    del D
     os.makedirs(outdir, exist_ok=True)
     write_field(os.path.join(outdir, "u.field"), geom, 0, np.stack([u.values.real, u.values.imag]))
     write_field(os.path.join(outdir, "A.field"), geom, 1, A.values)
-    write_field(os.path.join(outdir, "F.field"), geom, 2, curvature(A, b).values)
-    write_field(os.path.join(outdir, "mu.field"), geom, 0, energy_density(u, A, b, eps).values)
-    v = vorticity(u, A, b)
+    write_field(os.path.join(outdir, "F.field"), geom, 2, F.values)
+    write_field(os.path.join(outdir, "mu.field"), geom, 0, mu.values)
     with open(os.path.join(outdir, "vorticity.txt"), "w") as fh:
         for row in sparse_windings(v):
             fh.write(" ".join(str(t) for t in row) + "\n")
-    return v
+    return v, energy
 
 
 def _write_record(path, lines) -> None:
@@ -239,7 +251,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
     u0, A0 = default_initial_pair(b, eps, cfg.seed, cfg.ansatz)
     res = minimize(u0, A0, b, eps, cfg.optimizer)
 
-    v = _write_fields(cfg.out, b, res.section, res.gauge_field, eps)
+    v, _ = _write_fields(cfg.out, b, res.section, res.gauge_field, eps)
     rec = {
         "converged": res.converged,
         "iterations": res.iterations,
@@ -295,9 +307,11 @@ def cmd_ansatz(cfg: RunConfig) -> int:
     eps = cfg.epsilons[0]
     u, A = default_initial_pair(b, eps, cfg.seed, cfg.ansatz)
 
-    v = _write_fields(cfg.out, b, u, A, eps)
-    lines = [f"{k} = {_fmt(val)}" for k, val in asdict(g_energy(u, A, b, eps)).items()]
-    lines.append(f"e_energy_total = {_fmt(e_energy(u, b, eps).total)}")
+    v, energy = _write_fields(cfg.out, b, u, A, eps)
+    lines = [f"{k} = {_fmt(val)}" for k, val in asdict(energy).items()]
+    # A is the zero cochain (see default_initial_pair), so e_energy's total is
+    # kinetic + potential of the g_energy breakdown
+    lines.append(f"e_energy_total = {_fmt(energy.kinetic + energy.potential)}")
     lines.append(f"total_winding = {int(v.windings.sum())}")
     _write_record(os.path.join(cfg.out, "ansatz.txt"), lines)
     return 0

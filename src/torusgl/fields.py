@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import BundleData, Section, covariant_difference, curvature, link_transport
+from .bundle import (
+    BundleData,
+    Section,
+    _current,
+    covariant_difference,
+    curvature,
+    link_transport,
+)
 from .lattice import Cochain, _roll_into, codifferential, components, exterior_derivative, zero_cochain
 
 __all__ = [
@@ -58,22 +65,37 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _densities(u: Section, A: Cochain, b: BundleData):
-    """|D_A u|^2 per edge, (1 - |u|^2)^2 per vertex and |F_A|^2 per
-    plaquette; the energies weight their sums by the cell volume."""
-    kin = _abs2(covariant_difference(u, A, b))
-    return kin, (1.0 - _abs2(u.values)) ** 2, curvature(A, b).values ** 2
+def _densities(kin: np.ndarray, u: Section, F: Cochain):
+    """kin, which is |D_A u|^2 per edge, (1 - |u|^2)^2 per vertex and |F_A|^2
+    per plaquette of the curvature F; the energies weight their sums by the
+    cell volume."""
+    return kin, (1.0 - _abs2(u.values)) ** 2, F.values ** 2
+
+
+def _state_densities(u: Section, A: Cochain, b: BundleData):
+    # F_A is formed after |D_A u|^2, so it is not held at that step's peak memory
+    return _densities(_abs2(covariant_difference(u, A, b)), u, curvature(A, b))
+
+
+def _energy(densities, w: float, eps: float) -> EnergyBreakdown:
+    kin, pot, curv = (np.sum(d) for d in densities)
+    kin = 0.5 * w * float(kin)
+    pot = w * float(pot) / (4.0 * eps * eps)
+    curv = 0.5 * w * float(curv)
+    return EnergyBreakdown(kin, pot, curv, kin + pot + curv, eps)
+
+
+def _energy_and_density(D: np.ndarray, u: Section, F: Cochain, eps: float):
+    """g_energy and energy_density of the state whose covariant difference D
+    and curvature F are given."""
+    densities = _densities(_abs2(D), u, F)
+    return _energy(densities, u.geom.cell_volume, _check_epsilon(eps)), _mu(densities, u.geom, eps)
 
 
 def g_energy(u: Section, A: Cochain, b: BundleData, eps: float) -> EnergyBreakdown:
     """Full gauged energy; exactly gauge invariant by construction."""
     eps = _check_epsilon(eps)
-    w = b.geom.cell_volume
-    kin, pot, curv = (np.sum(d) for d in _densities(u, A, b))
-    kin = 0.5 * w * float(kin)
-    pot = w * float(pot) / (4.0 * eps * eps)
-    curv = 0.5 * w * float(curv)
-    return EnergyBreakdown(kin, pot, curv, kin + pot + curv, eps)
+    return _energy(_state_densities(u, A, b), b.geom.cell_volume, eps)
 
 
 def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float):
@@ -83,7 +105,7 @@ def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float):
     """
     eps = _check_epsilon(eps)
     w = b.geom.cell_volume
-    kin, pot, curv = (np.sum(d, dtype=np.longdouble) for d in _densities(u, A, b))
+    kin, pot, curv = (np.sum(d, dtype=np.longdouble) for d in _state_densities(u, A, b))
     return 0.5 * w * kin + w * pot / (4.0 * eps * eps) + 0.5 * w * curv
 
 
@@ -103,17 +125,15 @@ class LocalModel:
     and the products' four complex scratch arrays, so a model used for its
     gradient alone holds nothing more."""
 
-    def __init__(self, u: Section, A: Cochain, b: BundleData, eps: float, links: tuple, F: Cochain):
-        self.u, self.A, self.b, self.eps, self.links, self.F = u, A, b, eps, links, F
+    def __init__(self, u: Section, b: BundleData, eps: float, links: tuple, F: Cochain):
+        self.u, self.b, self.eps, self.links, self.F = u, b, eps, links, F
         self.w, self.h = b.geom.cell_volume, b.geom.spacings
         self._factors = None
 
     def field_equation(self) -> Cochain:
         """d*F_A - j(u, A), the residual of the second Ginzburg-Landau
         equation; j is vortex.supercurrent."""
-        current = np.empty(self.b.geom.shape(1))
-        for i, (_, fwd) in enumerate(self.links):
-            current[i] = np.imag(np.conj(self.u.values) * fwd) / self.h[i]
+        current = _current(self.u, (fwd for _, fwd in self.links))
         return codifferential(self.F) - Cochain(self.b.geom, 1, current)
 
     def gradient(self):
@@ -203,7 +223,7 @@ class LocalModel:
 
 def linearize(u: Section, A: Cochain, b: BundleData, eps: float) -> LocalModel:
     """The local model of g_energy at (u, A), its links and F_A formed here, once."""
-    return LocalModel(u, A, b, _check_epsilon(eps), tuple(link_transport(u, A, b)), curvature(A, b))
+    return LocalModel(u, b, _check_epsilon(eps), tuple(link_transport(u, A, b)), curvature(A, b))
 
 
 def g_gradient(u: Section, A: Cochain, b: BundleData, eps: float):
@@ -229,11 +249,14 @@ def energy_density(u: Section, A: Cochain, b: BundleData, eps: float) -> Cochain
     Edge and plaquette contributions are split equally among their incident
     vertices, so <mu_eps, 1> equals g_energy(...).total / |log eps| exactly.
     """
+    return _mu(_state_densities(u, A, b), b.geom, eps)
+
+
+def _mu(densities, geom, eps: float) -> Cochain:
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon in (0, 1) required, got {eps}")
-    geom = b.geom
-    kin, pot, curv = _densities(u, A, b)
+    kin, pot, curv = densities
     dens = np.zeros(geom.sites)
 
     for i in range(geom.dim):

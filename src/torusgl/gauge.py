@@ -21,7 +21,7 @@ from math import floor
 
 import numpy as np
 
-from .bundle import Section
+from .bundle import Section, _cis
 from .hodge import green
 from .lattice import Cochain, TorusGeometry, codifferential, exterior_derivative
 
@@ -46,7 +46,7 @@ def apply_gauge(u: Section, A: Cochain, theta: GaugePhase) -> tuple[Section, Coc
     """(u, A) -> (e^{i theta} u, A + d theta)."""
     if u.geom != theta.geom or A.geom != theta.geom:
         raise ValueError("geometry mismatch between fields and gauge phase")
-    u2 = Section(u.geom, u.values * np.exp(1j * theta.theta))
+    u2 = Section(u.geom, u.values * _cis(theta.theta, 1))
     dtheta = exterior_derivative(Cochain(theta.geom, 0, theta.theta[np.newaxis]))
     return u2, A + dtheta
 
@@ -80,13 +80,16 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     xi = A1.values.mean(axis=axes)
     vals = A1.values.copy()
     winding = np.zeros(geom.sites)
+    wound = False
     for i in range(geom.dim):
         L = geom.lengths[i]
         m = _nearest_int_ties_to_zero(float(xi[i]) * L / (2.0 * np.pi))
         if m == 0:
             continue
+        wound = True
         vals[i] -= 2.0 * np.pi * m / L
         winding = winding - (2.0 * np.pi * m / L) * geom.coordinates(i)
-    u2 = Section(geom, u1.values * np.exp(1j * winding))
+    # with every winding zero the rotation would multiply u by exp(0j)
+    u2 = Section(geom, u1.values * _cis(winding, 1)) if wound else u1
     A2 = Cochain(geom, 1, vals)
     return u2, A2, GaugePhase(geom, -phi + winding)

@@ -273,7 +273,8 @@ def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
 def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> None:
     """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits), formatting each
     distinct bit pattern of a row once when at most half its values are distinct; raises
-    ValueError unless its site axes are geom.sites."""
+    ValueError unless its site axes are geom.sites.  The distinct patterns are taken from the
+    heads of the row's runs of equal patterns, since every distinct one heads some run."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape[1:] != geom.sites:
         raise ValueError(
@@ -289,10 +290,14 @@ def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> N
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in values.reshape(ncomp, -1):
-            bits, where = np.unique(row.view(np.int64), return_inverse=True)  # as bits: -0.0 != 0.0
+            pattern = row.view(np.int64)  # as bits: -0.0 != 0.0
+            head = np.empty(row.size, dtype=bool)
+            head[0] = True
+            np.not_equal(pattern[1:], pattern[:-1], out=head[1:])
+            bits, where = np.unique(pattern[head], return_inverse=True)
             if 2 * bits.size <= row.size:
                 words = np.array(["%.17g" % x for x in bits.view(np.float64)], dtype=object)
-                fh.write(" ".join(words[where].tolist()) + "\n")
+                fh.write(" ".join(words[where[np.cumsum(head) - 1]].tolist()) + "\n")
             else:
                 np.savetxt(fh, row[None], fmt="%.17g")
 

@@ -51,7 +51,7 @@ from math import isfinite, log, pi, sqrt
 
 import numpy as np
 
-from .bundle import BundleData, Section, build_background, link_phase
+from .bundle import BundleData, Section, _cis, build_background, link_phase
 from .fields import (
     EnergyBreakdown,
     LocalModel,
@@ -738,7 +738,7 @@ def vortex_ansatz(
         dist = np.minimum(dist, np.sqrt(d2))
 
     modulus = np.minimum(dist / eps, 1.0)
-    u = Section(geom, modulus * np.exp(1j * chi))
+    u = Section(geom, modulus * _cis(chi, 1))
     return u, zero_cochain(geom, 1)
 
 
@@ -823,9 +823,9 @@ def _refine(
                 step = phases[axis][grid]
                 total = np.zeros(vals.shape)
                 for r in range(factor):
-                    turns[r] = np.exp(1j * total)
+                    turns[r] = _cis(total, 1)
                     total = total + step.take(np.arange(r, fine.sites[axis], factor), axis=axis)
-                nxt = nxt * np.exp(-1j * total)
+                nxt = nxt * _cis(total, -1)
             pieces = [
                 ((1.0 - r / factor) * vals + (r / factor) * nxt) * turns[r] for r in range(factor)
             ]

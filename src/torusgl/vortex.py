@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from . import hodge
-from .bundle import BundleData, Section, curvature, link_transport
+from .bundle import BundleData, Section, _current, _transported, curvature
 from .lattice import (
     Cochain,
     TorusGeometry,
@@ -78,11 +78,7 @@ def supercurrent(u: Section, A: Cochain, b: BundleData) -> Cochain:
     Exactly gauge invariant; equals minus the gauge-field derivative of the
     kinetic energy density, so critical points satisfy d*F = j.
     """
-    h = b.geom.spacings
-    vals = np.empty((b.geom.dim, *b.geom.sites))
-    for i, (_, fwd) in enumerate(link_transport(u, A, b)):
-        vals[i] = np.imag(np.conj(u.values) * fwd) / h[i]
-    return Cochain(b.geom, 1, vals)
+    return Cochain(b.geom, 1, _current(u, _transported(u, A, b)))
 
 
 def jacobian(u: Section, A: Cochain, b: BundleData) -> Cochain:
@@ -100,16 +96,28 @@ def vorticity(u: Section, A: Cochain, b: BundleData) -> VorticityField:
     2-tori reproduce the Chern numbers exactly.  The wrapped increment is
     angle(conj(u(x)) u(x + e_i) U_e), U_e the link variable.
     """
-    geom = b.geom
+    # the links are formed and dropped before F_A is formed
+    return _vorticity(u, _increments(u, _transported(u, A, b)), curvature(A, b))
+
+
+def _increments(u: Section, fwds) -> Cochain:
+    """The gauge-invariant wrapped phase increment per edge, over h, from the
+    transported neighbours of link_transport, axis by axis: the oriented sum
+    of the increments around an (i,j)-plaquette is h_i h_j d(delta)_ij."""
+    h = u.geom.spacings
+    delta = np.empty(u.geom.shape(1))
+    for i, fwd in enumerate(fwds):
+        delta[i] = np.angle(np.conj(u.values) * fwd) / h[i]
+    return Cochain(u.geom, 1, delta)
+
+
+def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
+    """vorticity from the increments delta (see _increments) and the
+    curvature F."""
+    geom = u.geom
     h = geom.spacings
     zero_sites = (np.abs(u.values) == 0.0)
-    # gauge-invariant wrapped phase increment per edge, over h: the oriented
-    # sum of the increments around an (i,j)-plaquette is h_i h_j d(delta)_ij
-    delta = np.empty(geom.shape(1))
-    for i, (_, fwd) in enumerate(link_transport(u, A, b)):
-        delta[i] = np.angle(np.conj(u.values) * fwd) / h[i]
-
-    circ = exterior_derivative(Cochain(geom, 1, delta)) + curvature(A, b)
+    circ = exterior_derivative(delta) + F
     raw = np.empty(geom.shape(2))
     flagged = []
     for pos, (i, j) in enumerate(components(geom.dim, 2)):

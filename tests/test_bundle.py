@@ -1,5 +1,7 @@
 """Bundle background construction, covariant difference, curvature."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,61 @@ def test_link_matches_complex_exponential(sites):
         assert np.abs(np.abs(link) - 1.0).max() <= 2.0**-52
         ref_D = (np.roll(u.values, -1, axis=i) * ref - u.values) / g.spacings[i]
         assert np.abs(D[i] - ref_D).max() <= 1e-15 * np.abs(ref_D).max()
+
+
+@pytest.mark.parametrize("n", [2 * tg.bundle._SLAB_ENTRIES - 1, 3 * tg.bundle._SLAB_ENTRIES + 17])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cis_split_inline_and_exp_agree(monkeypatch, n, sign):
+    """_cis inline, split into 2 or 3 slabs (also below the cutoff, with a
+    smaller slab size) and np.exp(sign * 1j * x) agree bit for bit, at
+    signed zeros and phases up to +-1e6 included."""
+    from torusgl import bundle
+
+    x = np.random.default_rng(n).uniform(-40.0, 40.0, n)
+    x[:6] = [0.0, -0.0, np.pi, -np.pi, 1e6, -1e6]
+    ref = np.exp(sign * 1j * x).tobytes()
+    for cpus, slab in ((1, bundle._SLAB_ENTRIES), (2, bundle._SLAB_ENTRIES), (3, n // 4)):
+        monkeypatch.setattr(bundle, "_cpus", lambda: cpus)
+        monkeypatch.setattr(bundle, "_SLAB_ENTRIES", slab)
+        assert bundle._cis(x, sign).tobytes() == ref, (cpus, slab)
+
+
+_FORK_SCRIPT = """
+import os, sys
+import numpy as np
+import torusgl as tg
+from torusgl import bundle
+
+bundle._cpus = lambda: 2
+x = np.random.default_rng(0).uniform(-40.0, 40.0, 2 * bundle._SLAB_ENTRIES)
+ref = bundle._cis(x, -1).tobytes()
+assert bundle._pool is not None
+pid = os.fork()
+if pid == 0:
+    geom = tg.TorusGeometry((64, 64, 64), (1.0, 1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    u = bundle.constant_section(geom, 1.0)
+    links = [link for link, _ in bundle.link_transport(u, tg.zero_cochain(geom, 1), b)]
+    sys.exit(0 if len(links) == 3 and bundle._cis(x, -1).tobytes() == ref else 3)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_forms_links_after_parent_used_the_pool():
+    """A child forked after its parent split phase factors over the pool
+    forms 64^3 links through a pool of its own and exits; the inherited
+    executor has no worker threads, and reusing it would hang."""
+    import signal
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen([sys.executable, "-c", _FORK_SCRIPT], start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the forked child did not finish within 60 s")
+    assert proc.returncode == 0, err.decode()

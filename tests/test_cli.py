@@ -376,3 +376,71 @@ def test_minimize_independent_of_thread_count(tmp_path):
     record = dict(line.split(" = ") for line in summaries[0].decode().splitlines())
     assert int(record["iterations"]) >= 200, "the solve no longer runs long enough to test this"
     assert summaries[0] == summaries[1]
+
+
+def test_ansatz_forms_links_and_curvature_once(tmp_path, capsys, monkeypatch):
+    """torusgl ansatz forms its state's links once and F_A once, counted at
+    every torusgl binding of link_transport and curvature, and its record
+    still prints g_energy's parts and e_energy's total byte for byte."""
+    import torusgl as tg
+    from torusgl import bundle, cli, fields, gauge, solve, vortex
+    from torusgl.solve import default_initial_pair
+
+    calls = {}
+    for name in ("link_transport", "curvature"):
+        original = getattr(bundle, name)
+
+        def counted(*args, _f=original, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+
+        for module in (bundle, cli, fields, gauge, solve, vortex):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "anz"
+    assert main(["ansatz", "--config", str(write_config(tmp_path, out=out))]) == 0
+    capsys.readouterr()
+    assert calls == {"link_transport": 1, "curvature": 1}
+
+    monkeypatch.undo()
+    cfg = parse_config(write_config(tmp_path, out=out).read_text())
+    b = cli._bundle(cfg)
+    eps = cfg.epsilons[0]
+    u, A = default_initial_pair(b, eps, cfg.seed, cfg.ansatz)
+    energy = tg.g_energy(u, A, b, eps)
+    record = dict(line.split(" = ") for line in (out / "ansatz.txt").read_text().splitlines())
+    for name in ("kinetic", "potential", "curvature", "total", "epsilon"):
+        assert record[name] == cli._fmt(getattr(energy, name))
+    assert record["e_energy_total"] == cli._fmt(tg.e_energy(u, b, eps).total)
+
+
+_AFFINITY_SCRIPT = """
+import os, sys, threading
+from torusgl import cli
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert cli.main(["ansatz", "--config", sys.argv[2]]) == 0
+print("cis threads", sum(t.name.startswith("torusgl-cis") for t in threading.enumerate()))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 CPUs and sched_setaffinity")
+def test_ansatz_bytes_independent_of_cpu_count(tmp_path):
+    """On 192^2, above 2 * bundle._SLAB_ENTRIES, a child pinned to one CPU forms
+    every phase factor inline and one with 2 CPUs splits them over worker
+    threads; both write the same bytes."""
+    text = T2_CONFIG.replace("sites = 12 12", "sites = 192 192").replace(
+        "epsilons = 0.3 0.25", "epsilons = 0.1")
+    files = {}
+    for cpus, threads in (("1", 0), ("2", 1)):
+        out = tmp_path / f"cpus{cpus}"
+        path = write_config(tmp_path, text, out=out)
+        proc = subprocess.run([sys.executable, "-c", _AFFINITY_SCRIPT, cpus, str(path)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"cis threads {threads}"
+        files[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(files["1"]) == ["A.field", "F.field", "ansatz.txt", "mu.field", "u.field",
+                                  "vorticity.txt"]
+    assert files["1"] == files["2"]

@@ -12,7 +12,12 @@ of `LocalModel.change(du, dA)` as a float hex string, then the sha1 of the
 state's `supercurrent`, `jacobian`, `energy_density` and `vorticity`
 windings and the float hex of its `london_residual` and of each `g_energy`
 part, so a kernel or observable rewrite shows directly, not only through
-solve trajectories.  Then, for each
+solve trajectories.  The same observables follow for a seeded random state
+on the 256^2 and 40^3 lattices, whose phase factors `bundle._cis` splits
+over the CPUs, with the sha1 of that state after `apply_gauge` by a seeded
+random phase and after `coulomb_fix`, once as it is and once with a
+winding added to each mean of A, which `coulomb_fix` must then remove.
+Then, for each
 test fixture solve (tests/conftest.py) and each case that reaches the slide
 of the Newton loop, prints the evaluation count, the stop reason, the energy
 as a float hex string and sha1 digests of the final (u, A) and of its
@@ -53,6 +58,11 @@ HODGE_SEED = 104
 KERNEL_SITES = ((28, 28, 28), (160, 160))
 KERNEL_SEED = 22
 KERNEL_EPS = 0.1
+
+# lattices with at least 2 * bundle._SLAB_ENTRIES entries per axis, and the
+# seed of their states and gauge phases
+SPLIT_SITES = ((256, 256), (40, 40, 40))
+SPLIT_SEED = 24
 
 # (label, sites, eps, core position): the single solves.  min_t2_64 and
 # min_t3_28 are the conftest fixtures; the other three reach the slide.
@@ -101,6 +111,23 @@ def line(label: str, res, b) -> str:
             f"windings {sha1(windings)}")
 
 
+def bundle_for(sites):
+    geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+    return tg.build_background(geom, CHERN_T2 if len(sites) == 2 else CHERN_T3)
+
+
+def observables(u, A, b) -> str:
+    energy = tg.g_energy(u, A, b, KERNEL_EPS)
+    parts = " ".join(f"{name} {getattr(energy, name).hex()}"
+                     for name in ("kinetic", "potential", "curvature", "total"))
+    return (f"observables {'x'.join(map(str, b.geom.sites))} "
+            f"supercurrent {sha1(tg.supercurrent(u, A, b).values)} "
+            f"jacobian {sha1(tg.jacobian(u, A, b).values)} "
+            f"energy_density {sha1(tg.energy_density(u, A, b, KERNEL_EPS).values)} "
+            f"windings {sha1(tg.vorticity(u, A, b).windings)} "
+            f"london_residual {tg.london_residual(u, A, b).hex()} energy {parts}")
+
+
 def main() -> None:
     rng = np.random.default_rng(HODGE_SEED)
     for sites in HODGE_SITES:
@@ -122,8 +149,8 @@ def main() -> None:
 
     rng = np.random.default_rng(KERNEL_SEED)
     for sites in KERNEL_SITES:
-        geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
-        b = tg.build_background(geom, CHERN_T2 if len(sites) == 2 else CHERN_T3)
+        b = bundle_for(sites)
+        geom = b.geom
         u, du = (tg.Section(geom, rng.standard_normal(sites) + 1j * rng.standard_normal(sites))
                  for _ in range(2))
         A, dA = (tg.random_cochain(geom, 1, rng) for _ in range(2))
@@ -134,15 +161,23 @@ def main() -> None:
                          for name in ("kinetic", "potential", "curvature", "total"))
         print(f"kernel {'x'.join(map(str, sites))} gradient_u {sha1(grad_u)} "
               f"gradient_A {sha1(grad_A.values)} change {parts}", flush=True)
-        energy = tg.g_energy(u, A, b, KERNEL_EPS)
-        parts = " ".join(f"{name} {getattr(energy, name).hex()}"
-                         for name in ("kinetic", "potential", "curvature", "total"))
-        print(f"observables {'x'.join(map(str, sites))} "
-              f"supercurrent {sha1(tg.supercurrent(u, A, b).values)} "
-              f"jacobian {sha1(tg.jacobian(u, A, b).values)} "
-              f"energy_density {sha1(tg.energy_density(u, A, b, KERNEL_EPS).values)} "
-              f"windings {sha1(tg.vorticity(u, A, b).windings)} "
-              f"london_residual {tg.london_residual(u, A, b).hex()} energy {parts}", flush=True)
+        print(observables(u, A, b), flush=True)
+
+    rng = np.random.default_rng(SPLIT_SEED)
+    for sites in SPLIT_SITES:
+        b = bundle_for(sites)
+        geom = b.geom
+        u = tg.Section(geom, rng.standard_normal(sites) + 1j * rng.standard_normal(sites))
+        A = tg.random_cochain(geom, 1, rng)
+        print(observables(u, A, b), flush=True)
+        theta = tg.GaugePhase(geom, rng.uniform(-np.pi, np.pi, sites))
+        u2, A2 = tg.apply_gauge(u, A, theta)
+        wound = tg.Cochain(geom, 1, [a + 2.0 * np.pi * (k + 1) / L
+                                     for k, (a, L) in enumerate(zip(A2.values, geom.lengths))])
+        fixed = [tg.coulomb_fix(u2, a) for a in (A2, wound)]
+        print(f"gauge {'x'.join(map(str, sites))} apply_gauge {sha1(u2.values, A2.values)} "
+              + " ".join(f"coulomb_fix{tag} {sha1(u3.values, A3.values, phase.theta)}"
+                         for tag, (u3, A3, phase) in zip(("", "_wound"), fixed)), flush=True)
 
     for label, sites, eps, position in SOLVES:
         geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
