@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Cochain, TorusGeometry, components, exterior_derivative
+from .lattice import Cochain, TorusGeometry, components, constant_cochain, exterior_derivative
 
 __all__ = [
     "Section",
@@ -110,12 +110,8 @@ def build_background(geom: TorusGeometry, chern) -> BundleData:
             seam[i] = geom.sites[i] - 1
             theta0[(i, *seam)] += -phi * geom.sites[i] * idx[j][tuple(seam)]
 
-    f0_comps = np.zeros(geom.shape(2)[0])
-    for pos, (i, j) in enumerate(components(n, 2)):
-        f0_comps[pos] = 2.0 * np.pi * chern[i, j] / (geom.lengths[i] * geom.lengths[j])
-    f0_vals = np.zeros(geom.shape(2))
-    f0_vals += f0_comps.reshape(-1, *([1] * n))
-    f0 = Cochain(geom, 2, f0_vals)
+    f0 = constant_cochain(geom, 2, [2.0 * np.pi * chern[i, j] / (geom.lengths[i] * geom.lengths[j])
+                                    for i, j in components(n, 2)])
 
     return BundleData(geom=geom, chern=chern, theta0=theta0, f0=f0)
 
@@ -126,11 +122,8 @@ def holonomy_residuals(b: BundleData) -> np.ndarray:
     h = geom.spacings
     # a plaquette's oriented boundary sum of an edge field e is h_i h_j d(e/h)_ij
     circ = exterior_derivative(Cochain(geom, 1, [t / hi for t, hi in zip(b.theta0, h)])) - b.f0
-    res = np.zeros(geom.shape(2))
-    for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        diff = h[i] * h[j] * circ.values[pos]
-        res[pos] = diff - 2.0 * np.pi * np.round(diff / (2.0 * np.pi))
-    return res
+    diff = geom.plaquette_areas * circ.values
+    return diff - 2.0 * np.pi * np.round(diff / (2.0 * np.pi))
 
 
 def link_transport(u: Section, A: Cochain, b: BundleData):
@@ -163,17 +156,6 @@ _SLAB_ENTRIES = 1 << 14
 # slabs begin at multiples of this many entries, a whole number of vector
 # blocks of every SIMD width numpy dispatches to
 _SLAB_ALIGN = 64
-_pool = None
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the executor but none of its threads
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _cpus() -> int:
@@ -195,7 +177,6 @@ def _cis(phase: np.ndarray, sign: int) -> np.ndarray:
     """cos(phase) + i sign sin(phase), sign = +1 or -1: bit for bit
     np.exp(sign * 1j * phase) for finite phases, split over the CPUs of this
     process's affinity mask from 2 * _SLAB_ENTRIES entries on."""
-    global _pool
     out = np.empty(phase.shape, dtype=np.complex128)
     flat, dest = phase.reshape(-1), out.reshape(-1)
     parts = flat.size // _SLAB_ENTRIES
@@ -204,17 +185,17 @@ def _cis(phase: np.ndarray, sign: int) -> np.ndarray:
     if parts < 2:
         _cis_into(flat, sign, dest)
         return out
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # 4-5 ms to import
+    from concurrent.futures import ThreadPoolExecutor  # 4-5 ms to import
 
-        # the calling thread takes one slab
-        _pool = ThreadPoolExecutor(max_workers=_cpus() - 1, thread_name_prefix="torusgl-cis")
     step = -(-flat.size // (parts * _SLAB_ALIGN)) * _SLAB_ALIGN
-    jobs = [_pool.submit(_cis_into, flat[k:k + step], sign, dest[k:k + step])
-            for k in range(step, flat.size, step)]
-    _cis_into(flat[:step], sign, dest[:step])
-    for job in jobs:
-        job.result()
+    # the calling thread takes one slab; the workers end with this call, so a
+    # forked child inherits none of them
+    with ThreadPoolExecutor(max_workers=parts - 1, thread_name_prefix="torusgl-cis") as pool:
+        jobs = [pool.submit(_cis_into, flat[k:k + step], sign, dest[k:k + step])
+                for k in range(step, flat.size, step)]
+        _cis_into(flat[:step], sign, dest[:step])
+        for job in jobs:
+            job.result()
     return out
 
 

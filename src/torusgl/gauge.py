@@ -7,17 +7,18 @@ vorticity, curvature) is exactly invariant by construction.
 
 Coulomb fixing removes the exact Hodge part of A by a small gauge and
 reduces each harmonic component to the fundamental interval
-[-pi/L_i, pi/L_i) by winding phases.  On the lattice a winding phase is a
-sawtooth vertex field whose differential is NOT the constant -2 pi m/L_i
-(it spikes at the wrap seam); the pair transformation used here rotates u by
-the sawtooth while shifting A by the constant, which is still exactly
-energy-preserving because edge phases only matter modulo 2 pi.
+[-pi/L_i, pi/L_i] by winding phases, a tie removing the winding nearer
+zero.  On the lattice a winding phase is a sawtooth vertex field whose
+differential is NOT the constant -2 pi m/L_i (it spikes at the wrap seam);
+the pair transformation used here rotates u by the sawtooth while shifting
+A by the constant, which is still exactly energy-preserving because edge
+phases only matter modulo 2 pi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor
+from math import ceil, copysign
 
 import numpy as np
 
@@ -51,17 +52,6 @@ def apply_gauge(u: Section, A: Cochain, theta: GaugePhase) -> tuple[Section, Coc
     return u2, A + dtheta
 
 
-def _nearest_int_ties_to_zero(x: float) -> int:
-    lo = floor(x)
-    hi = lo + 1
-    dlo, dhi = x - lo, hi - x
-    if dlo < dhi:
-        return lo
-    if dhi < dlo:
-        return hi
-    return lo if abs(lo) < abs(hi) else hi
-
-
 def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     """Gauge-equivalent representative with d*A' ~ 0 and harmonic components
     of A' in [-pi/L_i, pi/L_i]; a tie removes the large-gauge winding nearer zero.
@@ -83,7 +73,9 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     wound = False
     for i in range(geom.dim):
         L = geom.lengths[i]
-        m = _nearest_int_ties_to_zero(float(xi[i]) * L / (2.0 * np.pi))
+        # nearest integer, ties toward zero; |x| - 0.5 is exact for |x| < 2^52
+        x = float(xi[i]) * L / (2.0 * np.pi)
+        m = int(copysign(ceil(abs(x) - 0.5), x))
         if m == 0:
             continue
         wound = True

@@ -65,6 +65,8 @@ class TorusGeometry:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(float(s).is_integer() for s in self.sites):
+            raise ValueError(f"site counts must be integers, got {self.sites}")
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         n = len(self.sites)
@@ -98,6 +100,13 @@ class TorusGeometry:
     @property
     def n_sites(self) -> int:
         return math.prod(self.sites)
+
+    @property
+    def plaquette_areas(self) -> np.ndarray:
+        """h_i h_j per (i,j) component, shaped (C(n,2), 1, ..., 1) to
+        broadcast over the values of a 2-cochain."""
+        h = self.spacings
+        return np.reshape([h[i] * h[j] for i, j in components(self.dim, 2)], (-1,) + (1,) * self.dim)
 
     def n_cells(self, k: int) -> int:
         return math.comb(self.dim, k) * self.n_sites
@@ -188,7 +197,7 @@ def _diff(arr: np.ndarray, shift: int, axis: int, h: float) -> np.ndarray:
 
 
 def exterior_derivative(c: Cochain) -> Cochain:
-    """Scaled forward-difference d: degree k -> k+1.  d(d(.)) = 0 exactly."""
+    """Scaled forward-difference d: degree k -> k+1.  d(d(.)) = 0 to rounding."""
     n, k = c.geom.dim, c.degree
     if k >= n:
         raise ValueError(f"exterior_derivative needs degree < {n}, got {k}")

@@ -674,6 +674,8 @@ class AnsatzSpec:
             raise ValueError("one winding per position required")
         if any(len(p) != 2 or not all(map(isfinite, p)) for p in self.positions):
             raise ValueError(f"need two finite coordinates per position, got {self.positions}")
+        if not all(float(w).is_integer() for w in self.windings):
+            raise ValueError(f"windings must be integers, got {self.windings}")
 
 
 def vortex_ansatz(
@@ -697,10 +699,8 @@ def vortex_ansatz(
     prescribed, cores = _prescribed_vorticity(spec, b)
 
     # circulation target per plaquette -> 1-cochain omega with d omega = rho
-    rho_vals = np.zeros(geom.shape(2))
-    for pos2, (a, bb) in enumerate(components(n, 2)):
-        hab = h[a] * h[bb]
-        rho_vals[pos2] = (2.0 * pi * prescribed.windings[pos2] - hab * b.f0.values[pos2]) / hab
+    hab = geom.plaquette_areas
+    rho_vals = (2.0 * pi * prescribed.windings - hab * b.f0.values) / hab
     omega = codifferential(solve_poisson(Cochain(geom, 2, rho_vals)))
 
     # per-edge phase increments; adjust harmonic constants so both/all three

@@ -115,25 +115,18 @@ def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
     """vorticity from the increments delta (see _increments) and the
     curvature F."""
     geom = u.geom
-    h = geom.spacings
     zero_sites = (np.abs(u.values) == 0.0)
-    circ = exterior_derivative(delta) + F
-    raw = np.empty(geom.shape(2))
-    flagged = []
-    for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        raw[pos] = h[i] * h[j] * circ.values[pos] / (2.0 * np.pi)
-        if zero_sites.any():
-            corner_zero = (
-                zero_sites
-                | np.roll(zero_sites, -1, axis=i)
-                | np.roll(zero_sites, -1, axis=j)
-                | np.roll(np.roll(zero_sites, -1, axis=i), -1, axis=j)
-            )
+    if zero_sites.any():
+        flagged = []
+        for pos, (i, j) in enumerate(components(geom.dim, 2)):
+            edge_zero = zero_sites | np.roll(zero_sites, -1, axis=i)
+            corner_zero = edge_zero | np.roll(edge_zero, -1, axis=j)
             for site in np.argwhere(corner_zero):
                 flagged.append((pos, tuple(int(s) for s in site)))
-    if flagged:
         raise ZeroOnPlaquetteError(flagged)
 
+    circ = exterior_derivative(delta) + F
+    raw = geom.plaquette_areas * circ.values / (2.0 * np.pi)
     rounded = np.round(raw)
     residue = np.abs(raw - rounded).max()
     if residue > _RESIDUE_TOL:
@@ -146,11 +139,7 @@ def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
 def vorticity_density(v: VorticityField) -> Cochain:
     """2-cochain with component samples n_p / (h_i h_j); its Chern pairing
     equals the winding slice sums."""
-    geom = v.geom
-    vals = np.empty(geom.shape(2))
-    for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        vals[pos] = v.windings[pos] / (geom.spacings[i] * geom.spacings[j])
-    return Cochain(geom, 2, vals)
+    return Cochain(v.geom, 2, v.windings / v.geom.plaquette_areas)
 
 
 def chern_pairing(v: VorticityField) -> np.ndarray:
@@ -200,12 +189,7 @@ def london_residual(u: Section, A: Cochain, b: BundleData) -> float:
 
 def sparse_windings(v: VorticityField):
     """Nonzero windings as (component, site..., winding) tuples, row-major order."""
-    out = []
-    for pos in range(v.windings.shape[0]):
-        for site in np.argwhere(v.windings[pos] != 0):
-            key = (pos, *(int(s) for s in site))
-            out.append((*key, int(v.windings[pos][tuple(site)])))
-    return out
+    return [(*map(int, key), int(v.windings[tuple(key)])) for key in np.argwhere(v.windings)]
 
 
 def single_dual_loop(v: VorticityField) -> tuple[bool, int]:

@@ -226,7 +226,10 @@ def test_link_matches_complex_exponential(sites):
 def test_cis_split_inline_and_exp_agree(monkeypatch, n, sign):
     """_cis inline, split into 2 or 3 slabs (also below the cutoff, with a
     smaller slab size) and np.exp(sign * 1j * x) agree bit for bit, at
-    signed zeros and phases up to +-1e6 included."""
+    signed zeros and phases up to +-1e6 included; no worker thread outlives
+    the call."""
+    import threading
+
     from torusgl import bundle
 
     x = np.random.default_rng(n).uniform(-40.0, 40.0, n)
@@ -236,6 +239,7 @@ def test_cis_split_inline_and_exp_agree(monkeypatch, n, sign):
         monkeypatch.setattr(bundle, "_cpus", lambda: cpus)
         monkeypatch.setattr(bundle, "_SLAB_ENTRIES", slab)
         assert bundle._cis(x, sign).tobytes() == ref, (cpus, slab)
+        assert not [t for t in threading.enumerate() if t.name.startswith("torusgl-cis")]
 
 
 _FORK_SCRIPT = """
@@ -247,7 +251,6 @@ from torusgl import bundle
 bundle._cpus = lambda: 2
 x = np.random.default_rng(0).uniform(-40.0, 40.0, 2 * bundle._SLAB_ENTRIES)
 ref = bundle._cis(x, -1).tobytes()
-assert bundle._pool is not None
 pid = os.fork()
 if pid == 0:
     geom = tg.TorusGeometry((64, 64, 64), (1.0, 1.0, 1.0))
@@ -261,9 +264,9 @@ sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_forms_links_after_parent_used_the_pool():
-    """A child forked after its parent split phase factors over the pool
-    forms 64^3 links through a pool of its own and exits; the inherited
-    executor has no worker threads, and reusing it would hang."""
+    """A child forked after its parent split phase factors over worker
+    threads forms 64^3 links over threads of its own and exits; a fork
+    inherits no threads, so reusing the parent's workers would hang."""
     import signal
     import subprocess
     import sys

@@ -416,11 +416,16 @@ def test_ansatz_forms_links_and_curvature_once(tmp_path, capsys, monkeypatch):
 
 _AFFINITY_SCRIPT = """
 import os, sys, threading
-from torusgl import cli
+from torusgl import bundle, cli
 if sys.argv[1] == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+ran, cis_into = set(), bundle._cis_into
+def counted(*args):
+    ran.add(threading.current_thread().name)
+    cis_into(*args)
+bundle._cis_into = counted
 assert cli.main(["ansatz", "--config", sys.argv[2]]) == 0
-print("cis threads", sum(t.name.startswith("torusgl-cis") for t in threading.enumerate()))
+print("cis threads", sum(name.startswith("torusgl-cis") for name in ran))
 """
 
 

@@ -39,6 +39,10 @@ def test_geometry_invariants():
         tg.TorusGeometry((3, 8), (1.0, 1.0))
     with pytest.raises(ValueError):
         tg.TorusGeometry((8,), (1.0,))
+    for sites in ((16.9, 8), (8, 7.5), (float("nan"), 8)):
+        with pytest.raises(ValueError, match="integers"):
+            tg.TorusGeometry(sites, (1.0, 1.0))
+    assert tg.TorusGeometry((16.0, 8), (1.0, 1.0)).sites == (16, 8)
     for lengths in ((1.0, -1.0), (float("nan"), 1.0), (float("inf"), 1.0)):
         with pytest.raises(ValueError):
             tg.TorusGeometry((8, 8), lengths)

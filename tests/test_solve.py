@@ -504,6 +504,10 @@ def test_ansatz_winding_validation(t2_bundle, t3_bundle):
         vortex_ansatz(
             AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), t2_bundle, t3_bundle.geom, 0.1
         )
+    # (1.5, -0.5) totals c = 1 but is no integer prescription
+    for windings in ((1.5, -0.5), (float("inf"), 1)):
+        with pytest.raises(ValueError, match="integers"):
+            AnsatzSpec(windings=windings, positions=((0.2, 0.2), (0.7, 0.7)))
 
 
 def test_ansatz_t3_line(t3_bundle):

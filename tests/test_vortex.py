@@ -5,7 +5,7 @@ import pytest
 
 import torusgl as tg
 from torusgl.bundle import constant_section
-from torusgl.lattice import exterior_derivative, norm, zero_cochain
+from torusgl.lattice import components, exterior_derivative, norm, zero_cochain
 from torusgl.vortex import (
     ZeroOnPlaquetteError,
     single_dual_loop,
@@ -242,6 +242,28 @@ def test_vorticity_density_pairing(t2_bundle):
 
     pairing = flux_pairing(dens) * (2 * np.pi)  # slice integral, not /2pi
     assert pairing[0, 1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_plaquette_quantities_match_per_component_loops(t3_aniso_bundle):
+    """vorticity_density, holonomy_residuals and sparse_windings, formed over
+    all components at once with geom.plaquette_areas, equal bit for bit the
+    per-component loops they replace, h_i h_j in the same operand order."""
+    b = t3_aniso_bundle
+    g, h = b.geom, b.geom.spacings
+    rng = np.random.default_rng(25)
+    v = vorticity(random_section(g, rng), tg.random_cochain(g, 1, rng), b)
+    circ = exterior_derivative(tg.Cochain(g, 1, [t / hi for t, hi in zip(b.theta0, h)])) - b.f0
+    dens, res = vorticity_density(v).values, tg.bundle.holonomy_residuals(b)
+    for pos, (i, j) in enumerate(components(3, 2)):
+        assert g.plaquette_areas[pos].item() == h[i] * h[j]
+        assert dens[pos].tobytes() == (v.windings[pos] / (h[i] * h[j])).tobytes()
+        diff = h[i] * h[j] * circ.values[pos]
+        assert res[pos].tobytes() == (diff - 2.0 * np.pi * np.round(diff / (2.0 * np.pi))).tobytes()
+    assert np.count_nonzero(v.windings) > 0
+    assert sparse_windings(v) == [
+        (pos, *map(int, site), int(v.windings[pos][tuple(site)]))
+        for pos in range(3) for site in np.argwhere(v.windings[pos] != 0)
+    ]
 
 
 @pytest.mark.slow

@@ -17,6 +17,11 @@ on the 256^2 and 40^3 lattices, whose phase factors `bundle._cis` splits
 over the CPUs, with the sha1 of that state after `apply_gauge` by a seeded
 random phase and after `coulomb_fix`, once as it is and once with a
 winding added to each mean of A, which `coulomb_fix` must then remove.
+For the bundles of `PLAQUETTE_BUNDLES` it prints the sha1 of
+`holonomy_residuals`, and for one seeded random state on each the sha1 of
+`vorticity_density`, `sparse_windings` and `flux_pairing` of both the
+curvature and the vorticity density; on the T^2 bundle the same follow for
+its centered vortex ansatz.
 Then, for each
 test fixture solve (tests/conftest.py) and each case that reaches the slide
 of the Newton loop, prints the evaluation count, the stop reason, the energy
@@ -44,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import torusgl as tg  # noqa: E402
 from torusgl import cli  # noqa: E402
 from torusgl.fields import linearize  # noqa: E402
+from torusgl.solve import default_initial_pair  # noqa: E402
 
 CHERN_T2 = [[0, 1], [-1, 0]]
 CHERN_T3 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
@@ -63,6 +69,15 @@ KERNEL_EPS = 0.1
 # seed of their states and gauge phases
 SPLIT_SITES = ((256, 256), (40, 40, 40))
 SPLIT_SEED = 24
+
+# (sites, lengths, chern) of the per-plaquette digests: the anisotropic T^3
+# bundle of tests/conftest.py, with three nonzero Chern numbers, and a T^2
+# bundle with c = 3, and the seed of their states
+PLAQUETTE_BUNDLES = (
+    ((9, 7, 5), (1.0, 1.3, 2.0), [[0, 1, 2], [-1, 0, -1], [-2, 1, 0]]),
+    ((12, 10), (1.0, 1.0), [[0, 3], [-3, 0]]),
+)
+PLAQUETTE_SEED = 25
 
 # (label, sites, eps, core position): the single solves.  min_t2_64 and
 # min_t3_28 are the conftest fixtures; the other three reach the slide.
@@ -128,6 +143,14 @@ def observables(u, A, b) -> str:
             f"london_residual {tg.london_residual(u, A, b).hex()} energy {parts}")
 
 
+def plaquettes(u, A, b) -> str:
+    v = tg.vorticity(u, A, b)
+    density = tg.vorticity_density(v)
+    return (f"vorticity_density {sha1(density.values)} "
+            f"sparse_windings {sha1(np.array(tg.vortex.sparse_windings(v)))} "
+            f"flux_pairing {sha1(tg.flux_pairing(tg.curvature(A, b)), tg.flux_pairing(density))}")
+
+
 def main() -> None:
     rng = np.random.default_rng(HODGE_SEED)
     for sites in HODGE_SITES:
@@ -178,6 +201,19 @@ def main() -> None:
         print(f"gauge {'x'.join(map(str, sites))} apply_gauge {sha1(u2.values, A2.values)} "
               + " ".join(f"coulomb_fix{tag} {sha1(u3.values, A3.values, phase.theta)}"
                          for tag, (u3, A3, phase) in zip(("", "_wound"), fixed)), flush=True)
+
+    rng = np.random.default_rng(PLAQUETTE_SEED)
+    for sites, lengths, chern in PLAQUETTE_BUNDLES:
+        b = tg.build_background(tg.TorusGeometry(sites, lengths), chern)
+        u = tg.Section(b.geom, rng.standard_normal(sites) + 1j * rng.standard_normal(sites))
+        A = tg.random_cochain(b.geom, 1, rng)
+        print(f"plaquettes {'x'.join(map(str, sites))} "
+              f"holonomy_residuals {sha1(tg.bundle.holonomy_residuals(b))} {plaquettes(u, A, b)}",
+              flush=True)
+        if b.geom.dim == 2:
+            u, A = default_initial_pair(b, KERNEL_EPS, PLAQUETTE_SEED)
+            print(f"plaquettes {'x'.join(map(str, sites))} ansatz {sha1(u.values)} "
+                  f"{plaquettes(u, A, b)}", flush=True)
 
     for label, sites, eps, position in SOLVES:
         geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
