@@ -111,7 +111,8 @@ def parse_config(text: str) -> RunConfig:
     [run] (epsilons, seed, out, mesh_rule), [optimizer] (tol, max_iter,
     log_every), optional [ansatz] (axis, windings, positions).  The
     ansatz is built only when windings are given.  Every unknown section or
-    key, every malformed value, chern indices outside 0 <= i < j < dim, and
+    key, every key repeated within a section (also under a repeated header),
+    every malformed value, chern indices outside 0 <= i < j < dim, and
     every value `TorusGeometry`, `AnsatzSpec`, `MinimizeOptions` or
     `check_sweep` without a lattice rejects, raises `ConfigError`; the
     lattice rules of mesh_rule bind the sweep command only (see cmd_sweep).
@@ -133,6 +134,8 @@ def parse_config(text: str) -> RunConfig:
         key, val = (p.strip() for p in line.split("=", 1))
         if _SECTION_KEYS[current] is not None and key not in _SECTION_KEYS[current]:
             raise ConfigError(f"line {lineno}: unknown [{current}] key {key}")
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: repeated [{current}] key {key}")
         sections[current][key] = val
 
     def need(section, key, convert):

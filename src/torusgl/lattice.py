@@ -52,11 +52,6 @@ def components(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(n), k))
 
 
-@lru_cache(maxsize=None)
-def _component_index(n: int, k: int) -> dict[tuple[int, ...], int]:
-    return {comp: idx for idx, comp in enumerate(components(n, k))}
-
-
 @dataclass(frozen=True)
 class TorusGeometry:
     """Flat periodic lattice: per-axis site counts and physical lengths."""
@@ -70,8 +65,8 @@ class TorusGeometry:
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         n = len(self.sites)
-        if n not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {n}")
+        if n < 2:
+            raise ValueError(f"dimension must be at least 2, got {n}")
         if len(self.lengths) != n:
             raise ValueError("sites and lengths must have equal length")
         if any(s < 4 for s in self.sites):
@@ -202,12 +197,11 @@ def exterior_derivative(c: Cochain) -> Cochain:
     if k >= n:
         raise ValueError(f"exterior_derivative needs degree < {n}, got {k}")
     h = c.geom.spacings
-    idx_in = _component_index(n, k)
     out = np.zeros(c.geom.shape(k + 1))
     for j_pos, J in enumerate(components(n, k + 1)):
         for m, axis in enumerate(J):
-            I = J[:m] + J[m + 1:]
-            diff = _diff(c.values[idx_in[I]], -1, axis, h[axis])
+            i_pos = components(n, k).index(J[:m] + J[m + 1:])
+            diff = _diff(c.values[i_pos], -1, axis, h[axis])
             (np.subtract if m % 2 else np.add)(out[j_pos], diff, out=out[j_pos])
     return Cochain(c.geom, k + 1, out)
 
@@ -218,13 +212,12 @@ def codifferential(c: Cochain) -> Cochain:
     if k < 1:
         raise ValueError(f"codifferential needs degree >= 1, got {k}")
     h = c.geom.spacings
-    idx_out = _component_index(n, k - 1)
     out = np.zeros(c.geom.shape(k - 1))
     for j_pos, J in enumerate(components(n, k)):
         for m, axis in enumerate(J):
-            I = J[:m] + J[m + 1:]
+            i_pos = components(n, k - 1).index(J[:m] + J[m + 1:])
             diff = _diff(c.values[j_pos], +1, axis, h[axis])
-            (np.subtract if m % 2 else np.add)(out[idx_out[I]], diff, out=out[idx_out[I]])
+            (np.subtract if m % 2 else np.add)(out[i_pos], diff, out=out[i_pos])
     return Cochain(c.geom, k - 1, out)
 
 
@@ -254,23 +247,19 @@ def laplacian(c: Cochain) -> Cochain:
 
 
 @lru_cache(maxsize=32)
-def _stencil_eigenvalues_cached(sites: tuple[int, ...], lengths: tuple[float, ...]) -> np.ndarray:
-    lam = np.zeros(sites)
-    for axis, (N, L) in enumerate(zip(sites, lengths)):
-        h = L / N
-        shape = [1] * len(sites)
+def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
+    """Eigenvalues of -Delta per Fourier mode: sum_i (2/h_i^2)(1 - cos(2 pi k_i/N_i)).
+
+    The same array diagonalizes every degree component-wise; equal (frozen)
+    geometries share one cached array.
+    """
+    lam = np.zeros(geom.sites)
+    for axis, (N, h) in enumerate(zip(geom.sites, geom.spacings)):
+        shape = [1] * geom.dim
         shape[axis] = N
         freq = (2.0 / h**2) * (1.0 - np.cos(2.0 * np.pi * np.arange(N) / N))
         lam = lam + freq.reshape(shape)
     return lam
-
-
-def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
-    """Eigenvalues of -Delta per Fourier mode: sum_i (2/h_i^2)(1 - cos(2 pi k_i/N_i)).
-
-    The same array diagonalizes every degree component-wise.
-    """
-    return _stencil_eigenvalues_cached(geom.sites, geom.lengths)
 
 
 # ----------------------------------------------------------------------------

@@ -976,20 +976,18 @@ def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData) -> tuple[VorticityFie
     axis, and per vortex its core plaquette as ((i, q_i), (j, q_j)) over the
     transverse plane (i, j), checked against b's Chern numbers."""
     geom = b.geom
-    if geom.dim == 2:
-        if spec.axis is not None:
-            raise WindingMismatchError("axis applies to n = 3 only")
-        i, j = 0, 1
-    else:
-        if spec.axis is None or not 0 <= spec.axis < 3:
-            raise WindingMismatchError("n = 3 ansatz needs a line axis in {0,1,2}")
-        i, j = sorted(set(range(3)) - {spec.axis})
-        for a, bb in components(3, 2):
-            if (a, bb) != (i, j) and b.chern_entry(a, bb) != 0:
-                raise WindingMismatchError(
-                    f"chern[{a},{bb}] = {b.chern_entry(a, bb)} cannot be carried by "
-                    f"lines along axis {spec.axis}"
-                )
+    if not (spec.axis is None if geom.dim == 2 else geom.dim == 3 and spec.axis in (0, 1, 2)):
+        raise WindingMismatchError(
+            "the ansatz takes points on T^2 (no axis) or lines along an axis in {0,1,2} "
+            f"on T^3, got axis {spec.axis} on T^{geom.dim}"
+        )
+    i, j = sorted(set(range(geom.dim)) - {spec.axis})
+    for a, bb in components(geom.dim, 2):
+        if (a, bb) != (i, j) and b.chern_entry(a, bb) != 0:
+            raise WindingMismatchError(
+                f"chern[{a},{bb}] = {b.chern_entry(a, bb)} cannot be carried by "
+                f"the ansatz in the ({i},{j}) plane"
+            )
     total = sum(spec.windings)
     if total != b.chern_entry(i, j):
         raise WindingMismatchError(

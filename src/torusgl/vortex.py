@@ -10,7 +10,7 @@ identity -Delta F + F = 2J is exact there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -159,14 +159,12 @@ def chern_pairing(v: VorticityField) -> np.ndarray:
 
 
 def vortex_mass(v: VorticityField) -> float:
-    """Mass of the vortex current: sum |n_p| (n=2) or sum |n_p| h_transverse (n=3)."""
-    n = v.geom.dim
-    if n == 2:
-        return float(np.abs(v.windings).sum())
-    total = 0.0
+    """Mass of the dual (n-2)-current: sum |n_p| times the product of the
+    spacings transverse to p (1 for n=2)."""
+    n, h = v.geom.dim, v.geom.spacings
+    total = 0.0  # a loop, not sum(): sum() compensates floats from Python 3.12, so its bits vary
     for pos, (i, j) in enumerate(components(n, 2)):
-        (transverse,) = set(range(n)) - {i, j}
-        total += float(np.abs(v.windings[pos]).sum()) * v.geom.spacings[transverse]
+        total += float(np.abs(v.windings[pos]).sum()) * prod(h[k] for k in range(n) if k not in (i, j))
     return total
 
 

@@ -104,6 +104,14 @@ def test_config_validation_messages():
     ]:
         with pytest.raises(ConfigError, match=message):
             parse_config(base.replace(old, new))
+    # a repeated key fails instead of overriding the first, also when its
+    # section header repeats
+    for old, new, message in [
+        ("seed = 7", "seed = 7\nseed = 9", r"line 13: repeated \[run\] key seed"),
+        ("[run]", "[geometry]\nsites = 16 16\n\n[run]", r"line 11: repeated \[geometry\] key sites"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(base.replace(old, new))
     # the lattice rules of mesh_rule bind the sweep command only
     parse_config(quarter)
     parse_config(FIXED_RULE_VIOLATION.format(out="x"))
@@ -235,6 +243,38 @@ def test_cmd_sweep_names_each_unconverged_entry(tmp_path, capsys):
     ]
     assert all("not converged (budget)" in line for line in lines)
     assert len(captured.out.strip().splitlines()) == 3
+
+
+# T^4 on 6^4 with the trivial bundle and no ansatz
+T4_CONFIG = (
+    T2_CONFIG.replace("dim = 2", "dim = 4")
+    .replace("sites = 12 12", "sites = 6 6 6 6")
+    .replace("lengths = 1 1", "lengths = 1 1 1 1")
+    .replace("[bundle]\nchern_01 = 1\n\n", "")
+    .split("[ansatz]")[0]
+)
+
+
+def test_cmd_minimize_t4(tmp_path, capsys):
+    """minimize runs on T^4.  A Chern class there has no default start (the
+    ansatz is points on T^2 and lines on T^3), which ends the run with exit 1
+    and one config error line before any output is written."""
+    out = tmp_path / "t4"
+    path = write_config(tmp_path, text=T4_CONFIG, out=out)
+    assert main(["minimize", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "converged = true" in lines
+    assert [line for line in lines if line.startswith("chern_pairing_")] == [
+        f"chern_pairing_{i}{j} = 0" for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    ]
+    out = tmp_path / "t4_class"
+    text = T4_CONFIG.replace("[run]", "[bundle]\nchern_01 = 1\n\n[run]")
+    path = write_config(tmp_path, text=text, out=out)
+    assert main(["minimize", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

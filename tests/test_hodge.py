@@ -28,6 +28,7 @@ from torusgl.lattice import (
 GEOMS = [
     tg.TorusGeometry((8, 8), (1.0, 1.0)),
     tg.TorusGeometry((8, 6, 4), (1.0, 1.5, 0.5)),
+    tg.TorusGeometry((4, 5, 4, 6), (1.0, 1.25, 0.8, 1.5)),
 ]
 
 

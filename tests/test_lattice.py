@@ -25,6 +25,7 @@ from torusgl.lattice import (
 GEOMS = [
     tg.TorusGeometry((8, 8), (1.0, 1.0)),
     tg.TorusGeometry((4, 6, 8), (1.0, 1.5, 2.0)),
+    tg.TorusGeometry((4, 5, 4, 6), (1.0, 1.25, 0.8, 1.5)),
 ]
 
 
@@ -37,8 +38,9 @@ def test_geometry_invariants():
         assert g.n_cells(k) == math.comb(2, k) * 48
     with pytest.raises(ValueError):
         tg.TorusGeometry((3, 8), (1.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
         tg.TorusGeometry((8,), (1.0,))
+    assert tg.TorusGeometry((4, 5, 4, 6), (1.0, 1.25, 0.8, 1.5)).dim == 4
     for sites in ((16.9, 8), (8, 7.5), (float("nan"), 8)):
         with pytest.raises(ValueError, match="integers"):
             tg.TorusGeometry(sites, (1.0, 1.0))

@@ -20,7 +20,7 @@ from torusgl.solve import (
 )
 from torusgl.vortex import single_dual_loop, vorticity, vortex_mass
 
-from conftest import random_section
+from conftest import bessel_k0, image_sum_k0, random_section
 
 
 def test_minimize_ground_state_immediate(t2_trivial):
@@ -504,6 +504,17 @@ def test_ansatz_winding_validation(t2_bundle, t3_bundle):
         vortex_ansatz(
             AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), t2_bundle, t3_bundle.geom, 0.1
         )
+    # the ansatz is points on T^2 or lines on T^3: a line's plane must carry
+    # every nonzero Chern entry, and T^4 takes no axis
+    g3 = t3_bundle.geom
+    b3 = tg.build_background(g3, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+    with pytest.raises(WindingMismatchError, match=r"chern\[1,2\] = 1 cannot be carried"):
+        vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=2), b3, g3, 0.1)
+    g4 = tg.TorusGeometry((4,) * 4, (1.0,) * 4)
+    b4 = tg.build_background(g4, np.triu(np.ones((4, 4), dtype=int)) - np.tril(np.ones((4, 4), dtype=int)))
+    for axis in (None, 0, 2, 3):
+        with pytest.raises(WindingMismatchError, match="T\\^4"):
+            vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=axis), b4, g4, 0.1)
     # (1.5, -0.5) totals c = 1 but is no integer prescription
     for windings in ((1.5, -0.5), (float("inf"), 1)):
         with pytest.raises(ValueError, match="integers"):
@@ -724,6 +735,38 @@ def test_energy_converges_at_second_order_in_h():
     assert 3.5 <= ratio <= 4.5, ratio
 
 
+def test_torus_shape_term_matches_the_image_sum():
+    """The shape of a unit-area T^2 enters the c = 1 energy only through the
+    London field's image sum: G_eps(a x 1/a) - G_eps(1 x 1) tends to
+    pi (S(a) - S(1)), S(a) = sum K_0(|lambda|) over the nonzero period
+    vectors, with the radial core constant cancelled.  For a = 2, energies
+    Richardson-extrapolated in h^2 from h = eps/4 and eps/8 approach it at
+    the eps^2 |log eps| rate (ratio ~4 per halving of eps)."""
+    assert bessel_k0(1.0) == pytest.approx(0.4210244382407083, rel=1e-14)  # tabulated
+    shape_term = np.pi * (image_sum_k0(2.0) - image_sum_k0(1.0))
+
+    def energy(lengths, eps, per_eps):
+        g = tg.TorusGeometry(tuple(round(per_eps * L / eps) for L in lengths), lengths)
+        b = tg.build_background(g, [[0, 1], [-1, 0]])
+        u, A = default_initial_pair(b, eps, seed=0)
+        res = tg.minimize(u, A, b, eps, MinimizeOptions(tol=1e-9, max_iter=20000))
+        assert res.converged, (lengths, eps, per_eps)
+        return res.energy.total
+
+    def extrapolated(lengths, eps):
+        e4, e8 = (energy(lengths, eps, per_eps) for per_eps in (4, 8))
+        return e8 + (e8 - e4) / 3.0
+
+    gaps = [
+        extrapolated((2.0, 0.5), eps) - extrapolated((1.0, 1.0), eps) - shape_term
+        for eps in (0.1, 0.05, 0.025)
+    ]
+    assert all(abs(b) < abs(a) for a, b in zip(gaps, gaps[1:])), gaps
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert all(3.5 <= r <= 6.0 for r in ratios), (gaps, ratios)
+    assert abs(gaps[-1]) < 0.02, gaps
+
+
 def test_straight_line_is_the_t2_minimizer_extended():
     """A line along axis 3 is the T^2 minimizer extended along it, so its
     energy is L_3 times the T^2 one, to rounding, for L_3 below and above
@@ -732,6 +775,59 @@ def test_straight_line_is_the_t2_minimizer_extended():
     for length, n3 in ((0.5, 4), (2.0, 8)):
         g3 = _centred_line_minimum((16, 16, n3), (1.0, 1.0, length), 0.15)
         assert abs(g3 - length * g2) <= 1e-12 * g3, (length, g3, length * g2)
+
+
+def _t4_start(n, eps, planes):
+    """The T^2 n^2 minimizer with c = 1 at eps, and on n^4 the product of
+    one copy of it per plane in `planes` (each (0, 1) or (2, 3)) with the
+    bundle of those unit Chern entries: build_background is linear in the
+    Chern matrix, so the product is a section of the combined bundle."""
+    g2 = tg.TorusGeometry((n, n), (1.0, 1.0))
+    b2 = tg.build_background(g2, [[0, 1], [-1, 0]])
+    u2, A2 = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b2, g2, eps)
+    r2 = tg.minimize(u2, A2, b2, eps, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert r2.converged
+    g4 = tg.TorusGeometry((n,) * 4, (1.0,) * 4)
+    chern = np.zeros((4, 4), dtype=int)
+    u = np.ones(g4.sites, dtype=complex)
+    A = np.zeros(g4.shape(1))
+    for i, j in planes:
+        chern[i, j], chern[j, i] = 1, -1
+        # the plane's two axes carry the T^2 state, the other two are constant
+        lift = (slice(None),) * 2 + (None,) * 2 if i == 0 else (None,) * 2 + (slice(None),) * 2
+        u = u * r2.section.values[lift]
+        A[i] += r2.gauge_field.values[0][lift]
+        A[j] += r2.gauge_field.values[1][lift]
+    b = tg.build_background(g4, chern)
+    return r2.energy.total, b, tg.Section(g4, u), tg.Cochain(g4, 1, A)
+
+
+def test_t4_straight_surface_is_the_t2_minimizer_extended():
+    """On T^4 with c_01 = 1 the flat 2-torus, the T^2 minimizer extended
+    along axes 2 and 3, is already a minimizer with the T^2 energy."""
+    e2, b, u, A = _t4_start(12, 0.2, [(0, 1)])
+    res = tg.minimize(u, A, b, 0.2, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert res.converged and res.iterations == 0
+    assert res.energy.total == e2
+    assert res.london_residual <= 1e-9
+    assert vortex_mass(vorticity(res.section, res.gauge_field, b)) == 1.0
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_t4_crossing_class_is_two_flat_tori(n):
+    """The class c_01 = c_23 = 1 is carried by two orthogonal flat tori of
+    total area 2, calibrated by dx0^dx1 + dx2^dx3.  From the product of two
+    T^2 minimizers the solve keeps windings on exactly those two tori, and
+    the crossing saves energy against two separate surfaces (2 E_T2)."""
+    e2, b, u, A = _t4_start(n, 0.2, [(0, 1), (2, 3)])
+    res = tg.minimize(u, A, b, 0.2, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert res.converged
+    v = vorticity(res.section, res.gauge_field, b)
+    assert np.array_equal(tg.chern_pairing(v), b.chern)
+    carriers = [ij for ij, w in zip(tg.lattice.components(4, 2), v.windings) if w.any()]
+    assert carriers == [(0, 1), (2, 3)]
+    assert vortex_mass(v) == 2.0
+    assert res.energy.total - 2.0 * e2 < 0.0
 
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])

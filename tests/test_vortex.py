@@ -197,6 +197,15 @@ def test_vortex_mass():
     v3.windings[0, 1, 1, :] = 1  # straight line along axis 2, h_transverse = 0.25
     assert vortex_mass(v3) == pytest.approx(8 * 0.25)
 
+    # on T^4 a winding weighs the product of the two spacings transverse to
+    # its plaquette: a flat (0,1)-torus of unit windings has mass L_2 L_3
+    g4 = tg.TorusGeometry((4, 5, 4, 6), (1.0, 1.25, 0.8, 1.5))
+    v4 = tg.VorticityField(g4, np.zeros(g4.shape(2), dtype=np.int64))
+    v4.windings[0, 1, 2, :, :] = 1
+    assert vortex_mass(v4) == pytest.approx(0.8 * 1.5)
+    v4.windings[5, :, :, 0, 3] = -1  # and a (2,3)-torus: L_0 L_1 more
+    assert vortex_mass(v4) == pytest.approx(0.8 * 1.5 + 1.0 * 1.25)
+
 
 def test_h_minus1_distance_axioms(rng, t2_geom):
     g = t2_geom
