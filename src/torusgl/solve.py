@@ -776,7 +776,7 @@ def _centered_spec(b: BundleData) -> AnsatzSpec:
             (geom.lengths[i] * (m + 0.5) / count, geom.lengths[j] * (m + 0.5) / count)
             for m in range(count)
         ),
-        axis=None if geom.dim == 2 else 3 - i - j,
+        axis=3 - i - j if geom.dim == 3 else None,
     )
 
 
@@ -976,7 +976,7 @@ def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData) -> tuple[VorticityFie
     axis, and per vortex its core plaquette as ((i, q_i), (j, q_j)) over the
     transverse plane (i, j), checked against b's Chern numbers."""
     geom = b.geom
-    if not (spec.axis is None if geom.dim == 2 else geom.dim == 3 and spec.axis in (0, 1, 2)):
+    if spec.axis not in {2: (None,), 3: (0, 1, 2)}.get(geom.dim, ()):
         raise WindingMismatchError(
             "the ansatz takes points on T^2 (no axis) or lines along an axis in {0,1,2} "
             f"on T^3, got axis {spec.axis} on T^{geom.dim}"

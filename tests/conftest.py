@@ -42,6 +42,30 @@ def image_sum_k0(a, cutoff=40.0):
     return float(bessel_k0(r[(r > 0.0) & (r < cutoff)]).sum())
 
 
+def t4_product_start(n, eps, planes, opts):
+    """The T^2 n^2 minimizer with c = 1 at eps from the centred ansatz, and on
+    n^4 the product of one copy of it per plane in `planes` (each (0, 1) or
+    (2, 3)) with the bundle of those unit Chern entries: build_background is
+    linear in the Chern matrix, so the product is a section of the combined
+    bundle.  Returns (T^2 result, bundle, section, connection)."""
+    g2 = tg.TorusGeometry((n, n), (1.0, 1.0))
+    b2 = tg.build_background(g2, [[0, 1], [-1, 0]])
+    u2, A2 = tg.vortex_ansatz(tg.AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b2, g2, eps)
+    r2 = tg.minimize(u2, A2, b2, eps, opts)
+    g4 = tg.TorusGeometry((n,) * 4, (1.0,) * 4)
+    chern = np.zeros((4, 4), dtype=int)
+    u = np.ones(g4.sites, dtype=complex)
+    A = np.zeros(g4.shape(1))
+    for i, j in planes:
+        chern[i, j], chern[j, i] = 1, -1
+        # the plane's two axes carry the T^2 state, the other two are constant
+        lift = (slice(None),) * 2 + (None,) * 2 if i == 0 else (None,) * 2 + (slice(None),) * 2
+        u = u * r2.section.values[lift]
+        A[i] += r2.gauge_field.values[0][lift]
+        A[j] += r2.gauge_field.values[1][lift]
+    return r2, tg.build_background(g4, chern), tg.Section(g4, u), tg.Cochain(g4, 1, A)
+
+
 @pytest.fixture(scope="session")
 def t2_geom():
     return tg.TorusGeometry((16, 16), (1.0, 1.0))

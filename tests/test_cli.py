@@ -267,14 +267,16 @@ def test_cmd_minimize_t4(tmp_path, capsys):
     assert [line for line in lines if line.startswith("chern_pairing_")] == [
         f"chern_pairing_{i}{j} = 0" for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     ]
-    out = tmp_path / "t4_class"
-    text = T4_CONFIG.replace("[run]", "[bundle]\nchern_01 = 1\n\n[run]")
-    path = write_config(tmp_path, text=text, out=out)
-    assert main(["minimize", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
-    assert not out.exists()
+    for key in ("chern_01", "chern_23"):
+        out = tmp_path / key
+        text = T4_CONFIG.replace("[run]", f"[bundle]\n{key} = 1\n\n[run]")
+        path = write_config(tmp_path, text=text, out=out)
+        assert main(["minimize", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert "got axis None on T^4" in captured.err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

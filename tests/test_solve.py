@@ -20,7 +20,7 @@ from torusgl.solve import (
 )
 from torusgl.vortex import single_dual_loop, vorticity, vortex_mass
 
-from conftest import bessel_k0, image_sum_k0, random_section
+from conftest import bessel_k0, image_sum_k0, random_section, t4_product_start
 
 
 def test_minimize_ground_state_immediate(t2_trivial):
@@ -777,38 +777,14 @@ def test_straight_line_is_the_t2_minimizer_extended():
         assert abs(g3 - length * g2) <= 1e-12 * g3, (length, g3, length * g2)
 
 
-def _t4_start(n, eps, planes):
-    """The T^2 n^2 minimizer with c = 1 at eps, and on n^4 the product of
-    one copy of it per plane in `planes` (each (0, 1) or (2, 3)) with the
-    bundle of those unit Chern entries: build_background is linear in the
-    Chern matrix, so the product is a section of the combined bundle."""
-    g2 = tg.TorusGeometry((n, n), (1.0, 1.0))
-    b2 = tg.build_background(g2, [[0, 1], [-1, 0]])
-    u2, A2 = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b2, g2, eps)
-    r2 = tg.minimize(u2, A2, b2, eps, MinimizeOptions(tol=1e-8, max_iter=20000))
-    assert r2.converged
-    g4 = tg.TorusGeometry((n,) * 4, (1.0,) * 4)
-    chern = np.zeros((4, 4), dtype=int)
-    u = np.ones(g4.sites, dtype=complex)
-    A = np.zeros(g4.shape(1))
-    for i, j in planes:
-        chern[i, j], chern[j, i] = 1, -1
-        # the plane's two axes carry the T^2 state, the other two are constant
-        lift = (slice(None),) * 2 + (None,) * 2 if i == 0 else (None,) * 2 + (slice(None),) * 2
-        u = u * r2.section.values[lift]
-        A[i] += r2.gauge_field.values[0][lift]
-        A[j] += r2.gauge_field.values[1][lift]
-    b = tg.build_background(g4, chern)
-    return r2.energy.total, b, tg.Section(g4, u), tg.Cochain(g4, 1, A)
-
-
 def test_t4_straight_surface_is_the_t2_minimizer_extended():
     """On T^4 with c_01 = 1 the flat 2-torus, the T^2 minimizer extended
     along axes 2 and 3, is already a minimizer with the T^2 energy."""
-    e2, b, u, A = _t4_start(12, 0.2, [(0, 1)])
+    r2, b, u, A = t4_product_start(12, 0.2, [(0, 1)], MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert r2.converged
     res = tg.minimize(u, A, b, 0.2, MinimizeOptions(tol=1e-8, max_iter=20000))
     assert res.converged and res.iterations == 0
-    assert res.energy.total == e2
+    assert res.energy.total == r2.energy.total
     assert res.london_residual <= 1e-9
     assert vortex_mass(vorticity(res.section, res.gauge_field, b)) == 1.0
 
@@ -819,7 +795,8 @@ def test_t4_crossing_class_is_two_flat_tori(n):
     total area 2, calibrated by dx0^dx1 + dx2^dx3.  From the product of two
     T^2 minimizers the solve keeps windings on exactly those two tori, and
     the crossing saves energy against two separate surfaces (2 E_T2)."""
-    e2, b, u, A = _t4_start(n, 0.2, [(0, 1), (2, 3)])
+    r2, b, u, A = t4_product_start(n, 0.2, [(0, 1), (2, 3)], MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert r2.converged
     res = tg.minimize(u, A, b, 0.2, MinimizeOptions(tol=1e-8, max_iter=20000))
     assert res.converged
     v = vorticity(res.section, res.gauge_field, b)
@@ -827,7 +804,7 @@ def test_t4_crossing_class_is_two_flat_tori(n):
     carriers = [ij for ij, w in zip(tg.lattice.components(4, 2), v.windings) if w.any()]
     assert carriers == [(0, 1), (2, 3)]
     assert vortex_mass(v) == 2.0
-    assert res.energy.total - 2.0 * e2 < 0.0
+    assert res.energy.total - 2.0 * r2.energy.total < 0.0
 
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])

@@ -31,7 +31,8 @@ Then runs `torusgl minimize`, `ansatz` and `sweep` on one T^2 quarter-rule
 config and one T^3 config and prints the sha1 of every file they write.
 Last, the same solve line for the T^4 crossing class c_01 = c_23 = 1 on
 12^4 at eps 0.2, started from the product of two copies of the T^2 12^2
-minimizer, one in the (0,1) plane and one in the (2,3) plane.
+minimizer, one in the (0,1) plane and one in the (2,3) plane (the
+`t4_product_start` of tests/conftest.py, which the T^4 tests also use).
 Two checkouts whose outputs agree byte for byte compute the same numbers, so
 a refactor that claims bit-identical results shows an empty diff.
 """
@@ -48,11 +49,13 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import torusgl as tg  # noqa: E402
 from torusgl import cli  # noqa: E402
 from torusgl.fields import linearize  # noqa: E402
 from torusgl.solve import default_initial_pair  # noqa: E402
+from conftest import t4_product_start  # noqa: E402
 
 CHERN_T2 = [[0, 1], [-1, 0]]
 CHERN_T3 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
@@ -252,18 +255,8 @@ def main() -> None:
                     digest = hashlib.sha1(path.read_bytes()).hexdigest()
                     print(f"cli {name} {command} {path.name} {digest}", flush=True)
 
-    n, eps = CROSSING_SITES, CROSSING_EPS
-    b2 = bundle_for((n, n))
-    u2, A2 = tg.vortex_ansatz(tg.AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b2, b2.geom, eps)
-    r2 = tg.minimize(u2, A2, b2, eps, OPTS)
-    u2, A2 = r2.section.values, r2.gauge_field.values
-    geom = tg.TorusGeometry((n,) * 4, (1.0,) * 4)
-    b = tg.build_background(geom, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    first, second = (slice(None),) * 2 + (None,) * 2, (None,) * 2 + (slice(None),) * 2
-    u = tg.Section(geom, u2[first] * u2[second])
-    A = tg.Cochain(geom, 1, np.stack([np.broadcast_to(a[plane], geom.sites)
-                                      for plane in (first, second) for a in A2]))
-    print(line("crossing_t4_12", tg.minimize(u, A, b, eps, OPTS), b), flush=True)
+    _, b, u, A = t4_product_start(CROSSING_SITES, CROSSING_EPS, [(0, 1), (2, 3)], OPTS)
+    print(line("crossing_t4_12", tg.minimize(u, A, b, CROSSING_EPS, OPTS), b), flush=True)
 
 
 if __name__ == "__main__":
