@@ -109,10 +109,10 @@ def parse_config(text: str) -> RunConfig:
 
     Sections: [geometry] (dim, sites, lengths), [bundle] (chern_ij entries),
     [run] (epsilons, seed, out, mesh_rule), [optimizer] (tol, max_iter,
-    log_every), optional [ansatz] (axis, windings, positions).  The
-    ansatz is built only when windings are given.  Every unknown section or
-    key, every key repeated within a section (also under a repeated header),
-    every malformed value, chern indices outside 0 <= i < j < dim, and
+    log_every), optional [ansatz] (windings, positions, axis), which must
+    give windings when present.  Every unknown section or key, every key
+    repeated within a section (also under a repeated header), every
+    malformed value, chern indices outside 0 <= i < j < dim, and
     every value `TorusGeometry`, `AnsatzSpec`, `MinimizeOptions` or
     `check_sweep` without a lattice rejects, raises `ConfigError`; the
     lattice rules of mesh_rule bind the sweep command only (see cmd_sweep).
@@ -173,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
         )
         if key in sections.get("optimizer", {})
     }
-    windings = get("ansatz", "windings", _ints, ())
+    windings = need("ansatz", "windings", _ints) if "ansatz" in sections else None
     positions = get("ansatz", "positions", _positions, ())
     axis = get("ansatz", "axis", int)
     try:
@@ -182,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"[geometry] sites lists {geom.dim} entries for dim = {dim}")
         check_sweep(None, epsilons, mesh_rule)
         optimizer = MinimizeOptions(**options)
-        ansatz = AnsatzSpec(windings=windings, positions=positions, axis=axis) if windings else None
+        ansatz = None if windings is None else AnsatzSpec(windings=windings, positions=positions, axis=axis)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -47,6 +47,7 @@ state by at most eps_mach times its norm, or a slide too short to move it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import isfinite, log, pi, sqrt
 
 import numpy as np
@@ -656,13 +657,14 @@ def optimised_pair(
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Straight vortex lines (n=3, along `axis`) or points (n=2).
+    """Vortices on codimension-2 flats transverse to one plane (i, j), i < j:
+    points on T^2, lines on T^3, 2-tori on T^4.  The plane is that of the
+    bundle's nonzero Chern entry ((0, 1) if none), or on T^3 the complement
+    of `axis` where one is given.
 
-    positions: one pair of finite physical coordinates per line/point, in
-    the transverse plane: both axes for n=2, the two axes other than `axis`
-    in increasing-axis order for n=3.
-    windings: integer per line/point; slice totals must match the bundle
-    Chern numbers or the ansatz cannot be periodic.
+    positions: one pair of finite physical coordinates (x_i, x_j) per flat.
+    windings: integer per flat; they must total c_ij, with every other Chern
+    entry zero, or the ansatz cannot be periodic.
     """
 
     windings: tuple[int, ...]
@@ -748,8 +750,12 @@ def default_initial_pair(
     seed: int,
     spec: AnsatzSpec | None = None,
 ) -> tuple[Section, Cochain]:
-    """Vortex ansatz for nontrivial bundles (centered by default), seeded
-    random perturbation of u = 1 for trivial ones."""
+    """Vortex ansatz for nontrivial bundles, seeded random perturbation of
+    u = 1 for trivial ones.  The default ansatz is a product over the
+    nonzero c_ij (i < j) of |c_ij| unit vortices of the sign of c_ij, spread
+    along the diagonal of the (i, j) plane to keep the ansatz periodic, each
+    factor on the bundle of that one entry: build_background is linear in
+    the Chern matrix, so the product is a section of b and the windings add."""
     geom = b.geom
     if spec is not None:
         return vortex_ansatz(spec, b, geom, eps)
@@ -757,27 +763,21 @@ def default_initial_pair(
         rng = np.random.default_rng(seed)
         noise = 0.1 * (rng.standard_normal(geom.sites) + 1j * rng.standard_normal(geom.sites))
         return Section(geom, np.ones(geom.sites, dtype=np.complex128) + noise), zero_cochain(geom, 1)
-    return vortex_ansatz(_centered_spec(b), b, geom, eps)
-
-
-def _centered_spec(b: BundleData) -> AnsatzSpec:
-    """|c| unit vortices of the sign of c, c the one nonzero Chern entry,
-    spread along the diagonal of its plane to keep the ansatz periodic."""
-    geom = b.geom
-    nonzero = [(a, bb) for (a, bb) in components(geom.dim, 2) if b.chern_entry(a, bb) != 0]
-    if len(nonzero) > 1:
-        raise WindingMismatchError("default line ansatz needs a single nonzero Chern pair")
-    i, j = nonzero[0] if nonzero else (0, 1)
-    c = b.chern_entry(i, j)
-    count = abs(c)
-    return AnsatzSpec(
-        windings=(1 if c > 0 else -1,) * count,
-        positions=tuple(
-            (geom.lengths[i] * (m + 0.5) / count, geom.lengths[j] * (m + 0.5) / count)
-            for m in range(count)
-        ),
-        axis=3 - i - j if geom.dim == 3 else None,
-    )
+    factors = []
+    for i, j in np.argwhere(np.triu(b.chern)):
+        c = b.chern_entry(i, j)
+        count = abs(c)
+        entry = np.zeros_like(b.chern)
+        entry[i, j], entry[j, i] = c, -c
+        centred = AnsatzSpec(
+            windings=(1 if c > 0 else -1,) * count,
+            positions=tuple(
+                (geom.lengths[i] * (m + 0.5) / count, geom.lengths[j] * (m + 0.5) / count)
+                for m in range(count)
+            ),
+        )
+        factors.append(vortex_ansatz(centred, build_background(geom, entry), geom, eps)[0].values)
+    return Section(geom, reduce(np.multiply, factors)), zero_cochain(geom, 1)
 
 
 # ----------------------------------------------------------------------------
@@ -972,18 +972,18 @@ def epsilon_sweep(
 
 
 def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData) -> tuple[VorticityField, list]:
-    """The prescribed integer plaquette windings, constant along the line
-    axis, and per vortex its core plaquette as ((i, q_i), (j, q_j)) over the
-    transverse plane (i, j), checked against b's Chern numbers."""
+    """The prescribed integer plaquette windings in the ansatz plane (i, j)
+    (see AnsatzSpec), constant along the other axes, and per vortex its core
+    plaquette as ((i, q_i), (j, q_j)), checked against b's Chern numbers."""
     geom = b.geom
-    if spec.axis not in {2: (None,), 3: (0, 1, 2)}.get(geom.dim, ()):
+    if spec.axis is not None and (geom.dim != 3 or spec.axis not in (0, 1, 2)):
         raise WindingMismatchError(
-            "the ansatz takes points on T^2 (no axis) or lines along an axis in {0,1,2} "
-            f"on T^3, got axis {spec.axis} on T^{geom.dim}"
+            f"an ansatz axis names a line along 0, 1 or 2 on T^3, got axis {spec.axis} on T^{geom.dim}"
         )
-    i, j = sorted(set(range(geom.dim)) - {spec.axis})
-    for a, bb in components(geom.dim, 2):
-        if (a, bb) != (i, j) and b.chern_entry(a, bb) != 0:
+    nonzero = [(a, bb) for a, bb in components(geom.dim, 2) if b.chern_entry(a, bb) != 0]
+    i, j = (nonzero or [(0, 1)])[0] if spec.axis is None else sorted({0, 1, 2} - {spec.axis})
+    for a, bb in nonzero:
+        if (a, bb) != (i, j):
             raise WindingMismatchError(
                 f"chern[{a},{bb}] = {b.chern_entry(a, bb)} cannot be carried by "
                 f"the ansatz in the ({i},{j}) plane"

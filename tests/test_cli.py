@@ -94,6 +94,10 @@ def test_config_validation_messages():
         parse_config(base.replace("sites = 12 12", "sites = 12 x"))
     with pytest.raises(ConfigError, match=r"unknown \[optimizer\] key truncate_each"):
         parse_config(base.replace("tol = 1e-8", "tol = 1e-8\ntruncate_each = true"))
+    # an [ansatz] section without windings is an error, not the default start
+    no_windings = base.replace("windings = 1\npositions = 0.5 0.5", "positions = 0.2 0.7\naxis = 2")
+    with pytest.raises(ConfigError, match=r"missing \[ansatz\] windings"):
+        parse_config(no_windings)
     for old, new, message in [
         ("[geometry]", "dim = 2\n[geometry]", "expected 'key = value'"),
         ("tol = 1e-8", "tol 1e-8", "expected 'key = value'"),
@@ -256,27 +260,37 @@ T4_CONFIG = (
 
 
 def test_cmd_minimize_t4(tmp_path, capsys):
-    """minimize runs on T^4.  A Chern class there has no default start (the
-    ansatz is points on T^2 and lines on T^3), which ends the run with exit 1
-    and one config error line before any output is written."""
-    out = tmp_path / "t4"
-    path = write_config(tmp_path, text=T4_CONFIG, out=out)
+    """minimize runs on T^4, from the seeded random start on the trivial
+    bundle and from the default ansatz (one flat 2-torus) in a Chern class;
+    its chern_pairing_ij lines equal the config."""
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for key in (None, "chern_01", "chern_23"):
+        out = tmp_path / str(key)
+        text = T4_CONFIG if key is None else T4_CONFIG.replace("[run]", f"[bundle]\n{key} = 1\n\n[run]")
+        path = write_config(tmp_path, text=text, out=out)
+        assert main(["minimize", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "converged = true" in lines
+        assert [line for line in lines if line.startswith("chern_pairing_")] == [
+            f"chern_pairing_{i}{j} = {int(key == f'chern_{i}{j}')}" for i, j in pairs
+        ]
+
+
+# T^3 in the class c_02 = c_12 = 1, whose default start is a product of two
+# line ansatze
+T3_TWO_ENTRY_CONFIG = (
+    T3_AXIS_CONFIG.replace("chern_01 = 1", "chern_02 = 1\nchern_12 = 1").split("[ansatz]")[0]
+)
+
+
+def test_cmd_minimize_two_entry_class(tmp_path, capsys):
+    path = write_config(tmp_path, text=T3_TWO_ENTRY_CONFIG, out=tmp_path / "diag")
     assert main(["minimize", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "converged = true" in lines
     assert [line for line in lines if line.startswith("chern_pairing_")] == [
-        f"chern_pairing_{i}{j} = 0" for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        "chern_pairing_01 = 0", "chern_pairing_02 = 1", "chern_pairing_12 = 1"
     ]
-    for key in ("chern_01", "chern_23"):
-        out = tmp_path / key
-        text = T4_CONFIG.replace("[run]", f"[bundle]\n{key} = 1\n\n[run]")
-        path = write_config(tmp_path, text=text, out=out)
-        assert main(["minimize", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
-        assert "got axis None on T^4" in captured.err
-        assert not out.exists()
 
 
 @pytest.mark.parametrize(

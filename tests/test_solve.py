@@ -489,11 +489,11 @@ def test_ansatz_winding_validation(t2_bundle, t3_bundle):
         vortex_ansatz(
             AnsatzSpec(windings=(2,), positions=((0.5, 0.5),)), t2_bundle, t2_bundle.geom, 0.1
         )
-    with pytest.raises(WindingMismatchError):
+    with pytest.raises(WindingMismatchError, match=r"total winding 2 != chern\[0,1\] = 1"):
         vortex_ansatz(
-            AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), t3_bundle, t3_bundle.geom, 0.1
+            AnsatzSpec(windings=(2,), positions=((0.5, 0.5),)), t3_bundle, t3_bundle.geom, 0.1
         )
-    with pytest.raises(WindingMismatchError):
+    with pytest.raises(WindingMismatchError, match=r"chern\[0,1\] = 1 cannot be carried"):
         vortex_ansatz(
             AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=0),
             t3_bundle,
@@ -504,17 +504,20 @@ def test_ansatz_winding_validation(t2_bundle, t3_bundle):
         vortex_ansatz(
             AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), t2_bundle, t3_bundle.geom, 0.1
         )
-    # the ansatz is points on T^2 or lines on T^3: a line's plane must carry
-    # every nonzero Chern entry, and T^4 takes no axis
+    # the ansatz plane must carry every nonzero Chern entry, with or without
+    # an axis, and only T^3 takes an axis
     g3 = t3_bundle.geom
     b3 = tg.build_background(g3, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
-    with pytest.raises(WindingMismatchError, match=r"chern\[1,2\] = 1 cannot be carried"):
-        vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=2), b3, g3, 0.1)
+    for axis in (None, 2):
+        with pytest.raises(WindingMismatchError, match=r"chern\[1,2\] = 1 cannot be carried"):
+            vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=axis), b3, g3, 0.1)
     g4 = tg.TorusGeometry((4,) * 4, (1.0,) * 4)
     b4 = tg.build_background(g4, np.triu(np.ones((4, 4), dtype=int)) - np.tril(np.ones((4, 4), dtype=int)))
-    for axis in (None, 0, 2, 3):
-        with pytest.raises(WindingMismatchError, match="T\\^4"):
-            vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=axis), b4, g4, 0.1)
+    with pytest.raises(WindingMismatchError, match=r"chern\[0,2\] = 1 cannot be carried"):
+        vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),)), b4, g4, 0.1)
+    for b, axis in ((t2_bundle, 0), (t2_bundle, 2), (b4, 0), (b4, 2), (b4, 3)):
+        with pytest.raises(WindingMismatchError, match=f"got axis {axis} on T\\^{b.geom.dim}"):
+            vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=axis), b, b.geom, 0.1)
     # (1.5, -0.5) totals c = 1 but is no integer prescription
     for windings in ((1.5, -0.5), (float("inf"), 1)):
         with pytest.raises(ValueError, match="integers"):
@@ -559,7 +562,7 @@ def test_ansatz_core_profile(t2_bundle):
     assert np.abs(u.values)[far].min() >= 1.0 - 1e-12
 
 
-def test_default_initial_pair(t2_bundle, t2_trivial):
+def test_default_initial_pair(t2_bundle, t2_trivial, t3_bundle):
     u, A = default_initial_pair(t2_bundle, 0.2, seed=1)
     v = vorticity(u, A, t2_bundle)
     assert v.total() == 1
@@ -567,11 +570,57 @@ def test_default_initial_pair(t2_bundle, t2_trivial):
     assert np.abs(np.abs(u2.values) - 1.0).max() < 0.7  # perturbed ones
     u3, _ = default_initial_pair(t2_trivial, 0.2, seed=1)
     assert np.array_equal(u2.values, u3.values)  # seeded determinism
-    # the default ansatz is straight lines along one axis: one Chern pair
-    geom = tg.TorusGeometry((8, 8, 8), (1.0, 1.0, 1.0))
-    b = tg.build_background(geom, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])
-    with pytest.raises(WindingMismatchError, match="single nonzero Chern pair"):
-        default_initial_pair(b, 0.2, seed=1)
+    # one Chern entry gives one factor: the centred line of that entry
+    u, A = default_initial_pair(t3_bundle, 0.2, seed=1)
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=2)
+    line, _ = vortex_ansatz(spec, t3_bundle, t3_bundle.geom, 0.2)
+    assert np.array_equal(u.values.view(np.int64), line.values.view(np.int64))
+    assert not A.values.any()
+
+
+def _chern(n, entries):
+    """The antisymmetric Chern matrix with the given {(i, j): c_ij}, i < j."""
+    chern = np.zeros((n, n), dtype=int)
+    for (i, j), c in entries.items():
+        chern[i, j], chern[j, i] = c, -c
+    return chern
+
+
+@pytest.mark.parametrize(
+    "sites, lengths, entries",
+    [
+        ((9, 7, 5), (1.0, 1.3, 2.0), {(0, 1): 1, (0, 2): 2, (1, 2): -1}),
+        ((12,) * 4, (1.0,) * 4, {(0, 1): 1, (2, 3): 1}),
+        ((10, 12, 14), (1.0,) * 3, {(0, 1): -2, (0, 2): 1, (1, 2): 3}),
+    ],
+    ids=["t3-aniso", "t4-crossing", "t3-three-entries"],
+)
+def test_default_start_of_a_multi_entry_class(sites, lengths, entries):
+    """The default start of a class with several nonzero Chern entries is a
+    section of its bundle whose windings are the sum of those of the
+    single-entry starts.  (Its chern_pairing equals the bundle's; that
+    holds for every section without zeros, so the windings are the check.)"""
+    g = tg.TorusGeometry(sites, lengths)
+    b = tg.build_background(g, _chern(g.dim, entries))
+    u, A = default_initial_pair(b, 0.2, seed=0)
+    v = vorticity(u, A, b)
+    assert np.array_equal(tg.chern_pairing(v), b.chern)
+    windings = 0
+    for ij, c in entries.items():
+        bij = tg.build_background(g, _chern(g.dim, {ij: c}))
+        windings = windings + vorticity(*default_initial_pair(bij, 0.2, seed=0), bij).windings
+    assert np.array_equal(v.windings, windings)
+
+
+def test_minimize_from_a_multi_entry_start():
+    """minimize from the default start of the class (c_01, c_02, c_12) =
+    (1, 2, -1) on an anisotropic T^3 converges in that class (184
+    evaluations)."""
+    g = tg.TorusGeometry((18, 14, 10), (1.0, 1.3, 2.0))
+    b = tg.build_background(g, _chern(3, {(0, 1): 1, (0, 2): 2, (1, 2): -1}))
+    res = tg.minimize(*default_initial_pair(b, 0.45, seed=0), b, 0.45, MinimizeOptions(tol=1e-8))
+    assert res.converged and res.iterations <= 250, res.iterations
+    assert np.array_equal(tg.chern_pairing(vorticity(res.section, res.gauge_field, b)), b.chern)
 
 
 # ----------------------------------------------------------------------------
@@ -805,6 +854,37 @@ def test_t4_crossing_class_is_two_flat_tori(n):
     assert carriers == [(0, 1), (2, 3)]
     assert vortex_mass(v) == 2.0
     assert res.energy.total - 2.0 * r2.energy.total < 0.0
+
+
+def test_t3_diagonal_class_concentrates_on_the_shortest_line(sweep_quarter):
+    """The energy of minimisers concentrates on an area-minimising line.  In
+    the class c_02 = c_12 = 1 on the unit T^3 that is the face diagonal, of
+    length sqrt 2 (Alberti, Baldo and Orlandi, Indiana Univ. Math. J. 54,
+    2005), whose transverse torus is the rectangle 1/sqrt 2 x 1.  So at
+    eps 0.2 the energy is sqrt 2 times the T^2 one on that rectangle: from
+    the default start, 16^3 and 32^3 and the T^2 45 x 64 and 91 x 128,
+    each pair Richardson-extrapolated in h^2, agree to 6.5e-8 relative.  An
+    L of two axial lines would cost about twice the axial energy."""
+
+    def minimum(sites, lengths, chern):
+        b = tg.build_background(tg.TorusGeometry(sites, lengths), chern)
+        res = tg.minimize(*default_initial_pair(b, 0.2, seed=0), b, 0.2, MinimizeOptions(tol=1e-8))
+        assert res.converged, sites
+        return res, b
+
+    line = []
+    for n in (16, 32):
+        res, b = minimum((n,) * 3, (1.0,) * 3, _chern(3, {(0, 2): 1, (1, 2): 1}))
+        v = vorticity(res.section, res.gauge_field, b)
+        assert single_dual_loop(v) == (True, 2 * n)
+        assert np.array_equal(tg.chern_pairing(v), b.chern)
+        line.append(res.energy.total)
+    flat = [minimum(sites, (1.0 / np.sqrt(2.0), 1.0), _chern(2, {(0, 1): 1}))[0].energy.total
+            for sites in ((45, 64), (91, 128))]
+    line_limit, flat_limit = (e[1] + (e[1] - e[0]) / 3.0 for e in (line, flat))
+    assert abs(line_limit - np.sqrt(2.0) * flat_limit) < 1e-6 * line_limit, (line_limit, flat_limit)
+    assert sweep_quarter[0].epsilon == 0.2
+    assert line[-1] < 2.0 * sweep_quarter[0].result.energy.total - 2.0, line
 
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])

@@ -33,6 +33,11 @@ Last, the same solve line for the T^4 crossing class c_01 = c_23 = 1 on
 12^4 at eps 0.2, started from the product of two copies of the T^2 12^2
 minimizer, one in the (0,1) plane and one in the (2,3) plane (the
 `t4_product_start` of tests/conftest.py, which the T^4 tests also use).
+Then the same solve line for two classes with several nonzero Chern
+entries, each started from `default_initial_pair`'s product of per-entry
+ansatze: (c_01, c_02, c_12) = (1, 2, -1) on 18 x 14 x 10 with lengths
+(1, 1.3, 2) at eps 0.45, and the diagonal class c_02 = c_12 = 1 on the
+unit 16^3 at eps 0.2.
 Two checkouts whose outputs agree byte for byte compute the same numbers, so
 a refactor that claims bit-identical results shows an empty diff.
 """
@@ -98,6 +103,13 @@ SOLVES = (
 # lattice side and epsilon of the T^4 crossing-class solve
 CROSSING_SITES = 12
 CROSSING_EPS = 0.2
+
+# (label, sites, lengths, chern, eps): the solves from the default start of
+# a class with several nonzero Chern entries
+DEFAULT_START_SOLVES = (
+    ("default_t3_aniso", (18, 14, 10), (1.0, 1.3, 2.0), [[0, 1, 2], [-1, 0, -1], [-2, 1, 0]], 0.45),
+    ("diagonal_t3_16", (16, 16, 16), (1.0, 1.0, 1.0), [[0, 0, 1], [0, 0, 1], [-1, -1, 0]], 0.2),
+)
 
 # (label, sites, eps list, mesh rule): the conftest sweep fixtures
 SWEEPS = (
@@ -257,6 +269,11 @@ def main() -> None:
 
     _, b, u, A = t4_product_start(CROSSING_SITES, CROSSING_EPS, [(0, 1), (2, 3)], OPTS)
     print(line("crossing_t4_12", tg.minimize(u, A, b, CROSSING_EPS, OPTS), b), flush=True)
+
+    for label, sites, lengths, chern, eps in DEFAULT_START_SOLVES:
+        b = tg.build_background(tg.TorusGeometry(sites, lengths), chern)
+        u, A = default_initial_pair(b, eps, 0)
+        print(line(label, tg.minimize(u, A, b, eps, OPTS), b), flush=True)
 
 
 if __name__ == "__main__":
