@@ -17,21 +17,22 @@ vorticity are all built on it, and sweeps refine sections along its phases.
 
 `_cis` forms every phase factor exp(+-i phase) of the package from real
 cosines and sines, bit for bit numpy's complex exp without its complex
-temporaries.  From 2 * `_SLAB_ENTRIES` entries on it splits the work into
-contiguous slabs over a thread per CPU (numpy releases the GIL inside the
-float64 cos and sin loops); each entry is computed by the same loop at the
-same position within its vector block wherever the slabs begin, so the bits
-do not depend on the number of CPUs.
+temporaries.  From 2 * `lattice._SPLIT_ENTRIES` entries on (an axis of
+256^2 or 40^3, not of 160^2 or 28^3) it splits the work into contiguous
+slabs, one per CPU of the affinity mask, over the package's one long-lived
+worker set (`lattice._split`; numpy releases the GIL inside the float64 cos
+and sin loops).  Each entry is computed by the same loop at the same
+position within its vector block wherever the slabs begin, so the bits do
+not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Cochain, TorusGeometry, components, constant_cochain, exterior_derivative
+from .lattice import Cochain, TorusGeometry, _split, components, constant_cochain, exterior_derivative
 
 __all__ = [
     "Section",
@@ -146,22 +147,9 @@ def link_transport(u: Section, A: Cochain, b: BundleData):
         yield link, fwd
 
 
-# the fewest entries of a slab of _cis, so it splits arrays from 32,768 entries
-# on.  One cos/sin pair on a 2-vCPU x86-64 host takes 0.30 ms inline and
-# 0.33 ms split at 6,400 entries, 0.86 and 0.60 ms at 21,952, 1.46 and 0.91 ms
-# at 32,768, 10.9 and 7.1 ms at 262,144.  The cutoff sits well above that
-# crossover, so a split saves over a third of the call, and the axes of the
-# 28^3 and 160^2 solve lattices (21,952 and 25,600 entries) stay inline.
-_SLAB_ENTRIES = 1 << 14
-# slabs begin at multiples of this many entries, a whole number of vector
-# blocks of every SIMD width numpy dispatches to
+# slabs of _cis begin at multiples of this many entries, a whole number of
+# vector blocks of every SIMD width numpy dispatches to
 _SLAB_ALIGN = 64
-
-
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _cis_into(phase: np.ndarray, sign: int, out: np.ndarray) -> None:
@@ -175,27 +163,11 @@ def _cis_into(phase: np.ndarray, sign: int, out: np.ndarray) -> None:
 
 def _cis(phase: np.ndarray, sign: int) -> np.ndarray:
     """cos(phase) + i sign sin(phase), sign = +1 or -1: bit for bit
-    np.exp(sign * 1j * phase) for finite phases, split over the CPUs of this
-    process's affinity mask from 2 * _SLAB_ENTRIES entries on."""
+    np.exp(sign * 1j * phase) for finite phases, split into contiguous slabs
+    over the worker set of `lattice._split`."""
     out = np.empty(phase.shape, dtype=np.complex128)
     flat, dest = phase.reshape(-1), out.reshape(-1)
-    parts = flat.size // _SLAB_ENTRIES
-    if parts >= 2:
-        parts = min(parts, _cpus())
-    if parts < 2:
-        _cis_into(flat, sign, dest)
-        return out
-    from concurrent.futures import ThreadPoolExecutor  # 4-5 ms to import
-
-    step = -(-flat.size // (parts * _SLAB_ALIGN)) * _SLAB_ALIGN
-    # the calling thread takes one slab; the workers end with this call, so a
-    # forked child inherits none of them
-    with ThreadPoolExecutor(max_workers=parts - 1, thread_name_prefix="torusgl-cis") as pool:
-        jobs = [pool.submit(_cis_into, flat[k:k + step], sign, dest[k:k + step])
-                for k in range(step, flat.size, step)]
-        _cis_into(flat[:step], sign, dest[:step])
-        for job in jobs:
-            job.result()
+    _split(flat.size, 1, lambda lo, hi: _cis_into(flat[lo:hi], sign, dest[lo:hi]), _SLAB_ALIGN)
     return out
 
 

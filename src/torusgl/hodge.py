@@ -21,6 +21,7 @@ import numpy as np
 from .lattice import (
     Cochain,
     TorusGeometry,
+    _split,
     codifferential,
     exterior_derivative,
     norm,
@@ -92,18 +93,34 @@ def harmonic_dimension(geom: TorusGeometry, degree: int) -> int:
 def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     """Apply a Fourier multiplier, given per mode on the full site grid and
     even in each wave number, to every component of a real stacked
-    (components, *sites) array: one rfftn/irfftn pair over the site axes,
-    the multiplier cut to the half spectrum the real transform keeps (a
-    multiplier already cut to it passes unchanged).  A multiplier with a
-    leading components axis gives each component its own.  The inverse
-    runs irfftn's passes itself, the complex ones in place in the spectrum,
-    so it allocates no second complex array (bit-identical to irfftn)."""
+    (components, *sites) array, bit-identical to irfftn(rfftn(values) *
+    multiplier) over the site axes.  The multiplier is cut to the half
+    spectrum the real transform keeps (a multiplier already cut to it
+    passes unchanged); one with a leading components axis gives each
+    component its own.  rfftn writes into one preallocated spectrum, the
+    complex inverse passes run in place there and the last writes straight
+    into the result, so no second complex array is allocated.
+
+    The component rows are split over the worker set of `lattice._split`,
+    from 2 * _SPLIT_ENTRIES entries on; every row goes through the same
+    1-D transforms whichever thread runs it, so the bits do not depend on
+    the number of CPUs."""
     sites = values.shape[1:]
-    spec = np.fft.rfftn(values, axes=tuple(range(1, values.ndim)))
-    spec *= multiplier[..., : sites[-1] // 2 + 1]
-    for axis in range(1, values.ndim - 1):
-        np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(spec, n=sites[-1], axis=-1)
+    axes = tuple(range(1, values.ndim))
+    half = sites[-1] // 2 + 1
+    mult = multiplier[..., :half]
+    out = np.empty(values.shape)
+
+    def rows(lo: int, hi: int) -> None:
+        spec = np.empty((hi - lo, *sites[:-1], half), dtype=np.complex128)
+        np.fft.rfftn(values[lo:hi], axes=axes, out=spec)
+        spec *= mult[lo:hi] if mult.ndim == values.ndim else mult
+        for axis in axes[:-1]:
+            np.fft.ifft(spec, axis=axis, out=spec)
+        np.fft.irfft(spec, n=sites[-1], axis=-1, out=out[lo:hi])
+
+    _split(values.shape[0], values[0].size, rows)
+    return out
 
 
 def green(c: Cochain) -> Cochain:

@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -260,6 +263,107 @@ def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
         freq = (2.0 / h**2) * (1.0 - np.cos(2.0 * np.pi * np.arange(N) / N))
         lam = lam + freq.reshape(shape)
     return lam
+
+
+# ----------------------------------------------------------------------------
+# one worker set that splits the heavy kernels (bundle._cis,
+# hodge._spectral_multiply) over the CPUs of the process's affinity mask
+# ----------------------------------------------------------------------------
+
+# the fewest entries of one part of a split.  Timed inside the solves of
+# min_t3_28 and sweep_quarter on a 2-vCPU x86-64 host, inline -> split in
+# two, ms per call: the 5 x 28^3 preconditioner apply 1.32-1.36 -> 0.91-1.06
+# and the 4 x 160^2 one 0.79-0.88 -> 0.58-0.71 gain; below 2 * 16,384
+# entries a split gains nothing (_cis on a 28^3 axis 0.16-0.18 -> 0.16-0.17,
+# on a 160^2 axis 0.20 -> 0.19-0.21) or loses (4 x 80^2: 0.23 -> 0.24-0.31),
+# as waking an idle worker costs as much as the half it takes over.
+_SPLIT_ENTRIES = 1 << 14
+_jobs = SimpleQueue()   # the queue the workers read
+_workers = 0            # workers started on _jobs
+_starting = threading.Lock()
+
+
+def _forget_workers() -> None:
+    # a forked child inherits the queue but none of the threads that read it
+    global _jobs, _workers, _starting
+    _jobs, _workers, _starting = SimpleQueue(), 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Job:
+    """One range of a split.  A worker or the caller, whichever takes
+    `claim` first, runs it; `done` is released once it has run."""
+
+    __slots__ = ("work", "lo", "hi", "claim", "done", "error")
+
+    def __init__(self, work, lo: int, hi: int):
+        self.work, self.lo, self.hi, self.error = work, lo, hi, None
+        self.claim, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()
+
+    def run(self) -> None:
+        try:
+            self.work(self.lo, self.hi)
+        except BaseException as exc:  # the caller raises it
+            self.error = exc
+        # drop the caller's arrays before the caller goes on: numpy reuses a
+        # returned temporary in place only while nothing else holds it, and
+        # that changes the bits of some complex products
+        self.work = None
+        self.done.release()
+
+
+def _serve(jobs: SimpleQueue) -> None:
+    while True:
+        job = jobs.get()
+        if job.claim.acquire(blocking=False):
+            job.run()
+
+
+def _split(count: int, weight: int, work, align: int = 1) -> None:
+    """Run work(lo, hi) on consecutive ranges [lo, hi) that cover range(count)
+    and begin at multiples of `align`, where each of the `count` units holds
+    `weight` entries: at most one range per CPU of the affinity mask and per
+    _SPLIT_ENTRIES entries.  The calling thread runs the first range, then
+    every range no worker has started by then, and waits for the rest; the
+    workers are started on first use and kept for the life of the process
+    (a forked child starts its own).  `work` must compute the same values
+    for a range whichever thread runs it."""
+    global _workers
+    parts = count * weight // _SPLIT_ENTRIES
+    if parts >= 2:
+        parts = min(parts, _cpus())
+    step = -(-count // (max(parts, 1) * align)) * align
+    pending = [_Job(work, lo, min(lo + step, count)) for lo in range(step, count, step)]
+    if not pending:
+        work(0, count)
+        return
+    with _starting:
+        while _workers < len(pending):
+            threading.Thread(target=_serve, args=(_jobs,), name=f"torusgl-worker-{_workers}",
+                             daemon=True).start()
+            _workers += 1
+    for job in pending:
+        _jobs.put(job)
+    try:
+        work(0, step)
+    finally:
+        for job in pending:
+            if job.claim.acquire(blocking=False):
+                job.run()
+            job.done.acquire()
+    for job in pending:
+        if job.error is not None:
+            raise job.error
 
 
 # ----------------------------------------------------------------------------

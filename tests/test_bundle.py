@@ -221,52 +221,68 @@ def test_link_matches_complex_exponential(sites):
         assert np.abs(D[i] - ref_D).max() <= 1e-15 * np.abs(ref_D).max()
 
 
-@pytest.mark.parametrize("n", [2 * tg.bundle._SLAB_ENTRIES - 1, 3 * tg.bundle._SLAB_ENTRIES + 17])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_cis_split_inline_and_exp_agree(monkeypatch, n, sign):
-    """_cis inline, split into 2 or 3 slabs (also below the cutoff, with a
-    smaller slab size) and np.exp(sign * 1j * x) agree bit for bit, at
-    signed zeros and phases up to +-1e6 included; no worker thread outlives
-    the call."""
+def _workers() -> set:
     import threading
 
-    from torusgl import bundle
+    return {t for t in threading.enumerate() if t.name.startswith("torusgl-worker")}
+
+
+@pytest.mark.parametrize("n", [32767, 49169])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cis_split_inline_and_exp_agree(monkeypatch, n, sign):
+    """_cis inline (one CPU, or too few entries for two parts), split into 2
+    or 3 slabs and np.exp(sign * 1j * x) agree bit for bit, at signed zeros
+    and phases up to +-1e6 included; repeated calls reuse the named workers
+    of the first, at most cpus - 1 of them."""
+    from torusgl import bundle, lattice
 
     x = np.random.default_rng(n).uniform(-40.0, 40.0, n)
     x[:6] = [0.0, -0.0, np.pi, -np.pi, 1e6, -1e6]
     ref = np.exp(sign * 1j * x).tobytes()
-    for cpus, slab in ((1, bundle._SLAB_ENTRIES), (2, bundle._SLAB_ENTRIES), (3, n // 4)):
-        monkeypatch.setattr(bundle, "_cpus", lambda: cpus)
-        monkeypatch.setattr(bundle, "_SLAB_ENTRIES", slab)
-        assert bundle._cis(x, sign).tobytes() == ref, (cpus, slab)
-        assert not [t for t in threading.enumerate() if t.name.startswith("torusgl-cis")]
+    cutoff = lattice._SPLIT_ENTRIES
+    for cpus, part in ((1, cutoff), (2, n // 2 + 1), (2, cutoff), (2, n // 2), (3, n // 4)):
+        monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+        monkeypatch.setattr(lattice, "_SPLIT_ENTRIES", part)
+        before = _workers()
+        assert bundle._cis(x, sign).tobytes() == ref, (cpus, part)
+        started = _workers()
+        assert before <= started and len(started) <= max(len(before), cpus - 1)
+        for _ in range(3):
+            assert bundle._cis(x, sign).tobytes() == ref, (cpus, part)
+        assert _workers() == started
 
 
 _FORK_SCRIPT = """
-import os, sys
+import os, sys, threading
 import numpy as np
 import torusgl as tg
-from torusgl import bundle
+from torusgl import bundle, lattice
 
-bundle._cpus = lambda: 2
-x = np.random.default_rng(0).uniform(-40.0, 40.0, 2 * bundle._SLAB_ENTRIES)
+lattice._cpus = lambda: 2
+x = np.random.default_rng(0).uniform(-40.0, 40.0, 2 * lattice._SPLIT_ENTRIES)
 ref = bundle._cis(x, -1).tobytes()
+geom = tg.TorusGeometry((64, 64, 64), (1.0, 1.0, 1.0))
+w = tg.random_cochain(geom, 2, np.random.default_rng(1))
+london = tg.solve_london(w).values.tobytes()
 pid = os.fork()
 if pid == 0:
-    geom = tg.TorusGeometry((64, 64, 64), (1.0, 1.0, 1.0))
     b = tg.build_background(geom, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     u = bundle.constant_section(geom, 1.0)
     links = [link for link, _ in bundle.link_transport(u, tg.zero_cochain(geom, 1), b)]
-    sys.exit(0 if len(links) == 3 and bundle._cis(x, -1).tobytes() == ref else 3)
+    ok = (len(links) == 3 and bundle._cis(x, -1).tobytes() == ref
+          and tg.solve_london(w).values.tobytes() == london
+          and any(t.name.startswith("torusgl-worker") for t in threading.enumerate()))
+    sys.exit(0 if ok else 3)
 sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_forms_links_after_parent_used_the_pool():
-    """A child forked after its parent split phase factors over worker
-    threads forms 64^3 links over threads of its own and exits; a fork
-    inherits no threads, so reusing the parent's workers would hang."""
+    """A child forked after its parent split phase factors and a London
+    solve over the worker set forms 64^3 links and solves the London
+    equation on a 64^3 2-cochain, with the parent's bits, over workers of
+    its own: a fork inherits none of the parent's threads."""
     import signal
     import subprocess
     import sys

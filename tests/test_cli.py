@@ -471,37 +471,48 @@ def test_ansatz_forms_links_and_curvature_once(tmp_path, capsys, monkeypatch):
 
 
 _AFFINITY_SCRIPT = """
-import os, sys, threading
+import os, sys
+import numpy as np
 from torusgl import bundle, cli
 if sys.argv[1] == "1":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-ran, cis_into = set(), bundle._cis_into
-def counted(*args):
-    ran.add(threading.current_thread().name)
-    cis_into(*args)
-bundle._cis_into = counted
+calls = {"cis": 0, "fft": 0}
+def counted(kind, f):
+    def run(*args, **kwargs):
+        calls[kind] += 1
+        return f(*args, **kwargs)
+    return run
+bundle._cis_into = counted("cis", bundle._cis_into)
+np.fft.rfftn = counted("fft", np.fft.rfftn)
 assert cli.main(["ansatz", "--config", sys.argv[2]]) == 0
-print("cis threads", sum(name.startswith("torusgl-cis") for name in ran))
+print(calls["cis"], calls["fft"])
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs 2 CPUs and sched_setaffinity")
 def test_ansatz_bytes_independent_of_cpu_count(tmp_path):
-    """On 192^2, above 2 * bundle._SLAB_ENTRIES, a child pinned to one CPU forms
-    every phase factor inline and one with 2 CPUs splits them over worker
-    threads; both write the same bytes."""
-    text = T2_CONFIG.replace("sites = 12 12", "sites = 192 192").replace(
-        "epsilons = 0.3 0.25", "epsilons = 0.1")
-    files = {}
-    for cpus, threads in (("1", 0), ("2", 1)):
-        out = tmp_path / f"cpus{cpus}"
-        path = write_config(tmp_path, text, out=out)
-        proc = subprocess.run([sys.executable, "-c", _AFFINITY_SCRIPT, cpus, str(path)],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"cis threads {threads}"
-        files[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert sorted(files["1"]) == ["A.field", "F.field", "ansatz.txt", "mu.field", "u.field",
-                                  "vorticity.txt"]
-    assert files["1"] == files["2"]
+    """A child pinned to one CPU runs every kernel inline and one with 2 CPUs
+    splits the phase factors of the 192^2 and 40^3 links (above
+    2 * lattice._SPLIT_ENTRIES entries) and the rows of the 40^3 Poisson
+    solve (the T^2 solve has one row), so it makes more cos/sin and rfftn
+    calls; both write the same bytes."""
+    for name, config, fft_split in (
+        ("t2", T2_CONFIG.replace("sites = 12 12", "sites = 192 192"), False),
+        ("t3", T3_AXIS_CONFIG.replace("sites = 8 8 10", "sites = 40 40 40"), True),
+    ):
+        text = config.replace("epsilons = 0.3 0.25", "epsilons = 0.1")
+        files, calls = {}, {}
+        for cpus in ("1", "2"):
+            out = tmp_path / f"{name}-cpus{cpus}"
+            path = write_config(tmp_path, text, out=out)
+            proc = subprocess.run([sys.executable, "-c", _AFFINITY_SCRIPT, cpus, str(path)],
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            calls[cpus] = [int(c) for c in proc.stdout.split()[-2:]]
+            files[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        (cis1, fft1), (cis2, fft2) = calls["1"], calls["2"]
+        assert cis2 > cis1 and (fft2 > fft1 if fft_split else fft2 == fft1), (name, calls)
+        assert sorted(files["1"]) == ["A.field", "F.field", "ansatz.txt", "mu.field", "u.field",
+                                      "vorticity.txt"]
+        assert files["1"] == files["2"], name

@@ -230,3 +230,23 @@ def test_spectral_multiply_matches_irfftn(geom, rng):
         spec = np.fft.rfftn(values, axes=axes) * mult[..., : geom.sites[-1] // 2 + 1]
         expected = np.fft.irfftn(spec, s=geom.sites, axes=axes)
         assert np.array_equal(_spectral_multiply(values, mult), expected)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+def test_spectral_multiply_split_equals_inline(monkeypatch, rows, rng):
+    """Split over 2 or 3 CPUs (cutoff lowered so small lattices split), the
+    rows of one apply give the inline result bit for bit, with a shared
+    sites-shaped multiplier and with one per row."""
+    from torusgl import lattice
+
+    for geom in (tg.TorusGeometry((12, 10), (1.0, 1.5)), tg.TorusGeometry((9, 7, 6), (1.0, 1.0, 2.0))):
+        values = rng.standard_normal((rows, *geom.sites))
+        shared = 1.0 / (1.0 + stencil_eigenvalues(geom))
+        for mult in (shared, np.stack([shared / (k + 1.0) for k in range(rows)])):
+            monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+            ref = _spectral_multiply(values, mult).tobytes()
+            monkeypatch.setattr(lattice, "_SPLIT_ENTRIES", 1)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+                assert _spectral_multiply(values, mult).tobytes() == ref, (rows, cpus)
+            monkeypatch.undo()

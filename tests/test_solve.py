@@ -615,12 +615,23 @@ def test_default_start_of_a_multi_entry_class(sites, lengths, entries):
 def test_minimize_from_a_multi_entry_start():
     """minimize from the default start of the class (c_01, c_02, c_12) =
     (1, 2, -1) on an anisotropic T^3 converges in that class (184
-    evaluations)."""
+    evaluations), with its vortex lines near the least mass of the class.
+    chern_pairing alone cannot tell: a section of random phase has the same
+    pairing, but a vortex mass of about 300."""
     g = tg.TorusGeometry((18, 14, 10), (1.0, 1.3, 2.0))
     b = tg.build_background(g, _chern(3, {(0, 1): 1, (0, 2): 2, (1, 2): -1}))
     res = tg.minimize(*default_initial_pair(b, 0.45, seed=0), b, 0.45, MinimizeOptions(tol=1e-8))
     assert res.converged and res.iterations <= 250, res.iterations
-    assert np.array_equal(tg.chern_pairing(vorticity(res.section, res.gauge_field, b)), b.chern)
+    v = vorticity(res.section, res.gauge_field, b)
+    assert np.array_equal(tg.chern_pairing(v), b.chern)
+    # a dual 1-cycle of the class crosses the torus |c_12| times along axis
+    # 0, |c_02| times along axis 1 and |c_01| times along axis 2: 5.6 at least
+    least = 1 * 1.0 + 2 * 1.3 + 1 * 2.0
+    assert least - 1e-12 <= vortex_mass(v) <= 1.2 * least, vortex_mass(v)  # 6.23
+    noise = tg.Section(g, np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=g.sites)))
+    v_noise = vorticity(noise, zero_cochain(g, 1), b)
+    assert np.array_equal(tg.chern_pairing(v_noise), b.chern)
+    assert vortex_mass(v_noise) > 1.2 * least
 
 
 # ----------------------------------------------------------------------------

@@ -17,6 +17,9 @@ on the 256^2 and 40^3 lattices, whose phase factors `bundle._cis` splits
 over the CPUs, with the sha1 of that state after `apply_gauge` by a seeded
 random phase and after `coulomb_fix`, once as it is and once with a
 winding added to each mean of A, which `coulomb_fix` must then remove.
+On the same two lattices it prints the sha1 of `solve_london` of a seeded
+random 1-cochain and of one apply of the `minimize` preconditioner, whose
+component rows `hodge._spectral_multiply` splits over the CPUs.
 For the bundles of `PLAQUETTE_BUNDLES` it prints the sha1 of
 `holonomy_residuals`, and for one seeded random state on each the sha1 of
 `vorticity_density`, `sparse_windings` and `flux_pairing` of both the
@@ -59,7 +62,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import torusgl as tg  # noqa: E402
 from torusgl import cli  # noqa: E402
 from torusgl.fields import linearize  # noqa: E402
-from torusgl.solve import default_initial_pair  # noqa: E402
+from torusgl.solve import _phase_aligned_preconditioner, default_initial_pair  # noqa: E402
 from conftest import t4_product_start  # noqa: E402
 
 CHERN_T2 = [[0, 1], [-1, 0]]
@@ -76,10 +79,11 @@ KERNEL_SITES = ((28, 28, 28), (160, 160))
 KERNEL_SEED = 22
 KERNEL_EPS = 0.1
 
-# lattices with at least 2 * bundle._SLAB_ENTRIES entries per axis, and the
-# seed of their states and gauge phases
+# lattices with at least 2 * lattice._SPLIT_ENTRIES entries per axis, the
+# seed of their states and gauge phases, and that of their spectral inputs
 SPLIT_SITES = ((256, 256), (40, 40, 40))
 SPLIT_SEED = 24
+SPECTRAL_SEED = 26
 
 # (sites, lengths, chern) of the per-plaquette digests: the anisotropic T^3
 # bundle of tests/conftest.py, with three nonzero Chern numbers, and a T^2
@@ -223,6 +227,16 @@ def main() -> None:
         print(f"gauge {'x'.join(map(str, sites))} apply_gauge {sha1(u2.values, A2.values)} "
               + " ".join(f"coulomb_fix{tag} {sha1(u3.values, A3.values, phase.theta)}"
                          for tag, (u3, A3, phase) in zip(("", "_wound"), fixed)), flush=True)
+
+    rng = np.random.default_rng(SPECTRAL_SEED)
+    for sites in SPLIT_SITES:
+        geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+        w = tg.random_cochain(geom, 1, rng)
+        u = rng.standard_normal(sites) + 1j * rng.standard_normal(sites)
+        v = rng.standard_normal((2 + geom.dim) * geom.n_sites)
+        precondition = _phase_aligned_preconditioner(geom, KERNEL_EPS)(u)
+        print(f"spectral {'x'.join(map(str, sites))} solve_london {sha1(tg.solve_london(w).values)} "
+              f"precondition {sha1(precondition(v))}", flush=True)
 
     rng = np.random.default_rng(PLAQUETTE_SEED)
     for sites, lengths, chern in PLAQUETTE_BUNDLES:
