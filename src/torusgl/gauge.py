@@ -47,7 +47,10 @@ def apply_gauge(u: Section, A: Cochain, theta: GaugePhase) -> tuple[Section, Coc
     """(u, A) -> (e^{i theta} u, A + d theta)."""
     if u.geom != theta.geom or A.geom != theta.geom:
         raise ValueError("geometry mismatch between fields and gauge phase")
-    u2 = Section(u.geom, u.values * _cis(theta.theta, 1))
+    # phase * u, as numpy's complex product is not bitwise commutative and
+    # `u * phase` takes this order only where numpy elides the temporary
+    phase = _cis(theta.theta, 1)
+    u2 = Section(u.geom, np.multiply(phase, u.values, out=phase))
     dtheta = exterior_derivative(Cochain(theta.geom, 0, theta.theta[np.newaxis]))
     return u2, A + dtheta
 
@@ -82,6 +85,9 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
         vals[i] -= 2.0 * np.pi * m / L
         winding = winding - (2.0 * np.pi * m / L) * geom.coordinates(i)
     # with every winding zero the rotation would multiply u by exp(0j)
-    u2 = Section(geom, u1.values * _cis(winding, 1)) if wound else u1
+    u2 = u1
+    if wound:
+        phase = _cis(winding, 1)
+        u2 = Section(geom, np.multiply(phase, u1.values, out=phase))
     A2 = Cochain(geom, 1, vals)
     return u2, A2, GaugePhase(geom, -phi + winding)

@@ -373,10 +373,11 @@ def _split(count: int, weight: int, work, align: int = 1) -> None:
 # ----------------------------------------------------------------------------
 
 def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> None:
-    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits), formatting each
-    distinct bit pattern of a row once when at most half its values are distinct; raises
-    ValueError unless its site axes are geom.sites.  The distinct patterns are taken from the
-    heads of the row's runs of equal patterns, since every distinct one heads some run."""
+    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits) with np.savetxt's
+    bytes; raises ValueError unless its site axes are geom.sites.  A row of at most one run of
+    equal bit patterns per 8 values is written run by run, one word repeated per run; else a
+    row with at most half its values distinct formats each distinct pattern once (every one
+    heads some run); any other row is formatted whole."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape[1:] != geom.sites:
         raise ValueError(
@@ -396,16 +397,55 @@ def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> N
             head = np.empty(row.size, dtype=bool)
             head[0] = True
             np.not_equal(pattern[1:], pattern[:-1], out=head[1:])
-            bits, where = np.unique(pattern[head], return_inverse=True)
-            if 2 * bits.size <= row.size:
+            bits, where = np.unique(pattern[head], return_inverse=True)  # where: one per run
+            if 8 * where.size <= row.size:
+                starts = np.flatnonzero(head)
+                runs = zip(row[starts].tolist(), np.diff(starts, append=row.size).tolist())
+                line = "".join([("%.17g " % x) * k for x, k in runs])[:-1] + "\n"
+            elif 2 * bits.size <= row.size:
                 words = np.array(["%.17g" % x for x in bits.view(np.float64)], dtype=object)
-                fh.write(" ".join(words[where[np.cumsum(head) - 1]].tolist()) + "\n")
+                line = " ".join(words[where[np.cumsum(head) - 1]].tolist()) + "\n"
             else:
-                np.savetxt(fh, row[None], fmt="%.17g")
+                line = ("%.17g " * (row.size - 1) + "%.17g\n") % tuple(row.tolist())
+            fh.write(line)
+
+
+def _runs(line: str, n: int) -> np.ndarray | None:
+    """The n values of a line of single-spaced words written run by run, each run's word
+    parsed once by np.loadtxt; None when the line is in another form, or two adjacent runs
+    hold fewer than 16 values, where parsing the line whole is as fast."""
+    text, pos, words, counts, k = line + " ", 0, [], [], n
+    while pos < len(text):
+        word = text[pos:text.find(" ", pos) + 1]
+        step = len(word)
+        if step < 2:
+            return None
+        # guess the previous run's length, else grow and shrink steps to the run's end
+        end = pos + k * step
+        if end > len(text) or not text.startswith(word * k, pos) or text.startswith(word, end):
+            k, grow = 1, 1
+            while grow:
+                if text.startswith(word * grow, pos + k * step):
+                    k, grow = k + grow, 2 * grow
+                else:
+                    grow //= 2
+        if counts and k + counts[-1] < 16:
+            return None
+        words.append(word)
+        counts.append(k)
+        pos += k * step
+    joined = "".join(words)
+    # each word must be one token to np.loadtxt, as in the whole line: no comment
+    # mark, and no whitespace but the space that ends it
+    if sum(counts) != n or "#" in joined or len(joined) - len("".join(joined.split())) != len(words):
+        return None
+    return np.repeat(np.loadtxt([joined], ndmin=1), counts)
 
 
 def read_field(path) -> tuple[TorusGeometry, int, np.ndarray]:
-    """Inverse of `write_field`; returns (geometry, degree, values)."""
+    """Inverse of `write_field`; returns (geometry, degree, values).  A body of single-spaced runs
+    of equal words, as `write_field` writes long runs, is parsed one word per run, any other
+    whole by np.loadtxt; both give the same values and raise ValueError on the same files."""
     with open(path) as fh:
         head = fh.readline().split()
         degree = int(head[0])
@@ -413,7 +453,10 @@ def read_field(path) -> tuple[TorusGeometry, int, np.ndarray]:
         sites = tuple(int(s) for s in head[2:2 + n])
         lengths = tuple(float(s) for s in head[2 + n:2 + 2 * n])
         ncomp = int(head[2 + 2 * n])
-        data = np.loadtxt(fh, dtype=np.float64).reshape(-1)
+        body = fh.read()
+    lines = body.split("\n")
+    rows = [_runs(row, math.prod(sites)) for row in lines[:ncomp]] if lines[ncomp:] == [""] else [None]
+    data = np.loadtxt(lines) if any(row is None for row in rows) else np.concatenate(rows)
     geom = TorusGeometry(sites, lengths)
     values = data.reshape(ncomp, *sites)
     return geom, degree, values

@@ -141,3 +141,26 @@ def test_gauge_phase_shape_validation(t2_geom, t3_geom):
     theta = GaugePhase(t2_geom, np.zeros(t2_geom.sites))
     with pytest.raises(ValueError, match="geometry mismatch"):
         apply_gauge(tg.constant_section(t3_geom), tg.zero_cochain(t3_geom, 1), theta)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_apply_gauge_bits_do_not_depend_on_who_holds_the_phase(rng, monkeypatch, n):
+    """numpy elides a temporary operand of 256 KiB or more (from 128^2 sites)
+    into the product, which swaps the operands of `u * phase`, and its complex
+    product is not bitwise commutative.  apply_gauge fixes the order, so its
+    bits stay the same when something else keeps the phase factor alive."""
+    g = tg.TorusGeometry((n, n), (1.0, 1.0))
+    u = random_section(g, rng)
+    A = tg.random_cochain(g, 1, rng)
+    theta = GaugePhase(g, rng.uniform(-np.pi, np.pi, g.sites))
+    expected = apply_gauge(u, A, theta)[0].values
+    held = []
+
+    def holding_cis(phase, sign):
+        held.append(cis(phase, sign))
+        return held[-1]
+
+    cis = tg.gauge._cis
+    monkeypatch.setattr(tg.gauge, "_cis", holding_cis)
+    assert np.array_equal(apply_gauge(u, A, theta)[0].values.view(np.int64), expected.view(np.int64))
+    assert held

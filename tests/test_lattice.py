@@ -288,6 +288,124 @@ def test_field_dump_repeated_special_values(tmp_path, rng):
     assert set(row.split()) == {b"0", b"-0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324"}
 
 
+@pytest.mark.parametrize("runs", [8, 9])
+def test_field_dump_rows_at_the_run_threshold(tmp_path, rng, runs):
+    """Rows of 64 values in 8 runs of equal values (one run per 8 values, so
+    written run by run) and in 9 runs, with random run lengths."""
+    geom = tg.TorusGeometry((8, 8), (1.0, 0.5))
+    rows = []
+    for _ in range(2):
+        cuts = np.sort(rng.choice(np.arange(1, 64), runs - 1, replace=False))
+        rows.append(np.repeat(rng.standard_normal(runs), np.diff(cuts, prepend=0, append=64)))
+    values = np.stack(rows).reshape(2, 8, 8)
+    assert [np.count_nonzero(np.diff(row)) + 1 for row in rows] == [runs, runs]
+    _assert_dump_is_savetxt(tmp_path / "runs.field", geom, 1, values)
+
+
+def test_field_dump_periodic_rows(tmp_path, rng):
+    """Components constant along the first axis, as every field of a T^3 line
+    along axis 0 is: rows that repeat with period N_1 N_2 and runs of one."""
+    geom = tg.TorusGeometry((8, 6, 5), (1.0, 1.0, 2.0))
+    values = np.broadcast_to(rng.standard_normal((3, 1, 6, 5)), geom.shape(1)).copy()
+    _assert_dump_is_savetxt(tmp_path / "periodic.field", geom, 1, values)
+
+
+def test_field_dump_alternating_rows(tmp_path):
+    """A row alternating between two values: few distinct values, no runs."""
+    geom = tg.TorusGeometry((6, 8), (1.0, 0.5))
+    values = np.resize([1.0 / 3.0, -2.0 / 7.0], (1, *geom.sites))
+    _assert_dump_is_savetxt(tmp_path / "alternating.field", geom, 0, values)
+
+
+def test_field_dump_runs_of_signed_zeros_and_special_values(tmp_path):
+    """Adjacent runs of 0.0 and -0.0 (equal as floats, not as bits), and runs
+    of NaN and both infinities, written run by run."""
+    geom = tg.TorusGeometry((8, 16), (1.0, 0.5))
+    values = np.stack([
+        np.repeat([0.0, -0.0, 0.0, -0.0], 32),
+        np.repeat([math.nan, math.inf, -math.inf, math.nan, 0.5, -math.inf], [8, 40, 16, 24, 8, 32]),
+    ]).reshape(2, 8, 16)
+    _assert_dump_is_savetxt(tmp_path / "runs.field", geom, 0, values)
+    rows = (tmp_path / "runs.field").read_bytes().split(b"\n")[1:3]
+    assert rows[0].split()[31:33] == [b"0", b"-0"]
+    assert set(rows[1].split()) == {b"nan", b"inf", b"-inf", b"0.5"}
+
+
+def _assert_reads_as_loadtxt(path):
+    """read_field's values are np.loadtxt's over the body, bit for bit."""
+    with open(path) as fh:
+        fh.readline()
+        expected = np.loadtxt(fh).reshape(-1)
+    assert np.array_equal(read_field(path)[2].reshape(-1).view(np.int64), expected.view(np.int64))
+
+
+def _run_rows(rng):
+    """Two components of 64 values in runs of 16 and one constant."""
+    return np.stack([np.repeat(rng.standard_normal(4), 16), np.full(64, 1.0 / 3.0)])
+
+
+@pytest.mark.parametrize("layout", ["tabs", "double_spaces", "crlf", "trailing_space",
+                                    "comment", "wrapped", "tab_pairs"])
+def test_field_read_other_layouts(tmp_path, rng, layout):
+    """Rows of long runs laid out otherwise than write_field lays them out
+    read as np.loadtxt reads them."""
+    if layout == "wrapped":  # one component written over two lines of 32 values
+        values = _run_rows(rng)[:1]
+    elif layout == "tab_pairs":  # two values alternating, each pair joined by a tab
+        values = np.resize(rng.standard_normal(2), (2, 64))
+    else:
+        values = _run_rows(rng)
+    rows = [" ".join("%.17g" % x for x in row)
+            for row in values.reshape(-1, 32 if layout == "wrapped" else 64)]
+    body = {
+        "tabs": "\n".join(row.replace(" ", "\t") for row in rows) + "\n",
+        "double_spaces": "\n".join(row.replace(" ", "  ") for row in rows) + "\n",
+        "crlf": "\r\n".join(rows) + "\r\n",
+        "trailing_space": "\n".join(row + " " for row in rows) + "\n",
+        "comment": "\n".join(row + " # one row" for row in rows) + "\n",
+        "wrapped": "\n".join(rows) + "\n",
+        # 32 equal space-separated words and 32 form feeds: 64 words, 64 values
+        "tab_pairs": "\n".join(" ".join(["\t".join(row.split()[:2])] * 32 + ["\f"] * 32)
+                               for row in rows) + "\n",
+    }[layout]
+    path = tmp_path / "layout.field"
+    path.write_bytes(f"0 2 8 8 1 1 {len(values)}\n".encode() + body.encode())
+    _assert_reads_as_loadtxt(path)
+    assert np.array_equal(read_field(path)[2].reshape(len(values), -1), values)
+
+
+@pytest.mark.parametrize("damage", ["few", "many", "shifted", "token", "comment", "empty", "extra"])
+def test_field_read_rejects_damaged_rows(tmp_path, rng, damage):
+    """Rows of long runs with a value too few or too many, with a value moved
+    to the next row, with a token that is no number or a comment mark on
+    every word, a row left empty, or a row more than the header's count,
+    are refused."""
+    first, second = (" ".join("%.17g" % x for x in row) for row in _run_rows(rng))
+    head, last = first.rsplit(" ", 1)
+    rows = {
+        "few": [first, second.rsplit(" ", 1)[0]],
+        "many": [first, second + " 0.5"],
+        "shifted": [head, last + " " + second],
+        "token": [first, second.replace("0.33333333333333331", "0.3333x", 1)],
+        "comment": [first, second.replace(" ", "# ") + "#"],
+        "empty": [first, ""],
+        "extra": [first, second, second],
+    }[damage]
+    path = tmp_path / "damaged.field"
+    path.write_text("0 2 8 8 1 1 2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError):
+        read_field(path)
+
+
+def test_field_read_rejects_a_header_larger_than_its_body(tmp_path):
+    """A header claiming 10^20 sites over a line of four values is refused as
+    any row of too few values is, without building a line of 10^20 words."""
+    path = tmp_path / "huge.field"
+    path.write_text("0 2 10000000000 10000000000 1 1 1\n0 0 0 0\n")
+    with pytest.raises(ValueError):
+        read_field(path)
+
+
 def test_field_dump_rejects_mismatched_sites(tmp_path):
     """A field whose site axes differ from the geometry's is refused before
     anything is written, not dumped under a header it cannot be read back

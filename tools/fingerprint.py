@@ -17,6 +17,9 @@ on the 256^2 and 40^3 lattices, whose phase factors `bundle._cis` splits
 over the CPUs, with the sha1 of that state after `apply_gauge` by a seeded
 random phase and after `coulomb_fix`, once as it is and once with a
 winding added to each mean of A, which `coulomb_fix` must then remove.
+The same gauge line follows for a seeded random state on 16^2, where numpy
+elides no temporary, so that it pins the order in which `apply_gauge`
+multiplies the phase factor into u.
 On the same two lattices it prints the sha1 of `solve_london` of a seeded
 random 1-cochain and of one apply of the `minimize` preconditioner, whose
 component rows `hodge._spectral_multiply` splits over the CPUs.
@@ -31,7 +34,11 @@ of the Newton loop, prints the evaluation count, the stop reason, the energy
 as a float hex string and sha1 digests of the final (u, A) and of its
 vorticity windings.
 Then runs `torusgl minimize`, `ansatz` and `sweep` on one T^2 quarter-rule
-config and one T^3 config and prints the sha1 of every file they write.
+config and two T^3 line configs, one along axis 2 and one along axis 0, and
+prints the sha1 of every file they write and, for each `.field` file, of the
+values `read_field` returns.  The dumps hold rows of each form `write_field`
+writes (runs of equal values, few distinct values, dense) and rows of each
+form `read_field` parses (run by run, whole).
 Last, the same solve line for the T^4 crossing class c_01 = c_23 = 1 on
 12^4 at eps 0.2, started from the product of two copies of the T^2 12^2
 minimizer, one in the (0,1) plane and one in the (2,3) plane (the
@@ -85,6 +92,11 @@ SPLIT_SITES = ((256, 256), (40, 40, 40))
 SPLIT_SEED = 24
 SPECTRAL_SEED = 26
 
+# a lattice below numpy's temporary elision size (128^2 complex sites), and
+# the seed of its state and gauge phase
+GAUGE_SITES = (16, 16)
+GAUGE_SEED = 27
+
 # (sites, lengths, chern) of the per-plaquette digests: the anisotropic T^3
 # bundle of tests/conftest.py, with three nonzero Chern numbers, and a T^2
 # bundle with c = 3, and the seed of their states
@@ -134,6 +146,12 @@ CONFIGS = {
         "[optimizer]\ntol = 1e-8\nmax_iter = 200000\n\n"
         "[ansatz]\nwindings = 1\npositions = 0.52 0.51\naxis = 2\n"
     ),
+    "t3_line_axis0": (
+        "[geometry]\ndim = 3\nsites = 14 14 14\nlengths = 1 1 1\n\n[bundle]\nchern_12 = 1\n\n"
+        "[run]\nepsilons = 0.2 0.15\nseed = 3\nout = {out}\n\n"
+        "[optimizer]\ntol = 1e-8\nmax_iter = 200000\n\n"
+        "[ansatz]\nwindings = 1\npositions = 0.52 0.51\naxis = 0\n"
+    ),
 }
 
 
@@ -167,6 +185,17 @@ def observables(u, A, b) -> str:
             f"energy_density {sha1(tg.energy_density(u, A, b, KERNEL_EPS).values)} "
             f"windings {sha1(tg.vorticity(u, A, b).windings)} "
             f"london_residual {tg.london_residual(u, A, b).hex()} energy {parts}")
+
+
+def gauge(u, A, theta) -> str:
+    geom = theta.geom
+    u2, A2 = tg.apply_gauge(u, A, theta)
+    wound = tg.Cochain(geom, 1, [a + 2.0 * np.pi * (k + 1) / L
+                                 for k, (a, L) in enumerate(zip(A2.values, geom.lengths))])
+    fixed = [tg.coulomb_fix(u2, a) for a in (A2, wound)]
+    return (f"gauge {'x'.join(map(str, geom.sites))} apply_gauge {sha1(u2.values, A2.values)} "
+            + " ".join(f"coulomb_fix{tag} {sha1(u3.values, A3.values, phase.theta)}"
+                       for tag, (u3, A3, phase) in zip(("", "_wound"), fixed)))
 
 
 def plaquettes(u, A, b) -> str:
@@ -219,14 +248,13 @@ def main() -> None:
         u = tg.Section(geom, rng.standard_normal(sites) + 1j * rng.standard_normal(sites))
         A = tg.random_cochain(geom, 1, rng)
         print(observables(u, A, b), flush=True)
-        theta = tg.GaugePhase(geom, rng.uniform(-np.pi, np.pi, sites))
-        u2, A2 = tg.apply_gauge(u, A, theta)
-        wound = tg.Cochain(geom, 1, [a + 2.0 * np.pi * (k + 1) / L
-                                     for k, (a, L) in enumerate(zip(A2.values, geom.lengths))])
-        fixed = [tg.coulomb_fix(u2, a) for a in (A2, wound)]
-        print(f"gauge {'x'.join(map(str, sites))} apply_gauge {sha1(u2.values, A2.values)} "
-              + " ".join(f"coulomb_fix{tag} {sha1(u3.values, A3.values, phase.theta)}"
-                         for tag, (u3, A3, phase) in zip(("", "_wound"), fixed)), flush=True)
+        print(gauge(u, A, tg.GaugePhase(geom, rng.uniform(-np.pi, np.pi, sites))), flush=True)
+
+    rng = np.random.default_rng(GAUGE_SEED)
+    geom = tg.TorusGeometry(GAUGE_SITES, (1.0, 1.0))
+    u = tg.Section(geom, rng.standard_normal(GAUGE_SITES) + 1j * rng.standard_normal(GAUGE_SITES))
+    A = tg.random_cochain(geom, 1, rng)
+    print(gauge(u, A, tg.GaugePhase(geom, rng.uniform(-np.pi, np.pi, GAUGE_SITES))), flush=True)
 
     rng = np.random.default_rng(SPECTRAL_SEED)
     for sites in SPLIT_SITES:
@@ -280,6 +308,9 @@ def main() -> None:
                 for path in sorted(out.iterdir()):
                     digest = hashlib.sha1(path.read_bytes()).hexdigest()
                     print(f"cli {name} {command} {path.name} {digest}", flush=True)
+                    if path.suffix == ".field":
+                        print(f"cli {name} {command} {path.name} read_field "
+                              f"{sha1(tg.read_field(path)[2])}", flush=True)
 
     _, b, u, A = t4_product_start(CROSSING_SITES, CROSSING_EPS, [(0, 1), (2, 3)], OPTS)
     print(line("crossing_t4_12", tg.minimize(u, A, b, CROSSING_EPS, OPTS), b), flush=True)
