@@ -14,6 +14,9 @@ transformations leave |D_A u| invariant exactly.  `link_transport` is the one
 place the link is formed, as `_cis` of its phase `link_phase`; the covariant
 difference, energies, gradients, Hessian products, supercurrent and
 vorticity are all built on it, and sweeps refine sections along its phases.
+It keeps the phases and read-only links of the last state linked twice in a
+row (one A.values array, held by weak reference), reuses them for a call whose
+phases have the same bits and drops them on any other call before it links.
 
 `_cis` forms every phase factor exp(+-i phase) of the package from real
 cosines and sines, bit for bit numpy's complex exp without its complex
@@ -28,6 +31,7 @@ not depend on the number of CPUs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +41,7 @@ from .lattice import Cochain, TorusGeometry, _split, components, constant_cochai
 __all__ = [
     "Section",
     "BundleData",
+    "constant_section",
     "build_background",
     "link_transport",
     "link_phase",
@@ -127,6 +132,10 @@ def holonomy_residuals(b: BundleData) -> np.ndarray:
     return diff - 2.0 * np.pi * np.round(diff / (2.0 * np.pi))
 
 
+# (weak reference to the last linked A.values, kept (phase, link) per axis)
+_slot = (None, ())
+
+
 def link_transport(u: Section, A: Cochain, b: BundleData):
     """Yield, axis by axis, the link variable and the transported neighbour
 
@@ -140,11 +149,25 @@ def link_transport(u: Section, A: Cochain, b: BundleData):
         raise ValueError("gauge field must be a degree-1 cochain on the bundle geometry")
     if u.geom != b.geom:
         raise ValueError("section/bundle geometry mismatch")
+    global _slot
+    last, kept = _slot
+    again, admitted = last is not None and last() is A.values, []
     for i in range(b.geom.dim):
-        link = _cis(link_phase(A, b, i), -1)
+        phase = link_phase(A, b, i)
+        if i < len(kept) and np.array_equal(kept[i][0].view(np.uint64), phase.view(np.uint64)):
+            phase, link = kept[i]
+        else:
+            if kept:  # a miss: drop the kept links before forming new ones
+                _slot, kept = (last, ()), ()
+            link = _cis(phase, -1)
+            link.flags.writeable = not again
+        if again:
+            admitted.append((phase, link))
+        del phase
         fwd = np.roll(u.values, -1, axis=i)
         fwd *= link
         yield link, fwd
+    _slot = (weakref.ref(A.values), tuple(admitted) if again else kept)
 
 
 # slabs of _cis begin at multiples of this many entries, a whole number of
@@ -188,15 +211,15 @@ def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:
 
 def _transported(u: Section, A: Cochain, b: BundleData):
     """The transported neighbours T_e of link_transport, axis by axis."""
-    for _, fwd in link_transport(u, A, b):
-        yield fwd
+    return (fwd for _, fwd in link_transport(u, A, b))
 
 
 def _difference(u: Section, fwds) -> np.ndarray:
     """covariant_difference from the transported neighbours, axis by axis."""
     h = u.geom.spacings
-    out = np.empty((u.geom.dim, *u.geom.sites), dtype=np.complex128)
     for i, fwd in enumerate(fwds):
+        if i == 0:  # after the first link, so after a missed link slot is dropped
+            out = np.empty((u.geom.dim, *u.geom.sites), dtype=np.complex128)
         np.subtract(fwd, u.values, out=out[i])
         out[i] *= 1.0 / h[i]
     return out
@@ -214,7 +237,7 @@ def _current(u: Section, fwds) -> np.ndarray:
 
 def curvature(A: Cochain, b: BundleData) -> Cochain:
     """Real curvature 2-cochain F_A = F0 + dA; closed and gauge invariant."""
-    return b.f0 + exterior_derivative(A)
+    return Cochain(A.geom, 2, exterior_derivative(A).values + b.f0.values)
 
 
 def flux_pairing(F: Cochain) -> np.ndarray:

@@ -5,11 +5,13 @@ and the rescaled energy density.
 Quadrature: the potential is vertex-collocated, the kinetic term
 edge-collocated, the curvature term plaquette-collocated, all with the full
 cell volume prod(h_i) per sample, matching the lattice inner product.  The
-gauge field enters only through the links of `bundle.link_transport`, formed
-once per axis per state, and the curvature F_A: `linearize` forms both once
-and keeps them in a LocalModel, which serves the gradient, every energy
-change and, from state factors formed by the first of them, every
-Hessian-vector product there.
+gauge field enters only through the curvature F_A and the links of
+`bundle.link_transport`, whose slot keeps the links of a state linked twice
+in a row: the observables of one state form them twice in all, and a solve
+iterate, linked once, leaves none kept.  `linearize` forms both once and
+keeps them in a LocalModel, which serves the gradient, every energy change
+and, from state factors formed by the first of them, every Hessian-vector
+product there.
 All reductions use plain numpy sums in fixed order, so results are
 reproducible bit-for-bit within a build.
 """
@@ -62,7 +64,7 @@ def _check_epsilon(eps: float) -> float:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
+    return np.add(out := np.square(z.real), np.square(z.imag), out=out)
 
 
 def _densities(kin: np.ndarray, u: Section, F: Cochain):
@@ -134,7 +136,7 @@ class LocalModel:
         """d*F_A - j(u, A), the residual of the second Ginzburg-Landau
         equation; j is vortex.supercurrent."""
         current = _current(self.u, (fwd for _, fwd in self.links))
-        return codifferential(self.F) - Cochain(self.b.geom, 1, current)
+        return Cochain(self.b.geom, 1, np.subtract(codifferential(self.F).values, current, out=current))
 
     def gradient(self):
         """Exact gradient of g_energy: (complex per-vertex field d/d(Re u,
@@ -147,6 +149,7 @@ class LocalModel:
         for i, (link, fwd) in enumerate(self.links):
             Du = (fwd - uv) * (1.0 / h[i])
             grad_u += (w / h[i]) * (np.roll(np.conj(link) * Du, +1, axis=i) - Du)
+        del Du  # not held through the field equation's temporaries
         grad_u += -(w / (eps * eps)) * (1.0 - (uv.real**2 + uv.imag**2)) * uv
         return grad_u, Cochain(self.b.geom, 1, w * self.field_equation().values)
 

@@ -204,8 +204,8 @@ def exterior_derivative(c: Cochain) -> Cochain:
     for j_pos, J in enumerate(components(n, k + 1)):
         for m, axis in enumerate(J):
             i_pos = components(n, k).index(J[:m] + J[m + 1:])
-            diff = _diff(c.values[i_pos], -1, axis, h[axis])
-            (np.subtract if m % 2 else np.add)(out[j_pos], diff, out=out[j_pos])
+            (np.subtract if m % 2 else np.add)(out[j_pos], _diff(c.values[i_pos], -1, axis, h[axis]),
+                                               out=out[j_pos])  # each difference freed before the next
     return Cochain(c.geom, k + 1, out)
 
 
@@ -219,8 +219,8 @@ def codifferential(c: Cochain) -> Cochain:
     for j_pos, J in enumerate(components(n, k)):
         for m, axis in enumerate(J):
             i_pos = components(n, k - 1).index(J[:m] + J[m + 1:])
-            diff = _diff(c.values[j_pos], +1, axis, h[axis])
-            (np.subtract if m % 2 else np.add)(out[i_pos], diff, out=out[i_pos])
+            (np.subtract if m % 2 else np.add)(out[i_pos], _diff(c.values[j_pos], +1, axis, h[axis]),
+                                               out=out[i_pos])
     return Cochain(c.geom, k - 1, out)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "ZeroOnPlaquetteError",
     "supercurrent",
     "jacobian",
+    "london_residual",
     "vorticity",
     "vorticity_density",
     "chern_pairing",
@@ -83,7 +84,8 @@ def supercurrent(u: Section, A: Cochain, b: BundleData) -> Cochain:
 
 def jacobian(u: Section, A: Cochain, b: BundleData) -> Cochain:
     """Gauge-invariant Jacobian 2-cochain: (1/2) d j(u, A) + (1/2) F_A."""
-    return 0.5 * exterior_derivative(supercurrent(u, A, b)) + 0.5 * curvature(A, b)
+    return Cochain(b.geom, 2, 0.5 * exterior_derivative(supercurrent(u, A, b)).values
+                   + 0.5 * curvature(A, b).values)
 
 
 def vorticity(u: Section, A: Cochain, b: BundleData) -> VorticityField:
@@ -125,10 +127,11 @@ def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
                 flagged.append((pos, tuple(int(s) for s in site)))
         raise ZeroOnPlaquetteError(flagged)
 
-    circ = exterior_derivative(delta) + F
-    raw = geom.plaquette_areas * circ.values / (2.0 * np.pi)
+    # raw windings, then their distances from the rounded ones, in one buffer
+    raw = (exterior_derivative(delta).values + F.values) * geom.plaquette_areas / (2.0 * np.pi)
     rounded = np.round(raw)
-    residue = np.abs(raw - rounded).max()
+    residue = np.abs(np.subtract(raw, rounded, out=raw), out=raw).max()
+    del raw
     if residue > _RESIDUE_TOL:
         raise ValueError(
             f"vorticity integrality residue {residue:.3e} exceeds {_RESIDUE_TOL:.1e}"
@@ -181,8 +184,9 @@ def london_residual(u: Section, A: Cochain, b: BundleData) -> float:
     Exactly zero at discrete critical points, where d*F = j and dF = 0.
     """
     F = curvature(A, b)
-    defect = -1.0 * laplacian(F) + F - (exterior_derivative(supercurrent(u, A, b)) + F)
-    return norm(defect) / (1.0 + norm(F))
+    defect = -1.0 * laplacian(F).values + F.values
+    defect -= exterior_derivative(supercurrent(u, A, b)).values + F.values
+    return norm(Cochain(b.geom, 2, defect)) / (1.0 + norm(F))
 
 
 def sparse_windings(v: VorticityField):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import torusgl as tg
+from torusgl import bundle
 from torusgl.bundle import (
     constant_section,
     flux_pairing,
@@ -296,3 +297,150 @@ def test_forked_child_forms_links_after_parent_used_the_pool():
         proc.communicate()
         pytest.fail("the forked child did not finish within 60 s")
     assert proc.returncode == 0, err.decode()
+
+
+def _links(u, A, b) -> list:
+    return [link for link, _ in link_transport(u, A, b)]
+
+
+def _bits(links) -> list[bytes]:
+    return [link.tobytes() for link in links]
+
+
+@pytest.mark.parametrize("sites", [(9, 7), (5, 4, 6)])
+def test_link_slot_follows_in_place_changes(sites):
+    """A state linked twice in a row keeps its links, which the next call
+    reuses; after an in-place change of A.values, of theta0 or of the sign
+    of a zero phase its links are formed anew, bit for bit _cis of its
+    phases, on the first call after the change and on the second."""
+    rng = np.random.default_rng(31)
+    g = tg.TorusGeometry(sites, (1.0, 1.3, 0.8)[: len(sites)])
+    b = tg.build_background(g, np.eye(len(sites), k=1) - np.eye(len(sites), k=-1))
+    u, A = random_section(g, rng), tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    _links(u, A, b)
+    kept = _links(u, A, b)
+    assert all(a is c for a, c in zip(_links(u, A, b), kept))
+    origin, signs = (0,) * len(sites), []
+
+    def changes():
+        A.values[0] += 0.25
+        yield
+        b.theta0[-1] *= 1.5
+        yield
+        A.values[0][origin] = b.theta0[0][origin] = 0.0
+        yield
+        A.values[0][origin] = b.theta0[0][origin] = -0.0
+        yield
+
+    for _ in changes():
+        fresh = [bundle._cis(link_phase(A, b, i), -1) for i in range(g.dim)]
+        assert _bits(_links(u, A, b)) == _bits(fresh)
+        assert _bits(_links(u, A, b)) == _bits(fresh)
+        signs.append(bool(np.signbit(fresh[0][origin].imag)))
+    # exp(-i phase) at phase +0.0 and -0.0 differ in the sign of its
+    # imaginary part only, which a key compared by value would miss
+    assert signs[2:] == [True, False]
+
+
+def test_kept_links_are_read_only(t2_bundle):
+    g = t2_bundle.geom
+    u, A = constant_section(g), zero_cochain(g, 1)
+    _links(u, A, t2_bundle)
+    for link in _links(u, A, t2_bundle):
+        with pytest.raises(ValueError):
+            link[0, 0] = 0.0
+
+
+def test_state_linked_once_leaves_no_arrays_in_the_slot(rng, t3_bundle):
+    """Only a state linked twice in a row keeps arrays, and linking another
+    state drops them: after the observables of a state, its Coulomb-fixed
+    state's energy leaves the slot empty."""
+    g = t3_bundle.geom
+    u, A = random_section(g, rng), tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+    tg.g_energy(u, A, t3_bundle, 0.2)
+    assert bundle._slot[1] == ()
+    tg.supercurrent(u, A, t3_bundle)
+    assert len(bundle._slot[1]) == 3
+    tg.g_energy(u, A.copy(), t3_bundle, 0.2)  # equal bits in another array: a hit
+    assert len(bundle._slot[1]) == 3
+    u3, A3, _ = tg.coulomb_fix(u, A)
+    tg.g_energy(u3, A3, t3_bundle, 0.2)
+    assert bundle._slot[1] == ()
+
+
+def test_threads_linking_their_own_states_get_their_own_links(t2_bundle):
+    """Six threads, each linking a state of its own again and again (twice
+    in a row, so the slot keeps and replaces links all the time), with a
+    short switch interval: every call gives the links of its own phases."""
+    import sys
+    import threading
+
+    g = t2_bundle.geom
+    rngs = [np.random.default_rng(k) for k in range(6)]
+    states = [(random_section(g, r), tg.random_cochain(g, 1, r)) for r in rngs]
+    wrong, done = [], []
+
+    def work(u, A):
+        want = _bits(bundle._cis(link_phase(A, t2_bundle, i), -1) for i in range(g.dim))
+        for _ in range(60):
+            if _bits(_links(u, A, t2_bundle)) != want:
+                wrong.append(A)
+        done.append(A)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=state) for state in states]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == len(states) and wrong == []
+
+
+def _observe(u, A, b, eps, before) -> list[bytes]:
+    """The bits of the seven observables of the benchmark's observe-large
+    body, in its order, each called after `before()`."""
+    out = []
+    for observe in (
+        lambda: list(vars(tg.g_energy(u, A, b, eps)).values()),
+        lambda: (lambda grad_u, grad_A: [grad_u, grad_A.values])(*tg.g_gradient(u, A, b, eps)),
+        lambda: [tg.supercurrent(u, A, b).values],
+        lambda: [tg.jacobian(u, A, b).values],
+        lambda: [tg.vorticity(u, A, b).windings],
+        lambda: [tg.london_residual(u, A, b)],
+        lambda: [tg.energy_density(u, A, b, eps).values],
+    ):
+        before()
+        out.append(b"".join(np.asarray(part).tobytes() for part in observe()))
+    return out
+
+
+def test_observables_with_kept_links_equal_those_formed_anew(rng, t2_bundle, t3_bundle):
+    def clear():
+        bundle._slot = (None, ())
+
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        u, A = random_section(g, rng), tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+        kept = _observe(u, A, b, 0.2, lambda: None)
+        assert len(bundle._slot[1]) == g.dim
+        assert _observe(u, A, b, 0.2, clear) == kept
+
+
+def test_package_names_are_in_their_modules_all():
+    """Every name torusgl/__init__.py imports from a submodule is in that
+    submodule's __all__."""
+    import ast
+    import importlib
+    from pathlib import Path
+
+    tree = ast.parse(Path(tg.__file__).read_text())
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert len(imported) > 50
+    assert [f"{module}.{name}" for module, name in imported
+            if name not in importlib.import_module(f"torusgl.{module}").__all__] == []

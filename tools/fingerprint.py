@@ -48,6 +48,12 @@ entries, each started from `default_initial_pair`'s product of per-entry
 ansatze: (c_01, c_02, c_12) = (1, 2, -1) on 18 x 14 x 10 with lengths
 (1, 1.3, 2) at eps 0.45, and the diagonal class c_02 = c_12 = 1 on the
 unit 16^3 at eps 0.2.
+Last, for the seeded random states of the 256^2 and 40^3 observables
+lines, drawn again from their seed, it prints the sha1 of the seven
+observables in the order of perfbench's observe-large body (`g_energy`,
+`g_gradient`, `supercurrent`, `jacobian`, `vorticity`, `london_residual`,
+`energy_density`), then again after adding 1/8 in place to A's first
+component, so links kept for the state before the change would show.
 Two checkouts whose outputs agree byte for byte compute the same numbers, so
 a refactor that claims bit-identical results shows an empty diff.
 """
@@ -198,6 +204,17 @@ def gauge(u, A, theta) -> str:
                        for tag, (u3, A3, phase) in zip(("", "_wound"), fixed)))
 
 
+def observe_large(u, A, b) -> str:
+    """sha1 of the seven observables of perfbench's observe-large body, in its order."""
+    energy = tg.g_energy(u, A, b, KERNEL_EPS)
+    grad_u, grad_A = tg.g_gradient(u, A, b, KERNEL_EPS)
+    parts = [np.array([energy.kinetic, energy.potential, energy.curvature, energy.total]),
+             grad_u, grad_A.values, tg.supercurrent(u, A, b).values, tg.jacobian(u, A, b).values,
+             tg.vorticity(u, A, b).windings, np.array([tg.london_residual(u, A, b)]),
+             tg.energy_density(u, A, b, KERNEL_EPS).values]
+    return sha1(*parts)
+
+
 def plaquettes(u, A, b) -> str:
     v = tg.vorticity(u, A, b)
     density = tg.vorticity_density(v)
@@ -319,6 +336,17 @@ def main() -> None:
         b = tg.build_background(tg.TorusGeometry(sites, lengths), chern)
         u, A = default_initial_pair(b, eps, 0)
         print(line(label, tg.minimize(u, A, b, eps, OPTS), b), flush=True)
+
+    rng = np.random.default_rng(SPLIT_SEED)
+    for sites in SPLIT_SITES:
+        b = bundle_for(sites)
+        u = tg.Section(b.geom, rng.standard_normal(sites) + 1j * rng.standard_normal(sites))
+        A = tg.random_cochain(b.geom, 1, rng)
+        rng.uniform(-np.pi, np.pi, sites)  # the gauge phase of the observables lines
+        before = observe_large(u, A, b)
+        A.values[0] += 0.125
+        print(f"observe_large {'x'.join(map(str, sites))} {before} "
+              f"after_in_place_change {observe_large(u, A, b)}", flush=True)
 
 
 if __name__ == "__main__":
