@@ -367,96 +367,45 @@ def _split(count: int, weight: int, work, align: int = 1) -> None:
 
 
 # ----------------------------------------------------------------------------
-# field dump format (repo-wide): one header line
+# field dump format (repo-wide): one text header line
 #   degree n N_1..N_n L_1..L_n component_count
-# followed by whitespace-separated values, component-major, site row-major.
+# followed by one (component_count, N_1, ..., N_n) float64 array in numpy's .npy format 1.0.
 # ----------------------------------------------------------------------------
 
 def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> None:
-    """Dump a (ncomp, N_1, ..., N_n) real array losslessly (17 sig. digits) with np.savetxt's
-    bytes; raises ValueError unless its site axes are geom.sites.  A row of at most one run of
-    equal bit patterns per 8 values is written run by run, one word repeated per run; else a
-    row with at most half its values distinct formats each distinct pattern once (every one
-    heads some run); any other row is formatted whole."""
-    values = np.asarray(values, dtype=np.float64)
+    """Dump a (ncomp, N_1, ..., N_n) real array bit for bit under its header line; raises
+    ValueError unless its site axes are geom.sites."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if values.shape[1:] != geom.sites:
         raise ValueError(
             f"field of shape {values.shape} does not match the sites {geom.sites}"
         )
-    ncomp = values.shape[0]
-    header = " ".join(
-        [str(int(degree)), str(geom.dim)]
-        + [str(N) for N in geom.sites]
-        + [f"{L:.17g}" for L in geom.lengths]
-        + [str(ncomp)]
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in values.reshape(ncomp, -1):
-            pattern = row.view(np.int64)  # as bits: -0.0 != 0.0
-            head = np.empty(row.size, dtype=bool)
-            head[0] = True
-            np.not_equal(pattern[1:], pattern[:-1], out=head[1:])
-            bits, where = np.unique(pattern[head], return_inverse=True)  # where: one per run
-            if 8 * where.size <= row.size:
-                starts = np.flatnonzero(head)
-                runs = zip(row[starts].tolist(), np.diff(starts, append=row.size).tolist())
-                line = "".join([("%.17g " % x) * k for x, k in runs])[:-1] + "\n"
-            elif 2 * bits.size <= row.size:
-                words = np.array(["%.17g" % x for x in bits.view(np.float64)], dtype=object)
-                line = " ".join(words[where[np.cumsum(head) - 1]].tolist()) + "\n"
-            else:
-                line = ("%.17g " * (row.size - 1) + "%.17g\n") % tuple(row.tolist())
-            fh.write(line)
-
-
-def _runs(line: str, n: int) -> np.ndarray | None:
-    """The n values of a line of single-spaced words written run by run, each run's word
-    parsed once by np.loadtxt; None when the line is in another form, or two adjacent runs
-    hold fewer than 16 values, where parsing the line whole is as fast."""
-    text, pos, words, counts, k = line + " ", 0, [], [], n
-    while pos < len(text):
-        word = text[pos:text.find(" ", pos) + 1]
-        step = len(word)
-        if step < 2:
-            return None
-        # guess the previous run's length, else grow and shrink steps to the run's end
-        end = pos + k * step
-        if end > len(text) or not text.startswith(word * k, pos) or text.startswith(word, end):
-            k, grow = 1, 1
-            while grow:
-                if text.startswith(word * grow, pos + k * step):
-                    k, grow = k + grow, 2 * grow
-                else:
-                    grow //= 2
-        if counts and k + counts[-1] < 16:
-            return None
-        words.append(word)
-        counts.append(k)
-        pos += k * step
-    joined = "".join(words)
-    # each word must be one token to np.loadtxt, as in the whole line: no comment
-    # mark, and no whitespace but the space that ends it
-    if sum(counts) != n or "#" in joined or len(joined) - len("".join(joined.split())) != len(words):
-        return None
-    return np.repeat(np.loadtxt([joined], ndmin=1), counts)
+    head = [int(degree), geom.dim, *geom.sites, *(f"{L:.17g}" for L in geom.lengths), len(values)]
+    with open(path, "wb") as fh:
+        fh.write((" ".join(map(str, head)) + "\n").encode())
+        np.lib.format.write_array(fh, values, version=(1, 0), allow_pickle=False)
 
 
 def read_field(path) -> tuple[TorusGeometry, int, np.ndarray]:
-    """Inverse of `write_field`; returns (geometry, degree, values).  A body of single-spaced runs
-    of equal words, as `write_field` writes long runs, is parsed one word per run, any other
-    whole by np.loadtxt; both give the same values and raise ValueError on the same files."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        degree = int(head[0])
-        n = int(head[1])
-        sites = tuple(int(s) for s in head[2:2 + n])
-        lengths = tuple(float(s) for s in head[2 + n:2 + 2 * n])
-        ncomp = int(head[2 + 2 * n])
-        body = fh.read()
-    lines = body.split("\n")
-    rows = [_runs(row, math.prod(sites)) for row in lines[:ncomp]] if lines[ncomp:] == [""] else [None]
-    data = np.loadtxt(lines) if any(row is None for row in rows) else np.concatenate(rows)
-    geom = TorusGeometry(sites, lengths)
-    values = data.reshape(ncomp, *sites)
-    return geom, degree, values
+    """Inverse of `write_field`; returns (geometry, degree, values) with the bits written.
+    Raises ValueError naming the path for any other file, such as a text dump of the old
+    format, a truncated body or trailing bytes; sizes are checked before values are read."""
+    with open(path, "rb") as fh:
+        try:
+            head = fh.readline().split()
+            n = int(head[1])
+            degree, sites = int(head[0]), tuple(int(s) for s in head[2:2 + n])
+            lengths = tuple(float(s) for s in head[2 + n:2 + 2 * n])
+            shape = (int(head[2 + 2 * n]), *sites)
+            if len(head) != 3 + 2 * n or np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not one header line over a .npy 1.0 body")
+            found = np.lib.format.read_array_header_1_0(fh)  # (shape, fortran_order, dtype)
+            if found != (shape, False, np.dtype(np.float64)):
+                raise ValueError(f"a .npy body of {found} under a header of shape {shape}")
+            count, size = math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != 8 * count:
+                raise ValueError(f"{size} bytes of values for {count} float64")
+            values = np.fromfile(fh, dtype=np.float64, count=count).reshape(shape)
+            return TorusGeometry(sites, lengths), degree, values
+        except (IndexError, ValueError) as err:
+            raise ValueError(f"{path} is not a field dump: {err}") from err

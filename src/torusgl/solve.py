@@ -464,7 +464,7 @@ def _covariant_translations(lin: LocalModel, x: np.ndarray):
     n, h = geom.dim, geom.spacings
     F = lin.F.values
     floor = sqrt(_EPS_MACH) * (_norm(x) + 1.0)
-    rows, basis = [], []
+    R, Q, m = np.empty((n, x.size)), np.empty((n, x.size)), 0
     for k, (_, fwd) in enumerate(lin.links):
         dA = np.zeros(geom.shape(1))
         for pos, (i, j) in enumerate(components(n, 2)):
@@ -472,16 +472,17 @@ def _covariant_translations(lin: LocalModel, x: np.ndarray):
                 dA[j] = -F[pos]
             elif j == k:
                 dA[i] = F[pos]
-        row = h[k] * _flat(-(fwd - lin.u.values) / h[k], Cochain(geom, 1, dA))
-        z = row.copy()
-        for q in basis:
+        R[m] = Q[m] = h[k] * _flat(-(fwd - lin.u.values) / h[k], Cochain(geom, 1, dA))
+        z = Q[m]
+        for q in Q[:m]:
             z -= _dot(q, z) * q
         norm = _norm(z)
         if norm > floor:
-            rows.append(row)
-            basis.append(z / norm)
-    Q = np.reshape(basis, (-1, row.size))
-    return np.reshape(rows, (-1, row.size)), lambda v: v - np.einsum("k,ki", _dot(Q, v), Q)
+            z /= norm
+            m += 1
+    if m < n:  # views would keep a dropped direction's row allocated with the model
+        R, Q = R[:m].copy(), Q[:m].copy()
+    return R, lambda v: v - np.einsum("k,ki", _dot(Q, v), Q)
 
 
 def minimize(

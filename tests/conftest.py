@@ -42,6 +42,21 @@ def image_sum_k0(a, cutoff=40.0):
     return float(bessel_k0(r[(r > 0.0) & (r < cutoff)]).sum())
 
 
+def covariant_lambda1(b):
+    """The least eigenvalue lambda_1 of the discrete covariant Laplacian
+    D^H D at A = 0 on the bundle b, numpy only: D is formed densely, one
+    column of `covariant_difference` per unit section, so keep to 32^2 sites
+    or fewer (a 1024^2 Hermitian matrix)."""
+    geom = b.geom
+    A = tg.zero_cochain(geom, 1)
+    D = np.empty((geom.dim * geom.n_sites, geom.n_sites), dtype=np.complex128)
+    for j in range(geom.n_sites):
+        e = np.zeros(geom.n_sites, dtype=np.complex128)
+        e[j] = 1.0
+        D[:, j] = tg.covariant_difference(tg.Section(geom, e.reshape(geom.sites)), A, b).ravel()
+    return float(np.linalg.eigvalsh(D.conj().T @ D)[0])
+
+
 def t4_product_start(n, eps, planes, opts):
     """The T^2 n^2 minimizer with c = 1 at eps from the centred ansatz, and on
     n^4 the product of one copy of it per plane in `planes` (each (0, 1) or

@@ -16,7 +16,7 @@ from torusgl.bundle import (
 )
 from torusgl.lattice import exterior_derivative, zero_cochain
 
-from conftest import random_section
+from conftest import covariant_lambda1, random_section
 
 
 def test_trivial_bundle():
@@ -93,6 +93,25 @@ def test_covariant_difference_plane_wave():
     expected = abs(np.exp(2j * np.pi * h / L) - 1.0) / h
     assert np.abs(np.abs(D[0]) - expected).max() <= 1e-12 * expected
     assert np.abs(D[1]).max() == 0.0
+
+
+def test_lowest_level_of_the_discrete_covariant_laplacian():
+    """The exact anchor of the normal-state threshold eps_c(h) =
+    lambda_1(h)^(-1/2): on T^2 with c = 1 the least eigenvalue of D^H D at
+    A = 0 tends to the lowest Landau level B = 2 pi of the uniform field,
+    at second order.  Its relative error falls 4x per halving of h and is
+    B h^2 / 8 at 12^2 to within 1%."""
+    B = 2.0 * np.pi
+    lam = {}
+    for N in (12, 16, 24, 32):
+        geom = tg.TorusGeometry((N, N), (1.0, 1.0))
+        lam[N] = covariant_lambda1(tg.build_background(geom, [[0, 1], [-1, 0]]))
+    np.testing.assert_allclose(list(lam.values()), [6.248977, 6.263928, 6.274622, 6.278367],
+                               rtol=0, atol=1e-6)
+    err = {N: (B - value) / B for N, value in lam.items()}
+    for N in (12, 16):
+        assert 3.9 <= err[N] / err[2 * N] <= 4.1
+    assert abs(err[12] - B / 12**2 / 8) <= 0.01 * B / 12**2 / 8
 
 
 def test_exact_gauge_covariance(rng, t2_bundle, t3_bundle):

@@ -3,6 +3,8 @@ Laplacian, and the field dump format."""
 
 import io
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -198,51 +200,96 @@ def test_field_dump_roundtrip(tmp_path, rng):
 
 
 def test_field_dump_exact_bytes(tmp_path):
-    """The dump format is pinned byte for byte, signed zero and subnormals
-    included: one header line, then one line per component in C order."""
+    """The dump format is pinned byte for byte: one text header line, then
+    numpy's .npy 1.0 header for a C-order little-endian float64 array,
+    padded with spaces to 128 bytes, then the values component-major, signed
+    zero and subnormals included."""
     geom = tg.TorusGeometry((4, 4), (1.0, 0.5))
     comp = np.arange(16.0) / 4.0
     comp[0], comp[1], comp[15] = -0.0, 5e-324, 1.0 / 3.0
     path = tmp_path / "pinned.field"
     write_field(path, geom, 0, np.stack([comp, -comp]).reshape(2, 4, 4))
+    npy_header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (2, 4, 4), }"
     assert path.read_bytes() == (
         b"0 2 4 4 1 0.5 2\n"
-        b"-0 4.9406564584124654e-324 0.5 0.75 1 1.25 1.5 1.75 2 2.25 2.5 2.75 3 3.25 3.5 "
-        b"0.33333333333333331\n"
-        b"0 -4.9406564584124654e-324 -0.5 -0.75 -1 -1.25 -1.5 -1.75 -2 -2.25 -2.5 -2.75 "
-        b"-3 -3.25 -3.5 -0.33333333333333331\n"
+        + b"\x93NUMPY\x01\x00\x76\x00" + npy_header.ljust(117) + b"\n"
+        + struct.pack("<32d", *comp, *-comp)
     )
 
 
-def _savetxt_rows(values):
-    """The reference writer's bytes for the rows of a dump: np.savetxt over
-    one row per component."""
-    buf = io.StringIO()
-    np.savetxt(buf, values.reshape(len(values), -1), fmt="%.17g")
-    return buf.getvalue().encode()
+def test_field_dump_header_line(tmp_path):
+    """The first line of a dump is its text header `degree n N_1..N_n
+    L_1..L_n component_count`, lengths to 17 significant digits, as
+    `head -1` shows it."""
+    geom = tg.TorusGeometry((4, 6, 8), (1.0, 1.5, 0.1))
+    path = tmp_path / "head.field"
+    write_field(path, geom, 1, np.zeros(geom.shape(1)))
+    assert path.read_bytes().split(b"\n", 1)[0] == b"1 3 4 6 8 1 1.5 0.10000000000000001 3"
 
 
-def _assert_dump_is_savetxt(path, geom, degree, values):
-    """write_field's rows are np.savetxt's bytes and read back bit for bit."""
+def _npy_bytes(values):
+    """numpy's own .npy 1.0 encoding of values, the reference for the body
+    of a dump."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, values, version=(1, 0))
+    return buf.getvalue()
+
+
+def _assert_dump_is_npy(path, geom, degree, values):
+    """write_field's body is numpy's .npy bytes of the values, and they read
+    back bit for bit; returns them as read."""
     write_field(path, geom, degree, values)
-    assert path.read_bytes().split(b"\n", 1)[1] == _savetxt_rows(values)
+    assert path.read_bytes().split(b"\n", 1)[1] == _npy_bytes(values)
     geom2, degree2, back = read_field(path)
     assert (geom2, degree2) == (geom, degree)
     assert np.array_equal(back.view(np.int64), values.view(np.int64))
+    return back
+
+
+# NaNs with payloads: a quiet NaN other than numpy's, and a signalling one
+# with its sign bit set
+_NAN_PAYLOADS = np.array([0x7FF8_DEAD_BEEF_0001, -0x000F_FFFF_FFFF_FFFF], dtype=np.int64)
+
+
+@pytest.mark.parametrize("geom", GEOMS, ids=["T2", "T3", "T4"])
+def test_field_dump_special_values_bit_for_bit(tmp_path, rng, geom):
+    """-0.0, the smallest subnormal, both infinities and NaNs with payloads,
+    scattered through a random cochain of every degree, read back with the
+    bits written."""
+    special = np.concatenate([[-0.0, 5e-324, math.inf, -math.inf], _NAN_PAYLOADS.view(np.float64)])
+    for k in range(geom.dim + 1):
+        values = random_cochain(geom, k, rng).values
+        flat = values.reshape(-1)
+        flat[rng.choice(flat.size, 4 * special.size, replace=False)] = np.repeat(special, 4)
+        back = _assert_dump_is_npy(tmp_path / f"special_{k}.field", geom, k, values)
+        assert set(_NAN_PAYLOADS) <= set(back.reshape(-1).view(np.int64).tolist())
+
+
+def test_field_dump_rewrites_identical_bytes(tmp_path, rng):
+    """Two writes of one field give the same bytes, also when the second is
+    handed a non-contiguous array of the same values."""
+    geom = GEOMS[1]
+    values = random_cochain(geom, 2, rng).values
+    first, second = tmp_path / "first.field", tmp_path / "second.field"
+    write_field(first, geom, 2, values)
+    write_field(second, geom, 2, np.asfortranarray(values))
+    assert first.read_bytes() == second.read_bytes()
+    write_field(second, geom, 2, values[:, ::-1][:, ::-1])
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.0 / 3.0, math.inf, -math.inf, math.nan])
 def test_field_dump_constant_rows(tmp_path, value):
-    """A component that holds one value is written with the bytes np.savetxt
-    writes for it, and reads back bit for bit."""
+    """A component that holds one value is written as numpy's .npy bytes,
+    and reads back bit for bit."""
     geom = tg.TorusGeometry((4, 5), (1.0, 0.5))
-    _assert_dump_is_savetxt(tmp_path / "constant.field", geom, 1, np.full(geom.shape(1), value))
+    _assert_dump_is_npy(tmp_path / "constant.field", geom, 1, np.full(geom.shape(1), value))
 
 
 def test_field_dump_mixes_constant_and_varying_rows(tmp_path, rng):
     """Constant components interleaved with varying ones, one of them mixing
-    0.0 and -0.0 (equal as floats, not as bits): the bytes are np.savetxt's,
-    both signs of zero are printed, and the dump reads back bit for bit."""
+    0.0 and -0.0 (equal as floats, not as bits): both signs of zero read
+    back."""
     geom = tg.TorusGeometry((4, 5, 6), (1.0, 0.5, 2.0))
     zeros = np.where(rng.random(geom.sites) < 0.5, 0.0, -0.0)
     zeros.flat[:2] = 0.0, -0.0
@@ -252,9 +299,9 @@ def test_field_dump_mixes_constant_and_varying_rows(tmp_path, rng):
                       np.full(geom.sites, math.nan)])),
     ]
     for degree, values in dumps:
-        _assert_dump_is_savetxt(tmp_path / f"mixed_{degree}.field", geom, degree, values)
-    signed_zero_row = (tmp_path / "mixed_1.field").read_bytes().split(b"\n")[2]
-    assert set(signed_zero_row.split()) == {b"0", b"-0"}
+        _assert_dump_is_npy(tmp_path / f"mixed_{degree}.field", geom, degree, values)
+    back = read_field(tmp_path / "mixed_1.field")[2]
+    assert set(np.signbit(back[1]).reshape(-1).tolist()) == {False, True}
 
 
 def test_field_dump_line_rows(tmp_path, rng):
@@ -263,7 +310,7 @@ def test_field_dump_line_rows(tmp_path, rng):
     geom = tg.TorusGeometry((8, 8, 64), (1.0, 1.0, 2.0))
     values = np.repeat(rng.standard_normal((3, 8, 8, 1)), 64, axis=3)
     assert len(np.unique(values[0])) == geom.n_sites // 64
-    _assert_dump_is_savetxt(tmp_path / "line.field", geom, 1, values)
+    _assert_dump_is_npy(tmp_path / "line.field", geom, 1, values)
 
 
 @pytest.mark.parametrize("distinct", [10, 11])
@@ -273,7 +320,7 @@ def test_field_dump_rows_at_the_distinct_value_threshold(tmp_path, rng, distinct
     pool = rng.standard_normal(distinct)
     values = np.stack([rng.permutation(np.resize(pool, 20)) for _ in range(2)])
     assert [len(np.unique(row)) for row in values] == [distinct, distinct]
-    _assert_dump_is_savetxt(tmp_path / "threshold.field", geom, 1, values.reshape(2, 4, 5))
+    _assert_dump_is_npy(tmp_path / "threshold.field", geom, 1, values.reshape(2, 4, 5))
 
 
 def test_field_dump_repeated_special_values(tmp_path, rng):
@@ -283,15 +330,13 @@ def test_field_dump_repeated_special_values(tmp_path, rng):
     special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])
     values = rng.choice(special, size=(1, *geom.sites))
     values.flat[:6] = special
-    _assert_dump_is_savetxt(tmp_path / "special.field", geom, 0, values)
-    row = (tmp_path / "special.field").read_bytes().split(b"\n")[1]
-    assert set(row.split()) == {b"0", b"-0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324"}
+    _assert_dump_is_npy(tmp_path / "special.field", geom, 0, values)
 
 
 @pytest.mark.parametrize("runs", [8, 9])
 def test_field_dump_rows_at_the_run_threshold(tmp_path, rng, runs):
-    """Rows of 64 values in 8 runs of equal values (one run per 8 values, so
-    written run by run) and in 9 runs, with random run lengths."""
+    """Rows of 64 values in 8 and in 9 runs of equal values, with random run
+    lengths."""
     geom = tg.TorusGeometry((8, 8), (1.0, 0.5))
     rows = []
     for _ in range(2):
@@ -299,44 +344,34 @@ def test_field_dump_rows_at_the_run_threshold(tmp_path, rng, runs):
         rows.append(np.repeat(rng.standard_normal(runs), np.diff(cuts, prepend=0, append=64)))
     values = np.stack(rows).reshape(2, 8, 8)
     assert [np.count_nonzero(np.diff(row)) + 1 for row in rows] == [runs, runs]
-    _assert_dump_is_savetxt(tmp_path / "runs.field", geom, 1, values)
+    _assert_dump_is_npy(tmp_path / "runs.field", geom, 1, values)
 
 
 def test_field_dump_periodic_rows(tmp_path, rng):
     """Components constant along the first axis, as every field of a T^3 line
     along axis 0 is: rows that repeat with period N_1 N_2 and runs of one."""
     geom = tg.TorusGeometry((8, 6, 5), (1.0, 1.0, 2.0))
-    values = np.broadcast_to(rng.standard_normal((3, 1, 6, 5)), geom.shape(1)).copy()
-    _assert_dump_is_savetxt(tmp_path / "periodic.field", geom, 1, values)
+    values = np.broadcast_to(rng.standard_normal((3, 1, 6, 5)), geom.shape(1))
+    _assert_dump_is_npy(tmp_path / "periodic.field", geom, 1, values)
 
 
 def test_field_dump_alternating_rows(tmp_path):
     """A row alternating between two values: few distinct values, no runs."""
     geom = tg.TorusGeometry((6, 8), (1.0, 0.5))
     values = np.resize([1.0 / 3.0, -2.0 / 7.0], (1, *geom.sites))
-    _assert_dump_is_savetxt(tmp_path / "alternating.field", geom, 0, values)
+    _assert_dump_is_npy(tmp_path / "alternating.field", geom, 0, values)
 
 
 def test_field_dump_runs_of_signed_zeros_and_special_values(tmp_path):
     """Adjacent runs of 0.0 and -0.0 (equal as floats, not as bits), and runs
-    of NaN and both infinities, written run by run."""
+    of NaN and both infinities."""
     geom = tg.TorusGeometry((8, 16), (1.0, 0.5))
     values = np.stack([
         np.repeat([0.0, -0.0, 0.0, -0.0], 32),
         np.repeat([math.nan, math.inf, -math.inf, math.nan, 0.5, -math.inf], [8, 40, 16, 24, 8, 32]),
     ]).reshape(2, 8, 16)
-    _assert_dump_is_savetxt(tmp_path / "runs.field", geom, 0, values)
-    rows = (tmp_path / "runs.field").read_bytes().split(b"\n")[1:3]
-    assert rows[0].split()[31:33] == [b"0", b"-0"]
-    assert set(rows[1].split()) == {b"nan", b"inf", b"-inf", b"0.5"}
-
-
-def _assert_reads_as_loadtxt(path):
-    """read_field's values are np.loadtxt's over the body, bit for bit."""
-    with open(path) as fh:
-        fh.readline()
-        expected = np.loadtxt(fh).reshape(-1)
-    assert np.array_equal(read_field(path)[2].reshape(-1).view(np.int64), expected.view(np.int64))
+    back = _assert_dump_is_npy(tmp_path / "runs.field", geom, 0, values)
+    assert np.signbit(back[0].reshape(-1)[31:33]).tolist() == [False, True]
 
 
 def _run_rows(rng):
@@ -344,11 +379,16 @@ def _run_rows(rng):
     return np.stack([np.repeat(rng.standard_normal(4), 16), np.full(64, 1.0 / 3.0)])
 
 
+def _refused(path):
+    """read_field refuses the file with a ValueError that names its path."""
+    return pytest.raises(ValueError, match=re.escape(str(path)))
+
+
 @pytest.mark.parametrize("layout", ["tabs", "double_spaces", "crlf", "trailing_space",
                                     "comment", "wrapped", "tab_pairs"])
 def test_field_read_other_layouts(tmp_path, rng, layout):
-    """Rows of long runs laid out otherwise than write_field lays them out
-    read as np.loadtxt reads them."""
+    """Text dumps of the old format (rows of `%.17g` words under the same
+    header line), in every layout it read, are refused: no .npy magic."""
     if layout == "wrapped":  # one component written over two lines of 32 values
         values = _run_rows(rng)[:1]
     elif layout == "tab_pairs":  # two values alternating, each pair joined by a tab
@@ -370,40 +410,45 @@ def test_field_read_other_layouts(tmp_path, rng, layout):
     }[layout]
     path = tmp_path / "layout.field"
     path.write_bytes(f"0 2 8 8 1 1 {len(values)}\n".encode() + body.encode())
-    _assert_reads_as_loadtxt(path)
-    assert np.array_equal(read_field(path)[2].reshape(len(values), -1), values)
+    with _refused(path):
+        read_field(path)
 
 
 @pytest.mark.parametrize("damage", ["few", "many", "shifted", "token", "comment", "empty", "extra"])
 def test_field_read_rejects_damaged_rows(tmp_path, rng, damage):
-    """Rows of long runs with a value too few or too many, with a value moved
-    to the next row, with a token that is no number or a comment mark on
-    every word, a row left empty, or a row more than the header's count,
-    are refused."""
-    first, second = (" ".join("%.17g" % x for x in row) for row in _run_rows(rng))
-    head, last = first.rsplit(" ", 1)
-    rows = {
-        "few": [first, second.rsplit(" ", 1)[0]],
-        "many": [first, second + " 0.5"],
-        "shifted": [head, last + " " + second],
-        "token": [first, second.replace("0.33333333333333331", "0.3333x", 1)],
-        "comment": [first, second.replace(" ", "# ") + "#"],
-        "empty": [first, ""],
-        "extra": [first, second, second],
+    """A body truncated by one value, one value too long, an array of the
+    header's size but another shape, an int64 array of the header's shape
+    and size, an object array (refused before anything is unpickled), no
+    body at all, or a second array after the first: each is refused."""
+    values = _run_rows(rng).reshape(2, 8, 8)
+    body = _npy_bytes(values)
+    body = {
+        "few": body[:-8],
+        "many": body + struct.pack("<d", 0.5),
+        "shifted": _npy_bytes(values.reshape(2, 64)),
+        "token": _npy_bytes(values.view(np.int64)),
+        "comment": _npy_bytes(values.astype(object)),
+        "empty": b"",
+        "extra": body + body,
     }[damage]
     path = tmp_path / "damaged.field"
-    path.write_text("0 2 8 8 1 1 2\n" + "\n".join(rows) + "\n")
-    with pytest.raises(ValueError):
+    path.write_bytes(b"0 2 8 8 1 1 2\n" + body)
+    with _refused(path):
         read_field(path)
 
 
 def test_field_read_rejects_a_header_larger_than_its_body(tmp_path):
-    """A header claiming 10^20 sites over a line of four values is refused as
-    any row of too few values is, without building a line of 10^20 words."""
+    """A header line claiming 10^20 sites over an array of four values, or
+    a .npy header claiming them as well, is refused from the sizes alone,
+    before anything of that size is allocated."""
+    huge = {"descr": "<f8", "fortran_order": False, "shape": (1, 10**10, 10**10)}
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, huge)
     path = tmp_path / "huge.field"
-    path.write_text("0 2 10000000000 10000000000 1 1 1\n0 0 0 0\n")
-    with pytest.raises(ValueError):
-        read_field(path)
+    for body in [_npy_bytes(np.zeros((1, 2, 2))), buf.getvalue() + bytes(32)]:
+        path.write_bytes(b"0 2 10000000000 10000000000 1 1 1\n" + body)
+        with _refused(path):
+            read_field(path)
 
 
 def test_field_dump_rejects_mismatched_sites(tmp_path):

@@ -36,9 +36,8 @@ vorticity windings.
 Then runs `torusgl minimize`, `ansatz` and `sweep` on one T^2 quarter-rule
 config and two T^3 line configs, one along axis 2 and one along axis 0, and
 prints the sha1 of every file they write and, for each `.field` file, of the
-values `read_field` returns.  The dumps hold rows of each form `write_field`
-writes (runs of equal values, few distinct values, dense) and rows of each
-form `read_field` parses (run by run, whole).
+values `read_field` returns.  The file sha1 pins the dump's bytes (its text
+header line and `.npy` body), the `read_field` sha1 the values alone.
 Last, the same solve line for the T^4 crossing class c_01 = c_23 = 1 on
 12^4 at eps 0.2, started from the product of two copies of the T^2 12^2
 minimizer, one in the (0,1) plane and one in the (2,3) plane (the
