@@ -206,12 +206,7 @@ def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:
 
         (D_A u)_e = (u(x + e_i) exp(-i(theta0_e + h_i A_e)) - u(x)) / h_i
     """
-    return _difference(u, _transported(u, A, b))
-
-
-def _transported(u: Section, A: Cochain, b: BundleData):
-    """The transported neighbours T_e of link_transport, axis by axis."""
-    return (fwd for _, fwd in link_transport(u, A, b))
+    return _difference(u, (fwd for _, fwd in link_transport(u, A, b)))
 
 
 def _difference(u: Section, fwds) -> np.ndarray:

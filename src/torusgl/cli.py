@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bundle import _difference, _transported, build_background, curvature
+from .bundle import _difference, build_background, curvature, link_transport
 from .fields import _energy_and_density
 from .lattice import TorusGeometry, components, write_field
 from .solve import (
@@ -216,7 +216,7 @@ def _write_fields(outdir, b, u, A, eps):
     g_energy breakdown."""
     geom = b.geom
     F = curvature(A, b)
-    fwds = tuple(_transported(u, A, b))
+    fwds = tuple(fwd for _, fwd in link_transport(u, A, b))
     delta, D = _increments(u, fwds), _difference(u, fwds)
     # each array is dropped once read, so the peak memory stays that of one
     # observable at a time
@@ -261,6 +261,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
         "grad_norm": res.grad_norm,
         "london_residual": res.london_residual,
         "vortex_mass": vortex_mass(v),
+        "max_modulus": float(np.abs(res.section.values).max()),
         **asdict(res.energy),
     }
     lines = [f"{k} = {_fmt(val)}" for k, val in rec.items()]

@@ -100,15 +100,11 @@ def g_energy(u: Section, A: Cochain, b: BundleData, eps: float) -> EnergyBreakdo
     return _energy(_state_densities(u, A, b), b.geom.cell_volume, eps)
 
 
-def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float):
-    """g_energy total accumulated in the platform's long double, whose
-    precision varies by platform.  The minimizers do not use it: they decide
-    on LocalModel.change, which resolves sub-ulp differences in float64.
-    """
-    eps = _check_epsilon(eps)
-    w = b.geom.cell_volume
-    kin, pot, curv = (np.sum(d, dtype=np.longdouble) for d in _state_densities(u, A, b))
-    return 0.5 * w * kin + w * pot / (4.0 * eps * eps) + 0.5 * w * curv
+def g_energy_hi(u: Section, A: Cochain, b: BundleData, eps: float) -> float:
+    """g_energy(...).total, the float64 total.  The name stays only because
+    perfbench's kernel table and layer trace bind it; ROADMAP item 1 deletes
+    it with them."""
+    return g_energy(u, A, b, eps).total
 
 
 def e_energy(u: Section, b: BundleData, eps: float) -> EnergyBreakdown:
@@ -240,9 +236,7 @@ def truncate(u: Section) -> Section:
     Never increases g_energy for any gauge field and epsilon.
     """
     mod = np.abs(u.values)
-    scale = np.ones_like(mod)
-    over = mod > 1.0
-    scale[over] = 1.0 / mod[over]
+    scale = np.divide(1.0, mod, out=np.ones_like(mod), where=mod > 1.0)
     return Section(u.geom, u.values * scale)
 
 
@@ -261,21 +255,21 @@ def _mu(densities, geom, eps: float) -> Cochain:
         raise ValueError(f"epsilon in (0, 1) required, got {eps}")
     kin, pot, curv = densities
     dens = np.zeros(geom.sites)
+    share, rolled, twice = (np.empty(geom.sites) for _ in range(3))
 
     for i in range(geom.dim):
-        e_kin = 0.5 * kin[i]
-        dens += 0.5 * e_kin
-        dens += 0.5 * np.roll(e_kin, +1, axis=i)
+        np.multiply(np.multiply(kin[i], 0.5, out=share), 0.5, out=share)
+        dens += share
+        dens += _roll_into(rolled, share, +1, i)
 
-    dens += pot / (4.0 * eps * eps)
+    dens += np.divide(pot, 4.0 * eps * eps, out=share)
 
     for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        e_curv = 0.5 * curv[pos]
-        quarter = 0.25 * e_curv
-        dens += quarter
-        dens += np.roll(quarter, +1, axis=i)
-        dens += np.roll(quarter, +1, axis=j)
-        dens += np.roll(np.roll(quarter, +1, axis=i), +1, axis=j)
+        np.multiply(np.multiply(curv[pos], 0.5, out=share), 0.25, out=share)
+        dens += share
+        dens += _roll_into(rolled, share, +1, i)
+        dens += _roll_into(twice, share, +1, j)
+        dens += _roll_into(twice, rolled, +1, j)
 
     dens /= abs(np.log(eps))
     return Cochain(geom, 0, dens[np.newaxis])

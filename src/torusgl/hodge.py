@@ -126,9 +126,7 @@ def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray
 def green(c: Cochain) -> Cochain:
     """Green operator: Delta green(c) = c - H(c), with H(green(c)) = 0."""
     lam = stencil_eigenvalues(c.geom)
-    mult = np.zeros_like(lam)
-    nonzero = lam > 0.0
-    mult[nonzero] = -1.0 / lam[nonzero]
+    mult = np.divide(-1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
     return Cochain(c.geom, c.degree, _spectral_multiply(c.values, mult))
 
 

@@ -27,7 +27,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -300,14 +300,14 @@ def _cpus() -> int:
 
 
 class _Job:
-    """One range of a split.  A worker or the caller, whichever takes
-    `claim` first, runs it; `done` is released once it has run."""
+    """One range of a split, run by whichever thread dequeues it; `done` is
+    released once it has run."""
 
-    __slots__ = ("work", "lo", "hi", "claim", "done", "error")
+    __slots__ = ("work", "lo", "hi", "done", "error")
 
     def __init__(self, work, lo: int, hi: int):
         self.work, self.lo, self.hi, self.error = work, lo, hi, None
-        self.claim, self.done = threading.Lock(), threading.Lock()
+        self.done = threading.Lock()
         self.done.acquire()
 
     def run(self) -> None:
@@ -324,9 +324,7 @@ class _Job:
 
 def _serve(jobs: SimpleQueue) -> None:
     while True:
-        job = jobs.get()
-        if job.claim.acquire(blocking=False):
-            job.run()
+        jobs.get().run()
 
 
 def _split(count: int, weight: int, work, align: int = 1) -> None:
@@ -334,10 +332,10 @@ def _split(count: int, weight: int, work, align: int = 1) -> None:
     and begin at multiples of `align`, where each of the `count` units holds
     `weight` entries: at most one range per CPU of the affinity mask and per
     _SPLIT_ENTRIES entries.  The calling thread runs the first range, then
-    every range no worker has started by then, and waits for the rest; the
-    workers are started on first use and kept for the life of the process
-    (a forked child starts its own).  `work` must compute the same values
-    for a range whichever thread runs it."""
+    every range still queued, its own or another caller's, and waits for the
+    rest of its own; the workers are started on first use and kept for the
+    life of the process (a forked child starts its own).  `work` must
+    compute the same values for a range whichever thread runs it."""
     global _workers
     parts = count * weight // _SPLIT_ENTRIES
     if parts >= 2:
@@ -357,9 +355,12 @@ def _split(count: int, weight: int, work, align: int = 1) -> None:
     try:
         work(0, step)
     finally:
+        try:
+            while True:
+                _jobs.get_nowait().run()
+        except Empty:
+            pass
         for job in pending:
-            if job.claim.acquire(blocking=False):
-                job.run()
             job.done.acquire()
     for job in pending:
         if job.error is not None:

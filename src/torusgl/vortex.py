@@ -15,7 +15,7 @@ from math import prod, sqrt
 import numpy as np
 
 from . import hodge
-from .bundle import BundleData, Section, _current, _transported, curvature
+from .bundle import BundleData, Section, _current, curvature, link_transport
 from .lattice import (
     Cochain,
     TorusGeometry,
@@ -79,7 +79,7 @@ def supercurrent(u: Section, A: Cochain, b: BundleData) -> Cochain:
     Exactly gauge invariant; equals minus the gauge-field derivative of the
     kinetic energy density, so critical points satisfy d*F = j.
     """
-    return Cochain(b.geom, 1, _current(u, _transported(u, A, b)))
+    return Cochain(b.geom, 1, _current(u, (fwd for _, fwd in link_transport(u, A, b))))
 
 
 def jacobian(u: Section, A: Cochain, b: BundleData) -> Cochain:
@@ -99,7 +99,7 @@ def vorticity(u: Section, A: Cochain, b: BundleData) -> VorticityField:
     angle(conj(u(x)) u(x + e_i) U_e), U_e the link variable.
     """
     # the links are formed and dropped before F_A is formed
-    return _vorticity(u, _increments(u, _transported(u, A, b)), curvature(A, b))
+    return _vorticity(u, _increments(u, (fwd for _, fwd in link_transport(u, A, b))), curvature(A, b))
 
 
 def _increments(u: Section, fwds) -> Cochain:

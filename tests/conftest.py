@@ -42,12 +42,20 @@ def image_sum_k0(a, cutoff=40.0):
     return float(bessel_k0(r[(r > 0.0) & (r < cutoff)]).sum())
 
 
-def covariant_lambda1(b):
+def covariant_lambda1(b, dense=False):
     """The least eigenvalue lambda_1 of the discrete covariant Laplacian
     D^H D at A = 0 on the bundle b, numpy only: D is formed densely, one
     column of `covariant_difference` per unit section, so keep to 32^2 sites
-    or fewer (a 1024^2 Hermitian matrix)."""
+    or fewer (a 1024^2 Hermitian matrix).  A T^4 bundle whose only Chern
+    entries are c_01 and c_23 takes the product rule unless `dense`: its
+    theta0 on axes 0, 1 depends on x_0, x_1 alone and on axes 2, 3 on x_2,
+    x_3 alone, so D^H D is the sum of the two planes' T^2 operators acting
+    on separate axes, and lambda_1 is the sum of theirs."""
     geom = b.geom
+    if not dense and geom.dim == 4 and not np.any(b.chern[np.ix_((0, 1), (2, 3))]):
+        return sum(covariant_lambda1(tg.build_background(
+            tg.TorusGeometry(geom.sites[k:k + 2], geom.lengths[k:k + 2]),
+            [[0, b.chern[k, k + 1]], [-b.chern[k, k + 1], 0]])) for k in (0, 2))
     A = tg.zero_cochain(geom, 1)
     D = np.empty((geom.dim * geom.n_sites, geom.n_sites), dtype=np.complex128)
     for j in range(geom.n_sites):

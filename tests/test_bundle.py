@@ -114,6 +114,25 @@ def test_lowest_level_of_the_discrete_covariant_laplacian():
     assert abs(err[12] - B / 12**2 / 8) <= 0.01 * B / 12**2 / 8
 
 
+@pytest.mark.parametrize("sites", [(4, 4, 4, 4), (4, 5, 4, 6)])
+def test_lowest_level_product_rule_on_t4(sites):
+    """On T^4 with c_01 = c_23 = 1 the dense D^H D at A = 0 has for its
+    least eigenvalue the sum of the T^2 values on N_0 x N_1 and N_2 x N_3,
+    the product rule `covariant_lambda1` takes there; on 4^4 that is twice
+    the 4^2 value."""
+    g = tg.TorusGeometry(sites, (1.0,) * 4)
+    chern = np.zeros((4, 4), dtype=int)
+    chern[0, 1], chern[1, 0], chern[2, 3], chern[3, 2] = 1, -1, 1, -1
+    b = tg.build_background(g, chern)
+    plane = [covariant_lambda1(tg.build_background(tg.TorusGeometry(sites[k:k + 2], (1.0, 1.0)),
+                                                   [[0, 1], [-1, 0]])) for k in (0, 2)]
+    dense = covariant_lambda1(b, dense=True)
+    assert abs(dense - sum(plane)) <= 1e-12 * dense
+    assert covariant_lambda1(b) == sum(plane)
+    if sites == (4, 4, 4, 4):
+        assert abs(dense - 11.9585234268966) <= 1e-12
+
+
 def test_exact_gauge_covariance(rng, t2_bundle, t3_bundle):
     for b in (t2_bundle, t3_bundle):
         g = b.geom
@@ -270,6 +289,47 @@ def test_cis_split_inline_and_exp_agree(monkeypatch, n, sign):
         for _ in range(3):
             assert bundle._cis(x, sign).tobytes() == ref, (cpus, part)
         assert _workers() == started
+
+
+def test_concurrent_splits_drain_one_queue(monkeypatch):
+    """Two threads splitting at once over 2 or 3 CPUs, the cutoff lowered so
+    every call splits, share one queue: each runs its own first range and
+    then any queued range, its own or the other's.  Over six rounds both
+    get the inline bits of _cis on 49,169 phases and of solve_london on a
+    40^3 1-cochain, finish within the timeout and start at most cpus - 1
+    named workers.  The switch interval is shortened so the threads
+    interleave often."""
+    import sys
+    import threading
+
+    from torusgl import bundle, lattice
+
+    x = np.random.default_rng(3).uniform(-40.0, 40.0, 49169)
+    f = tg.random_cochain(tg.TorusGeometry((40, 40, 40), (1.0, 1.0, 1.0)), 1, np.random.default_rng(4))
+    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    ref = bundle._cis(x, -1).tobytes(), tg.solve_london(f).values.tobytes()
+    monkeypatch.setattr(lattice, "_SPLIT_ENTRIES", 1024)
+    for cpus in (2, 3):
+        monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+        before, results = _workers(), ([], [])
+
+        def rounds(out):
+            for _ in range(6):
+                out.append((bundle._cis(x, -1).tobytes(), tg.solve_london(f).values.tobytes()) == ref)
+
+        threads = [threading.Thread(target=rounds, args=(out,), daemon=True) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), cpus
+        assert results == ([True] * 6, [True] * 6), cpus
+        assert len(_workers()) <= max(len(before), cpus - 1)
 
 
 _FORK_SCRIPT = """

@@ -199,12 +199,30 @@ def test_cmd_minimize_vortex_artifacts(tmp_path, capsys):
     triples = (out / "vorticity.txt").read_text().split()
     assert len(triples) == 4  # exactly one (component, x, y, winding) line
     assert triples[-1] == "1"
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    assert list(summary)[:9] == ["converged", "iterations", "grad_norm", "london_residual", "vortex_mass",
+                                 "max_modulus", "kinetic", "potential", "curvature"]
+    assert 0.5 < float(summary["max_modulus"]) <= 1.0
     # dumped fields round-trip through the repo-wide format
     from torusgl.lattice import read_field
 
     geom, degree, vals = read_field(out / "u.field")
     assert degree == 0 and vals.shape[0] == 2
     assert geom.sites == (12, 12)
+
+
+def test_cmd_minimize_reports_a_normal_state_end(tmp_path, capsys):
+    """At eps 0.45, above eps_c(h) = 0.40003 of the 12^2 lattice, minimize
+    ends in the normal state u = 0, which summary.txt shows by max_modulus,
+    at the exact normal energy 2 pi^2 + 1/(4 eps^2)."""
+    out = tmp_path / "normal"
+    path = write_config(tmp_path, text=T2_CONFIG.replace("epsilons = 0.3 0.25", "epsilons = 0.45"), out=out)
+    assert main(["minimize", "--config", str(path)]) == 0
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
+    assert float(summary["max_modulus"]) < 1e-6
+    normal = 2.0 * np.pi**2 + 1.0 / (4.0 * 0.45**2)
+    assert abs(float(summary["total"]) - normal) <= 1e-12 * normal
 
 
 def test_cmd_minimize_exit_codes(tmp_path, capsys):

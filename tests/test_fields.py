@@ -9,11 +9,12 @@ from torusgl.fields import (
     e_energy,
     energy_density,
     g_energy,
+    g_energy_hi,
     g_gradient,
     linearize,
     truncate,
 )
-from torusgl.lattice import inner_product, zero_cochain
+from torusgl.lattice import components, inner_product, zero_cochain
 from torusgl.solve import _flat, _unpack
 
 from conftest import random_section
@@ -300,6 +301,20 @@ def test_energy_change_resolves_sub_ulp_steps(rng, t2_bundle):
     assert d == pytest.approx(model, rel=1e-8)
 
 
+def test_g_energy_hi_is_the_float64_total(rng, t2_bundle, t3_bundle):
+    """g_energy_hi is g_energy's float64 total bit for bit, and no code of
+    the package sums in the platform's long double."""
+    from pathlib import Path
+
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        u, A = random_section(g, rng), tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+        hi = g_energy_hi(u, A, b, 0.3)
+        assert type(hi) is float and hi.hex() == g_energy(u, A, b, 0.3).total.hex()
+    for path in Path(tg.__file__).parent.glob("*.py"):
+        assert "longdouble" not in path.read_text(), path.name
+
+
 def test_gradient_A_part_is_el_equation(rng, t2_bundle, t3_bundle):
     from torusgl.lattice import codifferential, exterior_derivative, laplacian, norm
     from torusgl.vortex import jacobian, supercurrent
@@ -382,6 +397,34 @@ def test_energy_density_total(rng, t2_bundle, t3_bundle):
         total = g_energy(u, A, b, eps).total / abs(np.log(eps))
         one = tg.constant_cochain(g, 0, 1.0)
         assert inner_product(mu, one) == pytest.approx(total, rel=1e-10)
+
+
+def test_energy_density_equals_the_rolled_shares(rng, t2_bundle, t3_bundle):
+    """energy_density equals, bit for bit, the per-vertex sum of the edge and
+    plaquette shares formed with np.roll: kinetic 0.5 (0.5 |D u|^2) at both
+    ends of an edge, then the potential, then curvature 0.25 (0.5 F^2) at
+    the four corners of a plaquette, in that order, over |log eps|."""
+    for b in (t2_bundle, t3_bundle):
+        g = b.geom
+        u, A = random_section(g, rng), tg.Cochain(g, 1, rng.standard_normal(g.shape(1)))
+        eps = 0.2
+        D = tg.covariant_difference(u, A, b)
+        kin = D.real**2 + D.imag**2
+        curv = tg.curvature(A, b).values ** 2
+        ref = np.zeros(g.sites)
+        for i in range(g.dim):
+            e_kin = 0.5 * kin[i]
+            ref += 0.5 * e_kin
+            ref += 0.5 * np.roll(e_kin, +1, axis=i)
+        ref += (1.0 - (u.values.real**2 + u.values.imag**2)) ** 2 / (4.0 * eps * eps)
+        for pos, (i, j) in enumerate(components(g.dim, 2)):
+            quarter = 0.25 * (0.5 * curv[pos])
+            ref += quarter
+            ref += np.roll(quarter, +1, axis=i)
+            ref += np.roll(quarter, +1, axis=j)
+            ref += np.roll(np.roll(quarter, +1, axis=i), +1, axis=j)
+        ref /= abs(np.log(eps))
+        assert energy_density(u, A, b, eps).values[0].tobytes() == ref.tobytes()
 
 
 def test_energy_density_ground_state(t2_trivial):
