@@ -94,30 +94,29 @@ def _positions(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_floats(group) for group in text.split(";") if group.strip())
 
 
-# the keys of each section; [bundle] takes chern_ij keys instead
+# each section's keys with their value converters; [bundle] takes chern_ij ints
 _SECTION_KEYS = {
-    "geometry": ("dim", "sites", "lengths"),
-    "bundle": None,
-    "run": ("epsilons", "seed", "out", "mesh_rule"),
-    "optimizer": ("tol", "max_iter", "log_every"),
-    "ansatz": ("axis", "windings", "positions"),
+    "geometry": {"dim": int, "sites": _ints, "lengths": _floats},
+    "bundle": int,
+    "run": {"epsilons": _floats, "seed": int, "out": str, "mesh_rule": str},
+    "optimizer": {"tol": float, "max_iter": int, "log_every": int},
+    "ansatz": {"axis": int, "windings": _ints, "positions": _positions},
 }
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the sectioned key/value format into a validated `RunConfig`.
 
-    Sections: [geometry] (dim, sites, lengths), [bundle] (chern_ij entries),
-    [run] (epsilons, seed, out, mesh_rule), [optimizer] (tol, max_iter,
-    log_every), optional [ansatz] (windings, positions, axis), which must
-    give windings when present.  Every unknown section or key, every key
-    repeated within a section (also under a repeated header), every
-    malformed value, chern indices outside 0 <= i < j < dim, and
-    every value `TorusGeometry`, `AnsatzSpec`, `MinimizeOptions` or
-    `check_sweep` without a lattice rejects, raises `ConfigError`; the
-    lattice rules of mesh_rule bind the sweep command only (see cmd_sweep).
+    Sections and keys are those of `_SECTION_KEYS`; [ansatz] is optional
+    but must give windings when present.  Every unknown section or key,
+    every key repeated within a section (also under a repeated header),
+    every malformed value (reported with its line as read), chern indices
+    outside 0 <= i < j < dim, and every value `TorusGeometry`, `AnsatzSpec`,
+    `MinimizeOptions` or `check_sweep` without a lattice rejects, raises
+    `ConfigError`; the lattice rules of mesh_rule bind the sweep command
+    only (see cmd_sweep).
     """
-    sections: dict[str, dict[str, str]] = {}
+    sections: dict[str, dict[str, object]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -132,56 +131,48 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line or current is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a [section]")
         key, val = (p.strip() for p in line.split("=", 1))
-        if _SECTION_KEYS[current] is not None and key not in _SECTION_KEYS[current]:
+        convert = _SECTION_KEYS[current] if current == "bundle" else _SECTION_KEYS[current].get(key)
+        if convert is None:
             raise ConfigError(f"line {lineno}: unknown [{current}] key {key}")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: repeated [{current}] key {key}")
-        sections[current][key] = val
+        try:
+            sections[current][key] = convert(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: [{current}] {key}: {exc}") from None
 
-    def need(section, key, convert):
+    def need(section, key):
         if key not in sections.get(section, {}):
             raise ConfigError(f"missing [{section}] {key}")
-        return get(section, key, convert)
+        return sections[section][key]
 
-    def get(section, key, convert, default=None):
-        if key not in sections.get(section, {}):
-            return default
-        try:
-            return convert(sections[section][key])
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
+    def get(section, key, default=None):
+        return sections.get(section, {}).get(key, default)
 
-    dim = need("geometry", "dim", int)
-    sites = need("geometry", "sites", _ints)
-    lengths = need("geometry", "lengths", _floats)
+    dim = need("geometry", "dim")
+    sites = need("geometry", "sites")
+    lengths = need("geometry", "lengths")
     chern = []
-    for key in sorted(sections.get("bundle", {})):
+    for key, c in sorted(sections.get("bundle", {}).items()):
         if not (key.startswith("chern_") and len(key) == 8 and key[6:].isdigit()):
             raise ConfigError(f"unknown [bundle] key {key} (expected chern_ij)")
         i, j = int(key[6]), int(key[7])
         if not 0 <= i < j < dim:
             raise ConfigError(f"chern indices need 0 <= i < j < dim (got {i},{j})")
-        chern.append((i, j, get("bundle", key, int)))
-    epsilons = need("run", "epsilons", _floats)
+        chern.append((i, j, c))
+    epsilons = need("run", "epsilons")
     if "seed" not in sections.get("run", {}):
         raise ConfigError("seed is mandatory: missing [run] seed")
-    mesh_rule = get("run", "mesh_rule", str, "fixed")
-    options = {
-        key: get("optimizer", key, convert)
-        for key, convert in (
-            ("tol", float), ("max_iter", int), ("log_every", int)
-        )
-        if key in sections.get("optimizer", {})
-    }
-    windings = need("ansatz", "windings", _ints) if "ansatz" in sections else None
-    positions = get("ansatz", "positions", _positions, ())
-    axis = get("ansatz", "axis", int)
+    mesh_rule = get("run", "mesh_rule", "fixed")
+    windings = need("ansatz", "windings") if "ansatz" in sections else None
+    positions = get("ansatz", "positions", ())
+    axis = get("ansatz", "axis")
     try:
         geom = TorusGeometry(sites, lengths)
         if geom.dim != dim:
             raise ValueError(f"[geometry] sites lists {geom.dim} entries for dim = {dim}")
         check_sweep(None, epsilons, mesh_rule)
-        optimizer = MinimizeOptions(**options)
+        optimizer = MinimizeOptions(**sections.get("optimizer", {}))
         ansatz = None if windings is None else AnsatzSpec(windings=windings, positions=positions, axis=axis)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -190,8 +181,8 @@ def parse_config(text: str) -> RunConfig:
         geom=geom,
         chern=tuple(chern),
         epsilons=epsilons,
-        seed=need("run", "seed", int),
-        out=get("run", "out", str, "runs/out"),
+        seed=need("run", "seed"),
+        out=get("run", "out", "runs/out"),
         mesh_rule=mesh_rule,
         optimizer=optimizer,
         ansatz=ansatz,

@@ -5,13 +5,13 @@ real vertex field theta, stored unwrapped so that d theta is an honest
 1-cochain.  Every observable (energy parts, supercurrent, Jacobian,
 vorticity, curvature) is exactly invariant by construction.
 
-Coulomb fixing removes the exact Hodge part of A by a small gauge and
-reduces each harmonic component to the fundamental interval
-[-pi/L_i, pi/L_i] by winding phases, a tie removing the winding nearer
-zero.  On the lattice a winding phase is a sawtooth vertex field whose
-differential is NOT the constant -2 pi m/L_i (it spikes at the wrap seam);
-the pair transformation used here rotates u by the sawtooth while shifting
-A by the constant, which is still exactly energy-preserving because edge
+Coulomb fixing removes the exact Hodge part d(phi) of A, -Delta phi = d*A,
+and reduces each harmonic component to [-pi/L_i, pi/L_i] by winding
+phases, a tie removing the winding nearer zero.  On the lattice a winding
+phase is a sawtooth vertex field whose differential is NOT the constant
+-2 pi m/L_i (it spikes at the wrap seam); the pair transformation used here
+shifts A by the constant and rotates u once by the whole phase
+-phi + sawtooth, which is still exactly energy-preserving because edge
 phases only matter modulo 2 pi.
 """
 
@@ -64,30 +64,20 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     the input exactly (to rounding).
     """
     geom = A.geom
-    # the exact Hodge part of A is d(phi), phi = d*(w) with w = -green(A)
-    phi = codifferential(-1.0 * green(A)).values[0]
-    u1, A1 = apply_gauge(u, A, GaugePhase(geom, -phi))
+    # the exact Hodge part of A is d(phi), -Delta phi = d*A: one scalar solve
+    phi = -1.0 * green(codifferential(A)).values[0]
+    vals = (A + exterior_derivative(Cochain(geom, 0, -phi[np.newaxis]))).values
 
     # large-gauge reduction of the harmonic (mean) components
-    axes = tuple(range(1, geom.dim + 1))
-    xi = A1.values.mean(axis=axes)
-    vals = A1.values.copy()
     winding = np.zeros(geom.sites)
-    wound = False
-    for i in range(geom.dim):
-        L = geom.lengths[i]
+    for i, L in enumerate(geom.lengths):
         # nearest integer, ties toward zero; |x| - 0.5 is exact for |x| < 2^52
-        x = float(xi[i]) * L / (2.0 * np.pi)
+        x = float(vals[i].mean()) * L / (2.0 * np.pi)
         m = int(copysign(ceil(abs(x) - 0.5), x))
-        if m == 0:
-            continue
-        wound = True
         vals[i] -= 2.0 * np.pi * m / L
         winding = winding - (2.0 * np.pi * m / L) * geom.coordinates(i)
-    # with every winding zero the rotation would multiply u by exp(0j)
-    u2 = u1
-    if wound:
-        phase = _cis(winding, 1)
-        u2 = Section(geom, np.multiply(phase, u1.values, out=phase))
-    A2 = Cochain(geom, 1, vals)
-    return u2, A2, GaugePhase(geom, -phi + winding)
+    theta = GaugePhase(geom, -phi + winding)
+    # one rotation by the whole phase, in apply_gauge's operand order
+    phase = _cis(theta.theta, 1)
+    u2 = Section(geom, np.multiply(phase, u.values, out=phase))
+    return u2, Cochain(geom, 1, vals), theta

@@ -19,10 +19,10 @@ from .bundle import BundleData, Section, _current, curvature, link_transport
 from .lattice import (
     Cochain,
     TorusGeometry,
+    codifferential,
     components,
     exterior_derivative,
     inner_product,
-    laplacian,
     norm,
 )
 
@@ -181,12 +181,12 @@ def h_minus1_distance(a: Cochain, b: Cochain) -> float:
 def london_residual(u: Section, A: Cochain, b: BundleData) -> float:
     """Normalized defect of the London identity, ||-Delta F + F - 2J|| / (1 + ||F||).
 
-    Exactly zero at discrete critical points, where d*F = j and dF = 0.
+    As dF = 0 and 2J = dj + F, the defect is d(d*F - j): zero where d*F = j.
     """
     F = curvature(A, b)
-    defect = -1.0 * laplacian(F).values + F.values
-    defect -= exterior_derivative(supercurrent(u, A, b)).values + F.values
-    return norm(Cochain(b.geom, 2, defect)) / (1.0 + norm(F))
+    residual = codifferential(F).values
+    residual -= supercurrent(u, A, b).values
+    return norm(exterior_derivative(Cochain(b.geom, 1, residual))) / (1.0 + norm(F))
 
 
 def sparse_windings(v: VorticityField):

@@ -45,12 +45,13 @@ def image_sum_k0(a, cutoff=40.0):
 def covariant_lambda1(b, dense=False):
     """The least eigenvalue lambda_1 of the discrete covariant Laplacian
     D^H D at A = 0 on the bundle b, numpy only: D is formed densely, one
-    column of `covariant_difference` per unit section, so keep to 32^2 sites
-    or fewer (a 1024^2 Hermitian matrix).  A T^4 bundle whose only Chern
-    entries are c_01 and c_23 takes the product rule unless `dense`: its
-    theta0 on axes 0, 1 depends on x_0, x_1 alone and on axes 2, 3 on x_2,
-    x_3 alone, so D^H D is the sum of the two planes' T^2 operators acting
-    on separate axes, and lambda_1 is the sum of theirs."""
+    column of `covariant_difference` per unit section, so keep to about a
+    thousand sites (32^2 or 10^3: a 1024^2 or 1000^2 Hermitian matrix).  A
+    T^4 bundle whose only Chern entries are c_01 and c_23 takes the product
+    rule unless `dense`: its theta0 on axes 0, 1 depends on x_0, x_1 alone
+    and on axes 2, 3 on x_2, x_3 alone, so D^H D is the sum of the two
+    planes' T^2 operators acting on separate axes, and lambda_1 is the sum
+    of theirs."""
     geom = b.geom
     if not dense and geom.dim == 4 and not np.any(b.chern[np.ix_((0, 1), (2, 3))]):
         return sum(covariant_lambda1(tg.build_background(

@@ -92,6 +92,10 @@ def test_config_validation_messages():
         parse_config(quarter.replace("lengths = 1 1", "lengths = inf inf"))
     with pytest.raises(ConfigError, match=r"\[geometry\] sites"):
         parse_config(base.replace("sites = 12 12", "sites = 12 x"))
+    # a malformed value is caught as its line is read, and the first fault
+    # in file order is the one reported
+    with pytest.raises(ConfigError, match=r"^line 4: \[geometry\] sites: invalid literal for int\(\)"):
+        parse_config(base.replace("sites = 12 12", "sites = 12 x").replace("tol = 1e-8", "tol = x"))
     with pytest.raises(ConfigError, match=r"unknown \[optimizer\] key truncate_each"):
         parse_config(base.replace("tol = 1e-8", "tol = 1e-8\ntruncate_each = true"))
     # an [ansatz] section without windings is an error, not the default start

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import torusgl as tg
+from torusgl.bundle import _cis
 from torusgl.gauge import GaugePhase, apply_gauge, coulomb_fix
+from torusgl.hodge import hodge_decompose
 from torusgl.lattice import codifferential, exterior_derivative, norm
 
 from conftest import random_section
@@ -115,6 +117,34 @@ def test_coulomb_postconditions(rng, t2_bundle, t3_bundle):
                 tg.vorticity(u, A, b).windings,
                 tg.vorticity(u2, A2, b).windings,
             )
+
+
+@pytest.mark.parametrize("wound", [False, True], ids=["unwound", "wound"])
+@pytest.mark.parametrize(
+    "sites, lengths",
+    [((16, 16), (1.0, 1.3)), ((8, 6, 10), (1.0, 1.3, 2.0)), ((4, 5, 4, 6), (1.0,) * 4)],
+    ids=["t2", "t3", "t4"],
+)
+def test_coulomb_fix_rotates_u_once_by_its_phase(sites, lengths, wound):
+    """coulomb_fix returns u' = e^{i theta} u for the phase theta it returns,
+    bit for bit, and an A' with the links of A + d theta (the winding part
+    of theta is a sawtooth, whose seam edge differs by 2 pi / h) and no exact
+    Hodge part.  A wound A has 1, ..., n windings added to its means."""
+    rng = np.random.default_rng(len(sites) + 10 * wound)
+    g = tg.TorusGeometry(sites, lengths)
+    u, A = random_section(g, rng), tg.random_cochain(g, 1, rng)
+    if wound:
+        for i in range(g.dim):
+            A.values[i] += 2.0 * np.pi * (i + 1) / g.lengths[i]
+    u2, A2, theta = coulomb_fix(u, A)
+    axes = tuple(range(1, g.dim + 1))
+    windings = np.round((A.values.mean(axis=axes) - A2.values.mean(axis=axes)) * g.lengths / (2 * np.pi))
+    assert np.array_equal(windings, np.arange(1, g.dim + 1) if wound else np.zeros(g.dim))
+    assert np.array_equal(u2.values.view(np.int64), (_cis(theta.theta, 1) * u.values).view(np.int64))
+    dtheta = exterior_derivative(tg.Cochain(g, 0, theta.theta[np.newaxis]))
+    turns = (A2 - A - dtheta).values * np.reshape(g.spacings, (-1,) + (1,) * g.dim) / (2 * np.pi)
+    assert np.abs(turns - np.round(turns)).max() <= 1e-12
+    assert np.abs(exterior_derivative(hodge_decompose(A2).exact_potential).values).max() <= 1e-12
 
 
 def test_coulomb_idempotent(rng, t2_geom, t3_geom):

@@ -623,18 +623,21 @@ def _normal_energy(b, eps):
     "sites, entries, eps_c",
     [
         ((16, 16), {(0, 1): 1}, 0.399555),
+        ((10,) * 3, {(0, 2): 1, (1, 2): 1}, 0.336873),
         pytest.param((12,) * 4, {(0, 1): 1, (2, 3): 1}, 0.282866, marks=pytest.mark.slow),
     ],
-    ids=["t2-16", "t4-crossing-12"],
+    ids=["t2-16", "t3-diagonal-10", "t4-crossing-12"],
 )
 def test_normal_state_threshold(sites, entries, eps_c):
     """Near u = 0 with F_A = F0 the energy is the normal energy plus
     (|D u|^2 - |u|^2 / eps^2) / 2, so the normal state is a local minimum iff
     eps >= eps_c(h) = lambda_1^(-1/2), lambda_1 the least eigenvalue of the
-    discrete D^H D (the product rule on T^4).  From the default start,
-    minimize keeps u away from zero 1% below eps_c(h) (max|u| 0.169 in 85
-    evaluations on T^2, 0.200 in 115 on T^4) and ends in the normal state
-    1% above it, at its exact energy (99 and 154 evaluations)."""
+    discrete D^H D (the product rule on T^4).  On the T^3 diagonal class
+    lambda_1 = 8.811853, against 2 pi sqrt 2 = 8.885766 in the continuum.
+    From the default start, minimize keeps u away from zero 1% below
+    eps_c(h) (max|u| 0.169 in 85 evaluations on T^2, 0.168 in 147 on T^3,
+    0.200 in 115 on T^4) and ends in the normal state 1% above it, at its
+    exact energy (99, 162 and 154 evaluations)."""
     g = tg.TorusGeometry(sites, (1.0,) * len(sites))
     b = tg.build_background(g, _chern(g.dim, entries))
     threshold = covariant_lambda1(b) ** -0.5

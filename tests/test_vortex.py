@@ -288,6 +288,32 @@ def test_london_identity_at_minimizer(min_t2_64):
     assert np.abs(el.values).max() <= 100 * 1e-8
 
 
+@pytest.mark.parametrize(
+    "sites, lengths, entries",
+    [
+        ((16, 16), (1.0, 1.3), {(0, 1): 1}),
+        ((8, 6, 10), (1.0, 1.3, 2.0), {(0, 1): 1, (0, 2): 2, (1, 2): -1}),
+        ((4, 5, 4, 6), (1.0,) * 4, {(0, 1): 1, (2, 3): 1}),
+    ],
+    ids=["t2", "t3-class-1-2-m1", "t4-crossing"],
+)
+def test_london_residual_is_the_laplacian_defect(sites, lengths, entries):
+    """london_residual forms the defect as d(d*F - j); on any state, not only
+    near criticality, it equals ||-Delta F + F - 2J|| / (1 + ||F||) with the
+    2-form Laplacian, as dF = 0 and 2J = dj + F."""
+    from torusgl.lattice import laplacian
+
+    rng = np.random.default_rng(33)
+    chern = np.zeros((len(sites),) * 2, dtype=int)
+    for (i, j), c in entries.items():
+        chern[i, j], chern[j, i] = c, -c
+    b = tg.build_background(tg.TorusGeometry(sites, lengths), chern)
+    u, A = random_section(b.geom, rng), tg.random_cochain(b.geom, 1, rng)
+    F = tg.curvature(A, b)
+    reference = norm(-1.0 * laplacian(F) + F - 2.0 * jacobian(u, A, b)) / (1.0 + norm(F))
+    assert abs(tg.london_residual(u, A, b) - reference) <= 1e-12 * reference
+
+
 @pytest.mark.slow
 def test_h_minus1_sweep_monotone(sweep_fixed80):
     # on one fixed lattice the minimizer Jacobian sharpens toward the target
