@@ -11,7 +11,7 @@ holonomy/flux consistency and the Chern pairing hold exactly.
 The gauge field couples compactly, through the link variable
 U_e = exp(-i(theta0_e + h_i A_e)) (Wilson's lattice link), so lattice gauge
 transformations leave |D_A u| invariant exactly.  `link_transport` is the one
-place the link is formed, as `_cis` of its phase `link_phase`; the covariant
+place the link is formed, from its phase `link_phase`; the covariant
 difference, energies, gradients, Hessian products, supercurrent and
 vorticity are all built on it, and sweeps refine sections along its phases.
 It keeps the phases and read-only links of the last state linked twice in a
@@ -20,13 +20,11 @@ phases have the same bits and drops them on any other call before it links.
 
 `_cis` forms every phase factor exp(+-i phase) of the package from real
 cosines and sines, bit for bit numpy's complex exp without its complex
-temporaries.  From 2 * `lattice._SPLIT_ENTRIES` entries on (an axis of
-256^2 or 40^3, not of 160^2 or 28^3) it splits the work into contiguous
-slabs, one per CPU of the affinity mask, over the package's one long-lived
-worker set (`lattice._split`; numpy releases the GIL inside the float64 cos
-and sin loops).  Each entry is computed by the same loop at the same
-position within its vector block wherever the slabs begin, so the bits do
-not depend on the number of CPUs.
+temporaries.  It, the link phases, links and transported neighbours, the
+covariant difference, the current and F_A run by ranges of axis-0 rows
+(`lattice._by_rows`, split from 2 * `lattice._SPLIT_ENTRIES` entries on, as
+on 256^2, 40^3 or 64^3, not 160^2 or 28^3) over one worker set; each entry
+keeps its operations, so the bits do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Cochain, TorusGeometry, _split, components, constant_cochain, exterior_derivative
+from .lattice import Cochain, TorusGeometry, _by_rows, _rolled, components, constant_cochain, exterior_derivative
 
 __all__ = [
     "Section",
@@ -152,27 +150,39 @@ def link_transport(u: Section, A: Cochain, b: BundleData):
     global _slot
     last, kept = _slot
     again, admitted = last is not None and last() is A.values, []
+    sites, uv = b.geom.sites, u.values
     for i in range(b.geom.dim):
-        phase = link_phase(A, b, i)
-        if i < len(kept) and np.array_equal(kept[i][0].view(np.uint64), phase.view(np.uint64)):
+        key, h = kept[i][0] if i < len(kept) else None, b.geom.spacings[i]
+        phase, hits = np.empty(sites), []
+
+        def form(lo, hi):  # link_phase by rows, each range compared with the kept phase
+            np.add(b.theta0[i][lo:hi], np.multiply(h, A.values[i][lo:hi], out=phase[lo:hi]), out=phase[lo:hi])
+            hits.append(key is not None and np.array_equal(key[lo:hi].view(np.uint64),
+                                                           phase[lo:hi].view(np.uint64)))
+
+        _by_rows(sites, form)
+        fresh = not all(hits)
+        if not fresh:
             phase, link = kept[i]
         else:
             if kept:  # a miss: drop the kept links before forming new ones
                 _slot, kept = (last, ()), ()
-            link = _cis(phase, -1)
+            link = np.empty(sites, dtype=np.complex128)
+        fwd = np.empty(sites, dtype=np.complex128)
+
+        def transport(lo, hi):
+            if fresh:
+                _cis_into(phase[lo:hi], -1, link[lo:hi])
+            np.multiply(_rolled(uv, lo, hi, -1, i, fwd[lo:hi]), link[lo:hi], out=fwd[lo:hi])
+
+        _by_rows(sites, transport)
+        if fresh:
             link.flags.writeable = not again
         if again:
             admitted.append((phase, link))
         del phase
-        fwd = np.roll(u.values, -1, axis=i)
-        fwd *= link
         yield link, fwd
     _slot = (weakref.ref(A.values), tuple(admitted) if again else kept)
-
-
-# slabs of _cis begin at multiples of this many entries, a whole number of
-# vector blocks of every SIMD width numpy dispatches to
-_SLAB_ALIGN = 64
 
 
 def _cis_into(phase: np.ndarray, sign: int, out: np.ndarray) -> None:
@@ -187,10 +197,10 @@ def _cis_into(phase: np.ndarray, sign: int, out: np.ndarray) -> None:
 def _cis(phase: np.ndarray, sign: int) -> np.ndarray:
     """cos(phase) + i sign sin(phase), sign = +1 or -1: bit for bit
     np.exp(sign * 1j * phase) for finite phases, split into contiguous slabs
-    over the worker set of `lattice._split`."""
+    by `lattice._by_rows`."""
     out = np.empty(phase.shape, dtype=np.complex128)
     flat, dest = phase.reshape(-1), out.reshape(-1)
-    _split(flat.size, 1, lambda lo, hi: _cis_into(flat[lo:hi], sign, dest[lo:hi]), _SLAB_ALIGN)
+    _by_rows(flat.shape, lambda lo, hi: _cis_into(flat[lo:hi], sign, dest[lo:hi]))
     return out
 
 
@@ -215,8 +225,8 @@ def _difference(u: Section, fwds) -> np.ndarray:
     for i, fwd in enumerate(fwds):
         if i == 0:  # after the first link, so after a missed link slot is dropped
             out = np.empty((u.geom.dim, *u.geom.sites), dtype=np.complex128)
-        np.subtract(fwd, u.values, out=out[i])
-        out[i] *= 1.0 / h[i]
+        _by_rows(u.geom.sites, lambda lo, hi: np.multiply(
+            np.subtract(fwd[lo:hi], u.values[lo:hi], out=out[i, lo:hi]), 1.0 / h[i], out=out[i, lo:hi]))
     return out
 
 
@@ -226,13 +236,16 @@ def _current(u: Section, fwds) -> np.ndarray:
     h = u.geom.spacings
     out = np.empty((u.geom.dim, *u.geom.sites))
     for i, fwd in enumerate(fwds):
-        np.divide(np.imag(np.conj(u.values) * fwd), h[i], out=out[i])
+        _by_rows(u.geom.sites, lambda lo, hi: np.divide(
+            np.imag(np.conj(u.values[lo:hi]) * fwd[lo:hi]), h[i], out=out[i, lo:hi]))
     return out
 
 
 def curvature(A: Cochain, b: BundleData) -> Cochain:
     """Real curvature 2-cochain F_A = F0 + dA; closed and gauge invariant."""
-    return Cochain(A.geom, 2, exterior_derivative(A).values + b.f0.values)
+    F = exterior_derivative(A).values
+    _by_rows(A.geom.sites, lambda lo, hi: np.add(F[:, lo:hi], b.f0.values[:, lo:hi], out=F[:, lo:hi]))
+    return Cochain(A.geom, 2, F)
 
 
 def flux_pairing(F: Cochain) -> np.ndarray:

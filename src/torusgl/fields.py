@@ -26,11 +26,13 @@ from .bundle import (
     BundleData,
     Section,
     _current,
+    _difference,
     covariant_difference,
     curvature,
     link_transport,
 )
-from .lattice import Cochain, _roll_into, codifferential, components, exterior_derivative, zero_cochain
+from .lattice import (Cochain, _by_rows, _roll_into, _rolled, codifferential, components, exterior_derivative,
+                      zero_cochain)
 
 __all__ = [
     "EnergyBreakdown",
@@ -63,20 +65,27 @@ def _check_epsilon(eps: float) -> float:
     return eps
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return np.add(out := np.square(z.real), np.square(z.imag), out=out)
+def _abs2(z: np.ndarray, out=None) -> np.ndarray:
+    return np.add(out := np.square(z.real, out=out), np.square(z.imag), out=out)
 
 
-def _densities(kin: np.ndarray, u: Section, F: Cochain):
-    """kin, which is |D_A u|^2 per edge, (1 - |u|^2)^2 per vertex and |F_A|^2
-    per plaquette of the curvature F; the energies weight their sums by the
-    cell volume."""
-    return kin, (1.0 - _abs2(u.values)) ** 2, F.values ** 2
+def _densities(D: np.ndarray, u: Section, curvature):
+    """|D|^2 per edge of the covariant difference D, (1 - |u|^2)^2 per vertex
+    and |F_A|^2 per plaquette of F_A = curvature(), called once D is dropped,
+    by rows; the energies weight their sums by the cell volume."""
+    sites, kin, pot = u.geom.sites, np.empty(D.shape), np.empty(u.geom.sites)
+    _by_rows(sites, lambda lo, hi: _abs2(D[:, lo:hi], out=kin[:, lo:hi]))
+    del D  # so F_A, formed next, is not held at that step's peak memory
+    F = curvature().values
+    curv = np.empty(F.shape)
+    _by_rows(sites, lambda lo, hi: np.square(np.subtract(1.0, _abs2(u.values[lo:hi], out=pot[lo:hi]),
+                                                         out=pot[lo:hi]), out=pot[lo:hi]))
+    _by_rows(sites, lambda lo, hi: np.square(F[:, lo:hi], out=curv[:, lo:hi]))
+    return kin, pot, curv
 
 
 def _state_densities(u: Section, A: Cochain, b: BundleData):
-    # F_A is formed after |D_A u|^2, so it is not held at that step's peak memory
-    return _densities(_abs2(covariant_difference(u, A, b)), u, curvature(A, b))
+    return _densities(covariant_difference(u, A, b), u, lambda: curvature(A, b))
 
 
 def _energy(densities, w: float, eps: float) -> EnergyBreakdown:
@@ -90,7 +99,7 @@ def _energy(densities, w: float, eps: float) -> EnergyBreakdown:
 def _energy_and_density(D: np.ndarray, u: Section, F: Cochain, eps: float):
     """g_energy and energy_density of the state whose covariant difference D
     and curvature F are given."""
-    densities = _densities(_abs2(D), u, F)
+    densities = _densities(D, u, lambda: F)
     return _energy(densities, u.geom.cell_volume, _check_epsilon(eps)), _mu(densities, u.geom, eps)
 
 
@@ -128,11 +137,18 @@ class LocalModel:
         self.w, self.h = b.geom.cell_volume, b.geom.spacings
         self._factors = None
 
+    def energy(self) -> EnergyBreakdown:
+        """g_energy at the state."""
+        fwds = (fwd for _, fwd in self.links)
+        return _energy(_densities(_difference(self.u, fwds), self.u, lambda: self.F), self.w, self.eps)
+
     def field_equation(self) -> Cochain:
         """d*F_A - j(u, A), the residual of the second Ginzburg-Landau
         equation; j is vortex.supercurrent."""
-        current = _current(self.u, (fwd for _, fwd in self.links))
-        return Cochain(self.b.geom, 1, np.subtract(codifferential(self.F).values, current, out=current))
+        current, div = _current(self.u, (fwd for _, fwd in self.links)), codifferential(self.F).values
+        _by_rows(self.b.geom.sites, lambda lo, hi: np.subtract(div[:, lo:hi], current[:, lo:hi],
+                                                               out=current[:, lo:hi]))
+        return Cochain(self.b.geom, 1, current)
 
     def gradient(self):
         """Exact gradient of g_energy: (complex per-vertex field d/d(Re u,
@@ -140,13 +156,18 @@ class LocalModel:
         (d*F_A - j(u, A)) * prod(h), the discrete second Ginzburg-Landau
         equation; both carry the cell volume, as true derivatives of the
         summed energy do."""
-        w, h, eps, uv = self.w, self.h, self.eps, self.u.values
+        w, h, eps, uv, sites = self.w, self.h, self.eps, self.u.values, self.b.geom.sites
         grad_u = np.zeros(uv.shape, dtype=np.complex128)
+        Du, back = np.empty_like(grad_u), np.empty_like(grad_u)
         for i, (link, fwd) in enumerate(self.links):
-            Du = (fwd - uv) * (1.0 / h[i])
-            grad_u += (w / h[i]) * (np.roll(np.conj(link) * Du, +1, axis=i) - Du)
-        del Du  # not held through the field equation's temporaries
-        grad_u += -(w / (eps * eps)) * (1.0 - (uv.real**2 + uv.imag**2)) * uv
+            # D_A u, then conj(link) D_A u, whose rows the next split shifts
+            _by_rows(sites, lambda lo, hi: np.multiply(np.conj(link[lo:hi]), np.multiply(np.subtract(
+                fwd[lo:hi], uv[lo:hi], out=Du[lo:hi]), 1.0 / h[i], out=Du[lo:hi]), out=back[lo:hi]))
+            _by_rows(sites, lambda lo, hi: np.add(grad_u[lo:hi], (w / h[i]) * (
+                _rolled(back, lo, hi, +1, i) - Du[lo:hi]), out=grad_u[lo:hi]))
+        del Du, back  # not held through the field equation's temporaries
+        _by_rows(sites, lambda lo, hi: np.add(grad_u[lo:hi], -(w / (eps * eps)) * (
+            1.0 - (uv[lo:hi].real**2 + uv[lo:hi].imag**2)) * uv[lo:hi], out=grad_u[lo:hi]))
         return grad_u, Cochain(self.b.geom, 1, w * self.field_equation().values)
 
     def hessvec(self, du: Section, dA: Cochain, out: np.ndarray | None = None) -> np.ndarray:
@@ -254,22 +275,29 @@ def _mu(densities, geom, eps: float) -> Cochain:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon in (0, 1) required, got {eps}")
     kin, pot, curv = densities
-    dens = np.zeros(geom.sites)
-    share, rolled, twice = (np.empty(geom.sites) for _ in range(3))
+    dens, share, sites = np.zeros(geom.sites), np.empty(geom.sites), geom.sites
+
+    def spread(x, a, b, axes):
+        """dens += share = (x * a) * b, then share shifted by +1 along each of
+        `axes` and, for two, along both; share is formed first, as a shift reads other rows."""
+        _by_rows(sites, lambda lo, hi: np.multiply(np.multiply(x[lo:hi], a, out=share[lo:hi]), b,
+                                                   out=share[lo:hi]))
+
+        def add(lo, hi):
+            out = dens[lo:hi]
+            out += share[lo:hi]
+            shifted = [_rolled(share, lo, hi, +1, axis) for axis in axes]
+            for rolled in shifted:
+                out += rolled
+            if len(axes) == 2:  # axes[1] > 0, so the shift stays within the rows
+                out += _roll_into(shifted[1], shifted[0], +1, axes[1])
+
+        _by_rows(sites, add)
 
     for i in range(geom.dim):
-        np.multiply(np.multiply(kin[i], 0.5, out=share), 0.5, out=share)
-        dens += share
-        dens += _roll_into(rolled, share, +1, i)
-
-    dens += np.divide(pot, 4.0 * eps * eps, out=share)
-
-    for pos, (i, j) in enumerate(components(geom.dim, 2)):
-        np.multiply(np.multiply(curv[pos], 0.5, out=share), 0.25, out=share)
-        dens += share
-        dens += _roll_into(rolled, share, +1, i)
-        dens += _roll_into(twice, share, +1, j)
-        dens += _roll_into(twice, rolled, +1, j)
-
-    dens /= abs(np.log(eps))
+        spread(kin[i], 0.5, 0.5, (i,))
+    _by_rows(sites, lambda lo, hi: np.add(dens[lo:hi], np.divide(pot[lo:hi], 4.0 * eps * eps), out=dens[lo:hi]))
+    for pos, ij in enumerate(components(geom.dim, 2)):
+        spread(curv[pos], 0.5, 0.25, ij)
+    _by_rows(sites, lambda lo, hi: np.divide(dens[lo:hi], abs(np.log(eps)), out=dens[lo:hi]))
     return Cochain(geom, 0, dens[np.newaxis])

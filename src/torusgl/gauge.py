@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import Section, _cis
 from .hodge import green
-from .lattice import Cochain, TorusGeometry, codifferential, exterior_derivative
+from .lattice import Cochain, TorusGeometry, _by_rows, codifferential, exterior_derivative
 
 __all__ = ["GaugePhase", "apply_gauge", "coulomb_fix"]
 
@@ -50,9 +50,9 @@ def apply_gauge(u: Section, A: Cochain, theta: GaugePhase) -> tuple[Section, Coc
     # phase * u, as numpy's complex product is not bitwise commutative and
     # `u * phase` takes this order only where numpy elides the temporary
     phase = _cis(theta.theta, 1)
-    u2 = Section(u.geom, np.multiply(phase, u.values, out=phase))
+    _by_rows(u.geom.sites, lambda lo, hi: np.multiply(phase[lo:hi], u.values[lo:hi], out=phase[lo:hi]))
     dtheta = exterior_derivative(Cochain(theta.geom, 0, theta.theta[np.newaxis]))
-    return u2, A + dtheta
+    return Section(u.geom, phase), A + dtheta
 
 
 def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
@@ -79,5 +79,5 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
     theta = GaugePhase(geom, -phi + winding)
     # one rotation by the whole phase, in apply_gauge's operand order
     phase = _cis(theta.theta, 1)
-    u2 = Section(geom, np.multiply(phase, u.values, out=phase))
-    return u2, Cochain(geom, 1, vals), theta
+    _by_rows(geom.sites, lambda lo, hi: np.multiply(phase[lo:hi], u.values[lo:hi], out=phase[lo:hi]))
+    return Section(geom, phase), Cochain(geom, 1, vals), theta

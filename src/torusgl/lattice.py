@@ -185,43 +185,62 @@ def _roll_into(out: np.ndarray, x: np.ndarray, shift: int, axis: int) -> np.ndar
     return out
 
 
-def _diff(arr: np.ndarray, shift: int, axis: int, h: float) -> np.ndarray:
-    """(np.roll(arr, shift, axis) - arr) / h: the forward difference for shift
-    -1, and for +1 its adjoint under the uniform cell weight."""
-    out = _roll_into(np.empty_like(arr), arr, shift, axis)
-    out -= arr
-    out /= h
+def _rolled(x: np.ndarray, lo: int, hi: int, shift: int, axis: int, out=None) -> np.ndarray:
+    """Rows [lo, hi) along axis 0 of np.roll(x, shift, axis), shift +1 or -1, in `out` (new
+    when None): two slices with the wrap along axis 0, `_roll_into` of the rows along others."""
+    out = np.empty_like(x[lo:hi]) if out is None else out
+    if axis:
+        return _roll_into(out, x[lo:hi], shift, axis)
+    start = (lo - shift) % len(x)  # row r of the roll is row r - shift of x
+    head = min(hi - lo, len(x) - start)
+    out[:head] = x[start:start + head]
+    out[head:] = x[:hi - lo - head]
     return out
+
+
+@lru_cache(maxsize=None)
+def _terms(n: int, top: int, shift: int) -> tuple:
+    """(source, target, axis, sign) per difference of d (shift -1) into or d* from degree top."""
+    terms = []
+    for j_pos, J in enumerate(components(n, top)):
+        for m, axis in enumerate(J):
+            i_pos = components(n, top - 1).index(J[:m] + J[m + 1:])
+            terms.append(((i_pos, j_pos) if shift < 0 else (j_pos, i_pos)) + (axis, (np.add, np.subtract)[m % 2]))
+    return tuple(terms)
+
+
+def _differences(c: Cochain, degree: int, shift: int) -> Cochain:
+    """d (shift -1) or d* (shift +1) of c by rows: per component, the signed sum from zero of
+    (np.roll(x, shift, axis) - x) / h_axis, the forward difference or its adjoint."""
+    h, terms = c.geom.spacings, _terms(c.geom.dim, max(c.degree, degree), shift)
+    # a zero start, as 0.0 + (-0.0) is +0.0 where the first term alone is -0.0
+    out = np.zeros(c.geom.shape(degree))
+
+    def work(lo: int, hi: int) -> None:
+        for src, dst, axis, sign in terms:
+            x, total = c.values[src], out[dst, lo:hi]
+            diff = _rolled(x, lo, hi, shift, axis)
+            diff -= x[lo:hi]
+            diff /= h[axis]
+            sign(total, diff, out=total)
+            del diff  # freed before the next is formed, so one is held at a time
+
+    _by_rows(c.geom.sites, work)
+    return Cochain(c.geom, degree, out)
 
 
 def exterior_derivative(c: Cochain) -> Cochain:
     """Scaled forward-difference d: degree k -> k+1.  d(d(.)) = 0 to rounding."""
-    n, k = c.geom.dim, c.degree
-    if k >= n:
-        raise ValueError(f"exterior_derivative needs degree < {n}, got {k}")
-    h = c.geom.spacings
-    out = np.zeros(c.geom.shape(k + 1))
-    for j_pos, J in enumerate(components(n, k + 1)):
-        for m, axis in enumerate(J):
-            i_pos = components(n, k).index(J[:m] + J[m + 1:])
-            (np.subtract if m % 2 else np.add)(out[j_pos], _diff(c.values[i_pos], -1, axis, h[axis]),
-                                               out=out[j_pos])  # each difference freed before the next
-    return Cochain(c.geom, k + 1, out)
+    if c.degree >= c.geom.dim:
+        raise ValueError(f"exterior_derivative needs degree < {c.geom.dim}, got {c.degree}")
+    return _differences(c, c.degree + 1, -1)
 
 
 def codifferential(c: Cochain) -> Cochain:
     """Exact adjoint of `exterior_derivative` for the lattice L2 product."""
-    n, k = c.geom.dim, c.degree
-    if k < 1:
-        raise ValueError(f"codifferential needs degree >= 1, got {k}")
-    h = c.geom.spacings
-    out = np.zeros(c.geom.shape(k - 1))
-    for j_pos, J in enumerate(components(n, k)):
-        for m, axis in enumerate(J):
-            i_pos = components(n, k - 1).index(J[:m] + J[m + 1:])
-            (np.subtract if m % 2 else np.add)(out[i_pos], _diff(c.values[j_pos], +1, axis, h[axis]),
-                                               out=out[i_pos])
-    return Cochain(c.geom, k - 1, out)
+    if c.degree < 1:
+        raise ValueError(f"codifferential needs degree >= 1, got {c.degree}")
+    return _differences(c, c.degree - 1, +1)
 
 
 def inner_product(a: Cochain, b: Cochain) -> float:
@@ -266,8 +285,13 @@ def stencil_eigenvalues(geom: TorusGeometry) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# one worker set that splits the heavy kernels (bundle._cis,
-# hodge._spectral_multiply) over the CPUs of the process's affinity mask
+# one worker set that splits the per-site kernels over the CPUs of the affinity
+# mask: hodge._spectral_multiply by component rows, the rest (d, d*, the phase
+# factors, links and all built on them, the energy densities, the gradient, the
+# gauge transformations, the ansatz's tail) by axis-0 rows (_by_rows).  Each
+# element keeps its operations and their order and reductions (sums, inner
+# products, means) stay whole, so the bits do not depend on the number of CPUs.
+# Of the benchmark lattices 256^2, 40^3 and 64^3 split; 160^2, 80^2, 28^3 do not.
 # ----------------------------------------------------------------------------
 
 # the fewest entries of one part of a split.  Timed inside the solves of
@@ -338,9 +362,10 @@ def _split(count: int, weight: int, work, align: int = 1) -> None:
     compute the same values for a range whichever thread runs it."""
     global _workers
     parts = count * weight // _SPLIT_ENTRIES
-    if parts >= 2:
-        parts = min(parts, _cpus())
-    step = -(-count // (max(parts, 1) * align)) * align
+    if parts < 2 or (parts := min(parts, _cpus())) < 2:
+        work(0, count)
+        return
+    step = -(-count // (parts * align)) * align
     pending = [_Job(work, lo, min(lo + step, count)) for lo in range(step, count, step)]
     if not pending:
         work(0, count)
@@ -365,6 +390,13 @@ def _split(count: int, weight: int, work, align: int = 1) -> None:
     for job in pending:
         if job.error is not None:
             raise job.error
+
+
+def _by_rows(sites: tuple[int, ...], work) -> None:
+    """_split of work(lo, hi) over the axis-0 rows of a `sites` grid, each range beginning on
+    a multiple of 64 entries, whole vector blocks of every SIMD width numpy dispatches to."""
+    row = math.prod(sites[1:])
+    _split(sites[0], row, work, 64 // math.gcd(row, 64))
 
 
 # ----------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from math import isfinite, log, pi, sqrt
 
 import numpy as np
 
-from .bundle import BundleData, Section, _cis, build_background, link_phase
+from .bundle import BundleData, Section, _cis, _cis_into, build_background, link_phase
 from .fields import (
     EnergyBreakdown,
     LocalModel,
@@ -65,9 +65,11 @@ from .hodge import _spectral_multiply, solve_poisson
 from .lattice import (
     Cochain,
     TorusGeometry,
+    _by_rows,
     codifferential,
     components,
     exterior_derivative,
+    norm,
     stencil_eigenvalues,
     zero_cochain,
 )
@@ -76,7 +78,6 @@ from .vortex import (
     chern_pairing,
     h_minus1_distance,
     jacobian,
-    london_residual,
     vortex_mass,
     vorticity,
     vorticity_density,
@@ -199,7 +200,7 @@ class _Model:
     soft_modes, (R, project) for near-null directions kept out of the
     conjugate-gradient solve, or None: R holds one row per direction,
     scaled to a displacement of one lattice cell, and project maps a vector
-    onto the complement of their span.
+    onto the complement of their span; local, f's fields.LocalModel or None.
     """
 
     g: np.ndarray
@@ -207,6 +208,7 @@ class _Model:
     change: object
     precond: object
     soft_modes: object = None
+    local: object = None
 
 
 def _spectral_preconditioner(geom: TorusGeometry):
@@ -361,7 +363,7 @@ def _newton(at, x, scale, opts, on_step=None):
     and tight near it; a slide restarts the sequence at _ETA_0.  CG also
     stops at a residual 2-norm of _CG_FLOOR * opts.tol * scale, which bounds
     the model gradient's sup-norm after the step below the tolerance.
-    Returns (x, gnorm, evaluations used, stop reason), the reason being
+    Returns (x, its model, gnorm, evaluations used, stop reason), the reason being
     "converged", "budget" (fewer than the two evaluations of a Newton step
     left of opts.max_iter), or "stalled" when no certified decrease is left
     (a Newton step without one, or with one that moves x by at most
@@ -404,15 +406,15 @@ def _newton(at, x, scale, opts, on_step=None):
     while True:
         gnorm = float(np.abs(m.g).max()) / scale
         if gnorm <= opts.tol:
-            return x, gnorm, used, "converged"
+            return x, m, gnorm, used, "converged"
         if budget - used < 2:
-            return x, gnorm, used, "budget"
+            return x, m, gnorm, used, "budget"
         R, project = m.soft_modes or (None, lambda v: v)
         if R is None or float(np.abs(project(m.g)).max()) / scale > opts.tol:
             x_new, delta, n = newton_round(m, x, project)
             used += n
             if x_new is None:
-                return x, gnorm, used, "stalled"
+                return x, m, gnorm, used, "stalled"
             m = None  # drop x's model before building x_new's
             m = at(x_new)
             used += 1
@@ -420,7 +422,7 @@ def _newton(at, x, scale, opts, on_step=None):
             force = -_dot(R, m.g)
             s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
             if _norm(s) <= _EPS_MACH * _norm(x):
-                return x, gnorm, used, "stalled"
+                return x, m, gnorm, used, "stalled"
             last = None
             x_new, delta = x + s, m.change(s)
             m_new = at(x_new)
@@ -545,6 +547,7 @@ def minimize(
             lambda s: lin.change(*_unpack(s, geom)).total,
             aligned(uu.values),
             _covariant_translations(lin, x) if soft else None,
+            lin,
         )
 
     steps = 0
@@ -561,17 +564,18 @@ def minimize(
                 f"total {e.total:.17g} grad_norm {float(np.abs(g).max()) / w:.17g}"
             )
 
-    x, gnorm, iters, reason = _newton(
+    x, m, gnorm, iters, reason = _newton(
         at, _flat(u0.values, A0), w, opts, report if opts.log_every else None
     )
 
+    # the result's g_energy and vortex.london_residual, from the links and F_A of its model
     u_fin, A_fin = _unpack(x, geom)
     return MinimizerResult(
         section=u_fin,
         gauge_field=A_fin,
-        energy=g_energy(u_fin, A_fin, b, eps),
+        energy=m.local.energy(),
         grad_norm=gnorm,
-        london_residual=london_residual(u_fin, A_fin, b),
+        london_residual=norm(exterior_derivative(m.local.field_equation())) / (1.0 + norm(m.local.F)),
         iterations=iters,
         converged=reason == "converged",
         stop_reason=reason,
@@ -631,7 +635,7 @@ def relax_connection(
             plain,
         )
 
-    x, _, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 2.0 * w, opts)
+    x, _, _, _, reason = _newton(at, np.zeros(int(np.prod(shape))), 2.0 * w, opts)
     return A + codiff(x), reason
 
 
@@ -728,21 +732,25 @@ def vortex_ansatz(
         shape = list(geom.sites[:axis + 1]) + [1] * (n - axis - 1)
         chi += excl.reshape(shape)
 
-    # distance to the singular set (periodic, transverse to the line axis)
-    dist = np.full(geom.sites, np.inf)
-    for core in cores:
-        d2 = np.zeros(geom.sites)
-        for axis, q in core:
-            center = (q + 0.5) * h[axis]
-            coord = geom.coordinates(axis)
-            dx = np.abs(coord - center)
-            dx = np.minimum(dx, geom.lengths[axis] - dx)
-            d2 = d2 + dx**2
-        dist = np.minimum(dist, np.sqrt(d2))
+    def square(axis, q):  # squared periodic distance to a core along an axis, on its coordinates
+        dx = np.abs(geom.coordinates(axis) - (q + 0.5) * h[axis])
+        return np.minimum(dx, geom.lengths[axis] - dx) ** 2
 
-    modulus = np.minimum(dist / eps, 1.0)
-    u = Section(geom, modulus * _cis(chi, 1))
-    return u, zero_cochain(geom, 1)
+    squares = [[(axis, square(axis, q)) for axis, q in core] for core in cores]
+    u = np.empty(geom.sites, dtype=np.complex128)
+
+    def work(lo, hi):  # the modulus min(dist/eps, 1) times exp(i chi), by rows
+        dist = np.full(u[lo:hi].shape, np.inf)
+        for core in squares:
+            d2 = np.zeros(dist.shape)
+            for axis, sq in core:
+                d2 = d2 + (sq if axis else sq[lo:hi])
+            dist = np.minimum(dist, np.sqrt(d2))
+        _cis_into(chi[lo:hi], 1, u[lo:hi])
+        np.multiply(np.minimum(dist / eps, 1.0), u[lo:hi], out=u[lo:hi])
+
+    _by_rows(geom.sites, work)
+    return Section(geom, u), zero_cochain(geom, 1)
 
 
 def default_initial_pair(

@@ -19,6 +19,7 @@ from .bundle import BundleData, Section, _current, curvature, link_transport
 from .lattice import (
     Cochain,
     TorusGeometry,
+    _by_rows,
     codifferential,
     components,
     exterior_derivative,
@@ -109,7 +110,8 @@ def _increments(u: Section, fwds) -> Cochain:
     h = u.geom.spacings
     delta = np.empty(u.geom.shape(1))
     for i, fwd in enumerate(fwds):
-        delta[i] = np.angle(np.conj(u.values) * fwd) / h[i]
+        _by_rows(u.geom.sites, lambda lo, hi: np.divide(
+            np.angle(np.conj(u.values[lo:hi]) * fwd[lo:hi]), h[i], out=delta[i, lo:hi]))
     return Cochain(u.geom, 1, delta)
 
 
@@ -117,7 +119,18 @@ def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
     """vorticity from the increments delta (see _increments) and the
     curvature F."""
     geom = u.geom
-    zero_sites = (np.abs(u.values) == 0.0)
+    raw, F, areas = exterior_derivative(delta).values, F.values, geom.plaquette_areas
+    zero_sites, windings, residues = np.empty(geom.sites, dtype=bool), np.empty(raw.shape, np.int64), []
+
+    def work(lo, hi):
+        np.equal(np.abs(u.values[lo:hi]), 0.0, out=zero_sites[lo:hi])
+        # raw windings, then their distances from the rounded ones, in one buffer
+        r = raw[:, lo:hi]
+        np.divide(np.multiply(np.add(r, F[:, lo:hi], out=r), areas, out=r), 2.0 * np.pi, out=r)
+        windings[:, lo:hi] = rounded = np.round(r)
+        residues.append(np.abs(np.subtract(r, rounded, out=r), out=r).max())  # max is exact
+
+    _by_rows(geom.sites, work)
     if zero_sites.any():
         flagged = []
         for pos, (i, j) in enumerate(components(geom.dim, 2)):
@@ -127,16 +140,12 @@ def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
                 flagged.append((pos, tuple(int(s) for s in site)))
         raise ZeroOnPlaquetteError(flagged)
 
-    # raw windings, then their distances from the rounded ones, in one buffer
-    raw = (exterior_derivative(delta).values + F.values) * geom.plaquette_areas / (2.0 * np.pi)
-    rounded = np.round(raw)
-    residue = np.abs(np.subtract(raw, rounded, out=raw), out=raw).max()
-    del raw
+    residue = max(residues)
     if residue > _RESIDUE_TOL:
         raise ValueError(
             f"vorticity integrality residue {residue:.3e} exceeds {_RESIDUE_TOL:.1e}"
         )
-    return VorticityField(geom, rounded.astype(np.int64))
+    return VorticityField(geom, windings)
 
 
 def vorticity_density(v: VorticityField) -> Cochain:

@@ -295,10 +295,10 @@ def test_concurrent_splits_drain_one_queue(monkeypatch):
     """Two threads splitting at once over 2 or 3 CPUs, the cutoff lowered so
     every call splits, share one queue: each runs its own first range and
     then any queued range, its own or the other's.  Over six rounds both
-    get the inline bits of _cis on 49,169 phases and of solve_london on a
-    40^3 1-cochain, finish within the timeout and start at most cpus - 1
-    named workers.  The switch interval is shortened so the threads
-    interleave often."""
+    get the inline bits of _cis on 49,169 phases and of solve_london and
+    exterior_derivative (split by axis-0 rows) on a 40^3 1-cochain, finish
+    within the timeout and start at most cpus - 1 named workers.  The
+    switch interval is shortened so the threads interleave often."""
     import sys
     import threading
 
@@ -307,7 +307,9 @@ def test_concurrent_splits_drain_one_queue(monkeypatch):
     x = np.random.default_rng(3).uniform(-40.0, 40.0, 49169)
     f = tg.random_cochain(tg.TorusGeometry((40, 40, 40), (1.0, 1.0, 1.0)), 1, np.random.default_rng(4))
     monkeypatch.setattr(lattice, "_cpus", lambda: 1)
-    ref = bundle._cis(x, -1).tobytes(), tg.solve_london(f).values.tobytes()
+    kernels = (lambda: bundle._cis(x, -1), lambda: tg.solve_london(f).values,
+               lambda: tg.exterior_derivative(f).values)
+    ref = [kernel().tobytes() for kernel in kernels]
     monkeypatch.setattr(lattice, "_SPLIT_ENTRIES", 1024)
     for cpus in (2, 3):
         monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
@@ -315,7 +317,7 @@ def test_concurrent_splits_drain_one_queue(monkeypatch):
 
         def rounds(out):
             for _ in range(6):
-                out.append((bundle._cis(x, -1).tobytes(), tg.solve_london(f).values.tobytes()) == ref)
+                out.append([kernel().tobytes() for kernel in kernels] == ref)
 
         threads = [threading.Thread(target=rounds, args=(out,), daemon=True) for out in results]
         interval = sys.getswitchinterval()
@@ -330,6 +332,81 @@ def test_concurrent_splits_drain_one_queue(monkeypatch):
         assert not any(t.is_alive() for t in threads), cpus
         assert results == ([True] * 6, [True] * 6), cpus
         assert len(_workers()) <= max(len(before), cpus - 1)
+
+
+def _row_split_kernels(b, u, A, cochains, theta, spec, eps) -> dict:
+    """The bytes of every kernel split by axis-0 rows, at one state."""
+    out = {f"d{c.degree}": tg.exterior_derivative(c).values for c in cochains[:-1]}
+    out.update({f"codiff{c.degree}": tg.codifferential(c).values for c in cochains[1:]})
+    for i, (link, fwd) in enumerate(link_transport(u, A, b)):
+        out[f"link{i}"], out[f"fwd{i}"] = link, fwd
+    energy = tg.g_energy(u, A, b, eps)
+    grad_u, grad_A = tg.g_gradient(u, A, b, eps)
+    u2, A2 = tg.apply_gauge(u, A, theta)
+    u3, A3, phase = tg.coulomb_fix(u, A)
+    out.update(
+        curvature=tg.curvature(A, b).values,
+        covariant_difference=tg.covariant_difference(u, A, b),
+        supercurrent=tg.supercurrent(u, A, b).values,
+        jacobian=tg.jacobian(u, A, b).values,
+        vorticity=tg.vorticity(u, A, b).windings,
+        london_residual=np.array([tg.london_residual(u, A, b)]),
+        g_energy=np.array([energy.kinetic, energy.potential, energy.curvature, energy.total]),
+        g_gradient=np.concatenate([grad_u.ravel().view(float), grad_A.values.ravel()]),
+        energy_density=tg.energy_density(u, A, b, eps).values,
+        apply_gauge=np.concatenate([u2.values.ravel().view(float), A2.values.ravel()]),
+        coulomb_fix=np.concatenate([u3.values.ravel().view(float), A3.values.ravel(), phase.theta.ravel()]),
+        vortex_ansatz=tg.vortex_ansatz(spec, b, b.geom, eps)[0].values,
+    )
+    return {name: a.tobytes() for name, a in out.items()}
+
+
+@pytest.mark.parametrize(
+    "sites, lengths, axis, align",
+    [((50, 36, 36), (1.0, 1.3, 2.0), 2, 4), ((190, 180), (1.0, 1.2), None, 16)],
+    ids=["t3-50x36x36", "t2-190x180"],
+)
+def test_row_split_kernels_equal_inline(monkeypatch, sites, lengths, axis, align):
+    """Every kernel split by axis-0 rows gives its one-CPU bits over 1, 2
+    and 3 CPUs, the cutoff lowered so that it splits, on lattices whose
+    axis-0 rows are not whole 64-entry blocks: 1296 entries (ranges on
+    multiples of 4 rows) and 180 (of 16 rows).  The link slot is emptied
+    before each run, so the links are formed split, then kept and reused."""
+    from torusgl import lattice
+
+    geom = tg.TorusGeometry(sites, lengths)
+    chern = np.zeros((geom.dim, geom.dim))
+    chern[0, 1], chern[1, 0] = 1, -1
+    b = tg.build_background(geom, chern)
+    rng = np.random.default_rng(34)
+    u, A = random_section(geom, rng), tg.random_cochain(geom, 1, rng)
+    cochains = [tg.random_cochain(geom, k, rng) for k in range(geom.dim + 1)]
+    theta = tg.GaugePhase(geom, rng.uniform(-np.pi, np.pi, sites))
+    spec = tg.AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=axis)
+    row, starts, split = int(np.prod(sites[1:])), set(), lattice._split
+
+    def recording(count, weight, work, align=1):
+        def recorded(lo, hi):
+            if weight == row:
+                starts.add((lo, align))
+            work(lo, hi)
+
+        split(count, weight, recorded, align)
+
+    def run():
+        monkeypatch.setattr(bundle, "_slot", (None, ()))
+        return _row_split_kernels(b, u, A, cochains, theta, spec, 0.1)
+
+    monkeypatch.setattr(lattice, "_split", recording)
+    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    ref = run()
+    monkeypatch.setattr(lattice, "_SPLIT_ENTRIES", 1)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+        starts.clear()
+        got = run()
+        assert [name for name in ref if got[name] != ref[name]] == [], cpus
+        assert {a for _, a in starts} == {align} and len(starts) == cpus, starts
 
 
 _FORK_SCRIPT = """

@@ -185,7 +185,7 @@ def _newton_at(monkeypatch, solver, *args):
 
     def capture(at, x, scale, opts, on_step=None):
         seen["at"] = at
-        return x, 0.0, 0, "budget"
+        return x, at(x), 0.0, 0, "budget"
 
     monkeypatch.setattr(tg.solve, "_newton", capture)
     solver(*args)

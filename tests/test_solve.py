@@ -253,9 +253,9 @@ def test_minimize_converged_state_builds_no_translations(monkeypatch):
 
 def test_minimize_forms_one_curvature_per_model(monkeypatch):
     """Under strong pinning (eps/h = 2.24), with the covariant translations
-    built, minimize forms F_A once per local model, in fields.linearize,
-    and once for the result's energy; solve forms none, and the result's
-    London residual forms its own once."""
+    built, minimize forms F_A once per local model, in fields.linearize;
+    the result's energy and London residual read that of its model, so
+    neither solve nor vortex forms one."""
     from torusgl import fields, solve, vortex
 
     geom = tg.TorusGeometry((28, 28), (1.0, 1.0))
@@ -277,9 +277,41 @@ def test_minimize_forms_one_curvature_per_model(monkeypatch):
         monkeypatch.setattr(module, "curvature", counted, raising=False)
     res = tg.minimize(u, A, b, 0.08, MinimizeOptions(tol=1e-8, max_iter=20000))
     assert res.converged and built
-    assert calls["torusgl.fields"] == calls["models"] + 1
-    assert "torusgl.solve" not in calls
-    assert calls["torusgl.vortex"] == 1
+    assert calls["torusgl.fields"] == calls["models"]
+    assert "torusgl.solve" not in calls and "torusgl.vortex" not in calls
+
+
+@pytest.mark.parametrize("sites, eps", [((16, 16), 0.25), ((8, 8, 8), 0.3)])
+def test_minimize_links_each_model_once(monkeypatch, sites, eps):
+    """A solve makes one link_transport call per local model and none for
+    its result, whose energy and London residual equal those that g_energy
+    and london_residual give for the returned state bit for bit; the link
+    slot is left empty."""
+    from torusgl import bundle, fields, solve, vortex
+
+    geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
+    b = tg.build_background(geom, np.eye(len(sites), k=1) - np.eye(len(sites), k=-1))
+    u, A = solve.default_initial_pair(b, eps, 0)
+    calls = {"models": 0, "links": 0}
+    linearize, link_transport = solve.linearize, bundle.link_transport
+
+    def counted_linearize(*args):
+        calls["models"] += 1
+        return linearize(*args)
+
+    def counted_links(*args):
+        calls["links"] += 1
+        return link_transport(*args)
+
+    monkeypatch.setattr(solve, "linearize", counted_linearize)
+    for module in (bundle, fields, vortex):
+        monkeypatch.setattr(module, "link_transport", counted_links)
+    res = tg.minimize(u, A, b, eps, MinimizeOptions(tol=1e-8, max_iter=20000))
+    assert res.converged and calls["links"] == calls["models"] > 1
+    assert bundle._slot[1] == ()
+    monkeypatch.undo()
+    assert res.energy == tg.g_energy(res.section, res.gauge_field, b, eps)
+    assert res.london_residual == tg.london_residual(res.section, res.gauge_field, b)
 
 
 def test_minimize_stalls_below_rounding_floor(t2_bundle):
