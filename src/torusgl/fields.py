@@ -128,9 +128,9 @@ class LocalModel:
     and term-by-term changes, all read from `links`, the (link, transported
     neighbour) pair of each axis that `linearize` takes from
     `bundle.link_transport` once, and `F`, the curvature F_A it forms once.
-    The first product adds conj(link) and Re(conj(u) T) per axis, conj(u)
-    and the products' four complex scratch arrays, so a model used for its
-    gradient alone holds nothing more."""
+    The first product adds Re(conj(u) T) per axis, conj(u) and the
+    products' four complex scratch arrays, so a model used for its gradient
+    alone holds nothing more; conj(link) is formed per product, in scratch."""
 
     def __init__(self, u: Section, b: BundleData, eps: float, links: tuple, F: Cochain):
         self.u, self.b, self.eps, self.links, self.F = u, b, eps, links, F
@@ -178,10 +178,10 @@ class LocalModel:
         conj(link) D_A u by conj(link) (D - i a u), a = dA_i."""
         geom, w, h, uv, dv = self.b.geom, self.w, self.h, self.u.values, du.values
         if self._factors is None:
-            uc, back = np.conj(uv), [np.conj(link) for link, _ in self.links]
-            hop = [np.real(uc * fwd) for _, fwd in self.links]
-            self._factors = back, hop, uc, np.empty((4, *geom.sites), dtype=np.complex128)
-        back, hop, uc, (S, T, Q, H) = self._factors
+            uc = np.conj(uv)
+            hop = [np.real(uc * fwd).copy() for _, fwd in self.links]  # not views pinning uc * fwd
+            self._factors = hop, uc, np.empty((4, *geom.sites), dtype=np.complex128)
+        hop, uc, (S, T, Q, H) = self._factors
         out = np.empty((2 + geom.dim) * geom.n_sites) if out is None else out
         planes = out.reshape(2 + geom.dim, *geom.sites)
         # the potential's part, (w/eps^2)(u (2 t + conj(t)) - du) with t = conj(u) du
@@ -190,7 +190,7 @@ class LocalModel:
         np.multiply(uv, T, out=H)
         H -= dv
         H *= w / (self.eps * self.eps)
-        for i, ((link, fwd), cl, rho) in enumerate(zip(self.links, back, hop)):
+        for i, ((link, fwd), rho) in enumerate(zip(self.links, hop)):
             a, c = dA.values[i], w / h[i]
             np.multiply(_roll_into(S, dv, -1, i), link, out=S)
             # minus the change of j: a Re(conj(u) T) - Im(conj(du) T + conj(u) dT)/h
@@ -203,8 +203,8 @@ class LocalModel:
             np.multiply(np.multiply(a, -c * 1j, out=S), fwd, out=Q)
             S *= uv
             S += T
-            S *= cl
             H -= Q
+            S *= np.conjugate(link, out=Q)
             H -= T
             H += _roll_into(Q, S, +1, i)
         planes[0], planes[1] = H.real, H.imag
@@ -219,18 +219,22 @@ class LocalModel:
         expm1(i t) = -2 sin(t/2)^2 + i sin(t), t = -h dA, numpy's complex
         expm1 formed from real sines), so rounding is relative to the change,
         not to the energy: the sign of a decrease far below one ulp of the
-        total is still resolved."""
+        total is still resolved.  Every axis reuses one set of buffers."""
         w, h, eps, uv, dv = self.w, self.h, self.eps, self.u.values, du.values
+        t, (turn, Du, dDu) = np.empty(uv.shape), np.empty((3, *uv.shape), dtype=np.complex128)
         kin = 0.0
         for i, (link, fwd) in enumerate(self.links):
-            angle, turn = -h[i] * dA.values[i], np.empty(uv.shape, dtype=np.complex128)
-            np.sin(angle, out=turn.imag)
-            half = np.sin(np.multiply(angle, 0.5, out=angle), out=angle)
-            np.multiply(np.square(half, out=half), -2.0, out=turn.real)
-            Du = (fwd - uv) * (1.0 / h[i])
-            dDu = (np.roll(dv, -1, axis=i) * link * (1.0 + turn) + fwd * turn - dv) * (1.0 / h[i])
-            kin += float(np.sum(np.real(np.conj(dDu) * (2.0 * Du + dDu))))
+            np.sin(np.multiply(-h[i], dA.values[i], out=t), out=turn.imag)
+            np.multiply(np.square(np.sin(np.multiply(t, 0.5, out=t), out=t), out=t), -2.0, out=turn.real)
+            # dDu = (shift(dv) link (1 + turn) + fwd turn - dv) / h, Du its scratch, then Du = (fwd - u) / h
+            np.multiply(np.multiply(_roll_into(dDu, dv, -1, i), link, out=dDu), np.add(1.0, turn, out=Du), out=dDu)
+            dDu += np.multiply(fwd, turn, out=Du)
+            np.multiply(np.subtract(dDu, dv, out=dDu), 1.0 / h[i], out=dDu)
+            np.multiply(np.subtract(fwd, uv, out=Du), 1.0 / h[i], out=Du)
+            np.add(np.multiply(2.0, Du, out=Du), dDu, out=Du)
+            kin += float(np.sum(np.real(np.multiply(np.conjugate(dDu, out=dDu), Du, out=Du))))
         kin *= 0.5 * w
+        del t, turn, Du, dDu  # not held through the other terms' temporaries
 
         one_minus = 1.0 - (uv.real**2 + uv.imag**2)
         dmod2 = 2.0 * np.real(np.conj(uv) * dv) + (dv.real**2 + dv.imag**2)

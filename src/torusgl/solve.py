@@ -17,7 +17,7 @@ solve past what convergence asks.  Each state reached gets one local model
 (_Model, on fields.linearize), which forms the links and the curvature once
 for the gradient, every product and every energy change there, and the
 products' other state factors at the first product, and holds the
-preconditioner and the covariant translations at that state as values.  In
+preconditioner and the covariant translations' orthonormal rows.  In
 `minimize` every product of a model writes into one result array, where the
 gauge-fixing term is added in place.  The preconditioner is a Sobolev metric
 matched to the operator (Neuberger, LNM 1670; Renka and Neuberger, SIAM J.
@@ -196,11 +196,11 @@ class _Model:
     the next product may overwrite; change(s),
     f(x + s) - f(x) summed term by term, so its sign is resolved far below
     one ulp of f; precond, the preconditioner at x, a symmetric positive
-    definite map v -> M v shared by every conjugate-gradient step from x;
-    soft_modes, (R, project) for near-null directions kept out of the
-    conjugate-gradient solve, or None: R holds one row per direction,
-    scaled to a displacement of one lattice cell, and project maps a vector
-    onto the complement of their span; local, f's fields.LocalModel or None.
+    definite map v -> M v into a new array, shared by every conjugate-gradient
+    step from x; soft_modes, (rows, project) for near-null directions kept
+    out of the conjugate-gradient solve, or None: rows() forms one row per
+    direction, scaled to one lattice cell, and project maps a vector, in
+    place, onto the complement of their span; local, f's LocalModel or None.
     """
 
     g: np.ndarray
@@ -314,8 +314,8 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
     stalled.
     Returns (p, Hessian-vector products used).
     """
-    # r, p and d change in place; r is a copy, as project may return g itself
-    r = project(g).copy()
+    # r, p and d change in place; project may write into g's copy, hv's product, precond's result
+    r = project(g.copy())
     z = project(precond(r))
     d = -z
     p = np.zeros_like(g)
@@ -323,6 +323,7 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
     target = max(forcing * _norm(r), floor)
     used = 0
     while used < max_steps and rz > 0.0:
+        z = None  # formed anew before it is read again: not held through hv and precond
         Hd = project(hv(d))
         used += 1
         dHd = float(_dot(d, Hd))
@@ -386,7 +387,7 @@ def _newton(at, x, scale, opts, on_step=None):
         Returns (new x, change, products), new x None if no step certifies
         one or the one that does moves x by at most eps_mach ||x||."""
         nonlocal last
-        gnorm2 = _norm(project(m.g))
+        gnorm2 = _norm(project(m.g.copy()))
         last = (gnorm2, _forcing(gnorm2, last))
         s, n = _projected_cg(
             m.hessvec, m.g, m.precond, project, last[1], min(400, budget - used - 1), floor
@@ -409,34 +410,37 @@ def _newton(at, x, scale, opts, on_step=None):
             return x, m, gnorm, used, "converged"
         if budget - used < 2:
             return x, m, gnorm, used, "budget"
-        R, project = m.soft_modes or (None, lambda v: v)
-        if R is None or float(np.abs(project(m.g)).max()) / scale > opts.tol:
+        rows, project = m.soft_modes or (None, lambda v: v)
+        if rows is None or float(np.abs(project(m.g.copy())).max()) / scale > opts.tol:
             x_new, delta, n = newton_round(m, x, project)
             used += n
             if x_new is None:
                 return x, m, gnorm, used, "stalled"
-            m = None  # drop x's model before building x_new's
+            m = rows = project = None  # drop x's model, its projection too, before building x_new's
             m = at(x_new)
             used += 1
         else:
+            R = rows()
             force = -_dot(R, m.g)
             s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
+            R = None  # neither R nor s (below) is held through at(x_new) and the settle rounds
             if _norm(s) <= _EPS_MACH * _norm(x):
                 return x, m, gnorm, used, "stalled"
             last = None
             x_new, delta = x + s, m.change(s)
+            s = None
             m_new = at(x_new)
             used += 1
             while budget - used >= 2:
                 _, proj_new = m_new.soft_modes or (None, lambda v: v)
-                if float(np.abs(proj_new(m_new.g)).max()) / scale <= opts.tol:
+                if float(np.abs(proj_new(m_new.g.copy())).max()) / scale <= opts.tol:
                     break
                 x_new, d_new, n = newton_round(m_new, x_new, proj_new)
                 used += n
                 if x_new is None:
                     break
                 delta += d_new
-                m_new = None
+                m_new = proj_new = None
                 m_new = at(x_new)
                 used += 1
             if x_new is None or not delta < 0.0:
@@ -452,9 +456,9 @@ def _newton(at, x, scale, opts, on_step=None):
 
 def _covariant_translations(lin: LocalModel, x: np.ndarray):
     """The covariant translations (-D_k u, -F_k.) of the state x, whose
-    model is lin, k over the axes, as (R, project): R scaled to a
-    displacement of one lattice cell, project onto the complement of their
-    span.
+    model is lin, k over the axes, as (rows, project): rows() forms them anew
+    from lin, scaled to one lattice cell, and project maps a vector, in place,
+    onto the complement of their span, which it holds as orthonormal rows alone.
 
     A vortex core slides across the lattice at almost no cost in energy
     (lattice pinning), so these directions carry curvature near zero or
@@ -465,26 +469,28 @@ def _covariant_translations(lin: LocalModel, x: np.ndarray):
     geom = lin.b.geom
     n, h = geom.dim, geom.spacings
     F = lin.F.values
-    floor = sqrt(_EPS_MACH) * (_norm(x) + 1.0)
-    R, Q, m = np.empty((n, x.size)), np.empty((n, x.size)), 0
-    for k, (_, fwd) in enumerate(lin.links):
+
+    def row(k):
         dA = np.zeros(geom.shape(1))
         for pos, (i, j) in enumerate(components(n, 2)):
             if i == k:
                 dA[j] = -F[pos]
             elif j == k:
                 dA[i] = F[pos]
-        R[m] = Q[m] = h[k] * _flat(-(fwd - lin.u.values) / h[k], Cochain(geom, 1, dA))
-        z = Q[m]
-        for q in Q[:m]:
+        return h[k] * _flat(-(lin.links[k][1] - lin.u.values) / h[k], Cochain(geom, 1, dA))
+
+    floor = sqrt(_EPS_MACH) * (_norm(x) + 1.0)
+    Q, kept = [], []
+    for k in range(n):
+        z = row(k)
+        for q in Q:
             z -= _dot(q, z) * q
         norm = _norm(z)
         if norm > floor:
-            z /= norm
-            m += 1
-    if m < n:  # views would keep a dropped direction's row allocated with the model
-        R, Q = R[:m].copy(), Q[:m].copy()
-    return R, lambda v: v - np.einsum("k,ki", _dot(Q, v), Q)
+            Q.append(z / norm)
+            kept.append(k)
+    Q = np.reshape(Q, (len(kept), x.size))
+    return lambda: np.array([*map(row, kept)]), lambda v: np.subtract(v, np.einsum("k,ki", _dot(Q, v), Q), out=v)
 
 
 def minimize(

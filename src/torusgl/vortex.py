@@ -85,8 +85,10 @@ def supercurrent(u: Section, A: Cochain, b: BundleData) -> Cochain:
 
 def jacobian(u: Section, A: Cochain, b: BundleData) -> Cochain:
     """Gauge-invariant Jacobian 2-cochain: (1/2) d j(u, A) + (1/2) F_A."""
-    return Cochain(b.geom, 2, 0.5 * exterior_derivative(supercurrent(u, A, b)).values
-                   + 0.5 * curvature(A, b).values)
+    J, F = exterior_derivative(supercurrent(u, A, b)).values, curvature(A, b).values
+    _by_rows(b.geom.sites, lambda lo, hi: np.add(np.multiply(J[:, lo:hi], 0.5, out=J[:, lo:hi]),
+                                                 np.multiply(F[:, lo:hi], 0.5, out=F[:, lo:hi]), out=J[:, lo:hi]))
+    return Cochain(b.geom, 2, J)
 
 
 def vorticity(u: Section, A: Cochain, b: BundleData) -> VorticityField:
@@ -124,11 +126,11 @@ def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
 
     def work(lo, hi):
         np.equal(np.abs(u.values[lo:hi]), 0.0, out=zero_sites[lo:hi])
-        # raw windings, then their distances from the rounded ones, in one buffer
-        r = raw[:, lo:hi]
+        # raw windings, then their distances from the rounded ones (in windings, exact as floats) in one buffer
+        r, w = raw[:, lo:hi], windings[:, lo:hi]
         np.divide(np.multiply(np.add(r, F[:, lo:hi], out=r), areas, out=r), 2.0 * np.pi, out=r)
-        windings[:, lo:hi] = rounded = np.round(r)
-        residues.append(np.abs(np.subtract(r, rounded, out=r), out=r).max())  # max is exact
+        np.rint(r, out=w, casting="unsafe")
+        residues.append(np.abs(np.subtract(r, w, out=r), out=r).max())  # max is exact
 
     _by_rows(geom.sites, work)
     if zero_sites.any():
@@ -224,14 +226,11 @@ def single_dual_loop(v: VorticityField) -> tuple[bool, int]:
             edges.extend([(tuple(back), cube_b)] * abs(w))
     if not edges:
         return False, 0
-    degree: dict[tuple, int] = {}
     adj: dict[tuple, list] = {}
     for a, b2 in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b2] = degree.get(b2, 0) + 1
         adj.setdefault(a, []).append(b2)
         adj.setdefault(b2, []).append(a)
-    if any(d != 2 for d in degree.values()):
+    if any(len(nbs) != 2 for nbs in adj.values()):  # the degree of each cube
         return False, len(edges)
     start = next(iter(adj))
     seen = {start}
