@@ -10,7 +10,7 @@ gauge field enters only through the curvature F_A and the links of
 in a row: the observables of one state form them twice in all, and a solve
 iterate, linked once, leaves none kept.  `linearize` forms both once and
 keeps them in a LocalModel, which serves the gradient, every energy change
-and, from state factors formed by the first of them, every Hessian-vector
+and, in scratch arrays allocated by the first of them, every Hessian-vector
 product there.
 All reductions use plain numpy sums in fixed order, so results are
 reproducible bit-for-bit within a build.
@@ -128,9 +128,9 @@ class LocalModel:
     and term-by-term changes, all read from `links`, the (link, transported
     neighbour) pair of each axis that `linearize` takes from
     `bundle.link_transport` once, and `F`, the curvature F_A it forms once.
-    The first product adds Re(conj(u) T) per axis, conj(u) and the
-    products' four complex scratch arrays, so a model used for its gradient
-    alone holds nothing more; conj(link) is formed per product, in scratch."""
+    The first product adds the products' four complex scratch arrays, so a
+    model used for its gradient alone holds nothing more; each product forms
+    conj(u) once, and Re(conj(u) T) and conj(link) per axis in scratch."""
 
     def __init__(self, u: Section, b: BundleData, eps: float, links: tuple, F: Cochain):
         self.u, self.b, self.eps, self.links, self.F = u, b, eps, links, F
@@ -175,13 +175,13 @@ class LocalModel:
         into the flat array `out` (new when None) in solve._flat's order and
         returned as its (2 + n, *sites) view.  Per axis, with dT = du(x + e_i)
         link and D = (dT - du)/h, D_A u changes by D - i a T and
-        conj(link) D_A u by conj(link) (D - i a u), a = dA_i."""
+        conj(link) D_A u by conj(link) (D - i a u), a = dA_i.  Re(conj(u) T)
+        goes to scratch aliasing neither factor: the out-of-place bits."""
         geom, w, h, uv, dv = self.b.geom, self.w, self.h, self.u.values, du.values
+        uc = np.conj(uv)
         if self._factors is None:
-            uc = np.conj(uv)
-            hop = [np.real(uc * fwd).copy() for _, fwd in self.links]  # not views pinning uc * fwd
-            self._factors = hop, uc, np.empty((4, *geom.sites), dtype=np.complex128)
-        hop, uc, (S, T, Q, H) = self._factors
+            self._factors = np.empty((4, *geom.sites), dtype=np.complex128)
+        S, T, Q, H = self._factors
         out = np.empty((2 + geom.dim) * geom.n_sites) if out is None else out
         planes = out.reshape(2 + geom.dim, *geom.sites)
         # the potential's part, (w/eps^2)(u (2 t + conj(t)) - du) with t = conj(u) du
@@ -190,13 +190,13 @@ class LocalModel:
         np.multiply(uv, T, out=H)
         H -= dv
         H *= w / (self.eps * self.eps)
-        for i, ((link, fwd), rho) in enumerate(zip(self.links, hop)):
+        for i, (link, fwd) in enumerate(self.links):
             a, c = dA.values[i], w / h[i]
-            np.multiply(_roll_into(S, dv, -1, i), link, out=S)
             # minus the change of j: a Re(conj(u) T) - Im(conj(du) T + conj(u) dT)/h
+            np.multiply(a, np.multiply(uc, fwd, out=S).real, out=planes[2 + i])
+            np.multiply(_roll_into(S, dv, -1, i), link, out=S)
             np.multiply(uc, S, out=T)
             T += np.multiply(np.conjugate(dv, out=Q), fwd, out=Q)
-            np.multiply(a, rho, out=planes[2 + i])
             planes[2 + i] -= np.multiply(T.imag, 1.0 / h[i], out=T.imag)
             # the section part: c (shift(conj(link) (D - i a u), +1) - D + i a T)
             np.multiply(np.subtract(S, dv, out=T), c / h[i], out=T)

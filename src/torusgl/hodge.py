@@ -90,7 +90,7 @@ def harmonic_dimension(geom: TorusGeometry, degree: int) -> int:
     return int(np.count_nonzero(lam < _HARMONIC_TOL)) * ncomp
 
 
-def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray, out=None) -> np.ndarray:
     """Apply a Fourier multiplier, given per mode on the full site grid and
     even in each wave number, to every component of a real stacked
     (components, *sites) array, bit-identical to irfftn(rfftn(values) *
@@ -99,7 +99,8 @@ def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray
     passes unchanged); one with a leading components axis gives each
     component its own.  rfftn writes into one preallocated spectrum, the
     complex inverse passes run in place there and the last writes straight
-    into the result, so no second complex array is allocated.
+    into `out` (new when None), which may be `values` with the same bits:
+    rfftn reads each row range before irfft writes those rows.
 
     The component rows are split over the worker set of `lattice._split`,
     from 2 * _SPLIT_ENTRIES entries on; every row goes through the same
@@ -109,7 +110,7 @@ def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray
     axes = tuple(range(1, values.ndim))
     half = sites[-1] // 2 + 1
     mult = multiplier[..., :half]
-    out = np.empty(values.shape)
+    out = np.empty(values.shape) if out is None else out
 
     def rows(lo: int, hi: int) -> None:
         spec = np.empty((hi - lo, *sites[:-1], half), dtype=np.complex128)

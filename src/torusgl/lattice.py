@@ -414,9 +414,11 @@ def write_field(path, geom: TorusGeometry, degree: int, values: np.ndarray) -> N
             f"field of shape {values.shape} does not match the sites {geom.sites}"
         )
     head = [int(degree), geom.dim, *geom.sites, *(f"{L:.17g}" for L in geom.lengths), len(values)]
-    with open(path, "wb") as fh:
+    # rewritten in place, then cut: truncating first makes ext4 drop and refill the file's cached pages
+    with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
         fh.write((" ".join(map(str, head)) + "\n").encode())
         np.lib.format.write_array(fh, values, version=(1, 0), allow_pickle=False)
+        fh.truncate()
 
 
 def read_field(path) -> tuple[TorusGeometry, int, np.ndarray]:

@@ -16,7 +16,7 @@ Equations, SIAM 1995, section 6.3), so the last round of a run does not
 solve past what convergence asks.  Each state reached gets one local model
 (_Model, on fields.linearize), which forms the links and the curvature once
 for the gradient, every product and every energy change there, and the
-products' other state factors at the first product, and holds the
+products' scratch arrays at the first product, and holds the
 preconditioner and the covariant translations' orthonormal rows.  In
 `minimize` every product of a model writes into one result array, where the
 gauge-fixing term is added in place.  The preconditioner is a Sobolev metric
@@ -240,8 +240,8 @@ def _phase_aligned_preconditioner(geom: TorusGeometry, eps: float):
     phase or on A, so this keeps the conjugate-gradient count from growing
     like 1/eps^2, which the quarter rule h = eps/4 turns into 1/h^2.  R is
     a pointwise rotation, so M is symmetric positive definite.  The
-    multiplier and the rotation buffer are built once here; each apply
-    allocates only its result.
+    multiplier is built once here; each apply rotates v into its result,
+    transforms that in place and rotates back through a two-row scratch.
     """
     nv, n = geom.n_sites, geom.dim
     # the multiplier on the half spectrum the real transform keeps
@@ -250,7 +250,6 @@ def _phase_aligned_preconditioner(geom: TorusGeometry, eps: float):
     mult = np.empty((2 + n, *lam.shape))
     mult[0] = 1.0 / (w * (lam + _RADIAL_STIFFNESS / (eps * eps)))
     mult[1:] = 1.0 / (w * (lam + 1.0))
-    buf = np.empty((2 + n, *geom.sites))
 
     def at(u: np.ndarray):
         modulus = np.abs(u)
@@ -261,23 +260,23 @@ def _phase_aligned_preconditioner(geom: TorusGeometry, eps: float):
         def apply(v: np.ndarray) -> np.ndarray:
             vr = v[:nv].reshape(geom.sites)
             vi = v[nv:2 * nv].reshape(geom.sites)
-            # buf = (Re(conj(e) du), Im(conj(e) du), dA), buf[2] doubling as
+            # z = (Re(conj(e) du), Im(conj(e) du), dA), z[2] doubling as
             # scratch before dA lands there
-            np.multiply(er, vr, out=buf[0])
-            np.multiply(ei, vi, out=buf[1])
-            buf[0] += buf[1]
-            np.multiply(er, vi, out=buf[1])
-            np.multiply(ei, vr, out=buf[2])
-            buf[1] -= buf[2]
-            buf[2:] = v[2 * nv:].reshape(n, *geom.sites)
-            z = _spectral_multiply(buf, mult)
+            z = np.empty((2 + n, *geom.sites))
+            np.multiply(er, vr, out=z[0])
+            np.multiply(ei, vi, out=z[1])
+            z[0] += z[1]
+            np.multiply(er, vi, out=z[1])
+            np.multiply(ei, vr, out=z[2])
+            z[1] -= z[2]
+            z[2:] = v[2 * nv:].reshape(n, *geom.sites)
+            _spectral_multiply(z, mult, out=z)
             # rotate back in place: du = e (z0 + i z1)
-            np.multiply(ei, z[0], out=buf[0])
-            np.multiply(ei, z[1], out=buf[1])
+            t = np.multiply(ei, z[:2])
             z[0] *= er
-            z[0] -= buf[1]
+            z[0] -= t[1]
             z[1] *= er
-            z[1] += buf[0]
+            z[1] += t[0]
             return z.ravel()
 
         return apply

@@ -236,7 +236,8 @@ def test_spectral_multiply_matches_irfftn(geom, rng):
 def test_spectral_multiply_split_equals_inline(monkeypatch, rows, rng):
     """Split over 2 or 3 CPUs (cutoff lowered so small lattices split), the
     rows of one apply give the inline result bit for bit, with a shared
-    sites-shaped multiplier and with one per row."""
+    sites-shaped multiplier and with one per row, also written in place
+    (out=values), which must return the input array itself."""
     from torusgl import lattice
 
     for geom in (tg.TorusGeometry((12, 10), (1.0, 1.5)), tg.TorusGeometry((9, 7, 6), (1.0, 1.0, 2.0))):
@@ -249,4 +250,7 @@ def test_spectral_multiply_split_equals_inline(monkeypatch, rows, rng):
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
                 assert _spectral_multiply(values, mult).tobytes() == ref, (rows, cpus)
+                inplace = values.copy()
+                assert _spectral_multiply(inplace, mult, out=inplace) is inplace
+                assert inplace.tobytes() == ref, (rows, cpus, "in place")
             monkeypatch.undo()

@@ -278,6 +278,23 @@ def test_field_dump_rewrites_identical_bytes(tmp_path, rng):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_field_dump_rewrites_a_larger_dump(tmp_path, rng):
+    """A field written over a larger dump, which write_field rewrites in
+    place, reads back with its own values, and the file ends where the new
+    dump does: the old dump's tail is cut off."""
+    small, large = tg.TorusGeometry((4, 5), (1.0, 0.5)), GEOMS[1]
+    path, fresh = tmp_path / "over.field", tmp_path / "fresh.field"
+    write_field(path, large, 2, random_cochain(large, 2, rng).values)
+    values = random_cochain(small, 1, rng).values
+    write_field(path, small, 1, values)
+    write_field(fresh, small, 1, values)
+    geom2, degree2, back = read_field(path)
+    assert (geom2, degree2) == (small, 1)
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+    assert path.stat().st_size == fresh.stat().st_size
+    assert path.read_bytes() == fresh.read_bytes()
+
+
 @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.0 / 3.0, math.inf, -math.inf, math.nan])
 def test_field_dump_constant_rows(tmp_path, value):
     """A component that holds one value is written as numpy's .npy bytes,
