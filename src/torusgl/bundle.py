@@ -6,7 +6,9 @@ holonomy picked up when traversing an edge forward), so sections stay plain
 periodic complex vertex fields.  theta0 realizes a uniform flux
 2 pi c_ij / (N_i N_j) per (i,j)-plaquette via linear (Landau-type) phases on
 the j-links plus a wrap-around seam correction on the i-links, making both
-holonomy/flux consistency and the Chern pairing hold exactly.
+holonomy/flux consistency and the Chern pairing hold exactly.  The
+constant curvature F0 is stored as a read-only broadcast of one value per
+component, so a bundle holds theta0 and nothing else per site.
 
 The gauge field couples compactly, through the link variable
 U_e = exp(-i(theta0_e + h_i A_e)) (Wilson's lattice link), so lattice gauge
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Cochain, TorusGeometry, _by_rows, _rolled, components, constant_cochain, exterior_derivative
+from .lattice import Cochain, TorusGeometry, _by_rows, _rolled, components, exterior_derivative
 
 __all__ = [
     "Section",
@@ -74,7 +76,9 @@ class BundleData:
     geom: TorusGeometry
     chern: np.ndarray = field(repr=False)     # antisymmetric integer matrix
     theta0: np.ndarray = field(repr=False)    # radians per oriented edge, shape (n, *sites)
-    f0: Cochain = field(repr=False)           # constant 2-cochain, F0_ij = 2 pi c_ij/(L_i L_j)
+    # constant 2-cochain F0_ij = 2 pi c_ij/(L_i L_j): a read-only broadcast of
+    # one value per component (zero strides on the site axes)
+    f0: Cochain = field(repr=False)
 
     def chern_entry(self, i: int, j: int) -> int:
         return int(self.chern[i, j])
@@ -100,7 +104,8 @@ def build_background(geom: TorusGeometry, chern) -> BundleData:
         raise ValueError("chern matrix must be antisymmetric")
 
     theta0 = np.zeros((n, *geom.sites))
-    idx = np.indices(geom.sites)
+    # the site index along each axis, shaped to broadcast over the sites
+    idx = [np.arange(N).reshape([N if k == axis else 1 for k in range(n)]) for axis, N in enumerate(geom.sites)]
     for i in range(n):
         for j in range(i + 1, n):
             c = int(chern[i, j])
@@ -109,15 +114,14 @@ def build_background(geom: TorusGeometry, chern) -> BundleData:
             phi = 2.0 * np.pi * c / (geom.sites[i] * geom.sites[j])
             # Landau phases on j-links, graded along axis i
             theta0[j] += phi * idx[i]
-            # seam correction on the i-links of the last slab along axis i
+            # seam correction on the i-links of the last slab along axis i (idx[j] has one there)
             seam = [slice(None)] * n
-            seam[i] = geom.sites[i] - 1
+            seam[i] = -1
             theta0[(i, *seam)] += -phi * geom.sites[i] * idx[j][tuple(seam)]
 
-    f0 = constant_cochain(geom, 2, [2.0 * np.pi * chern[i, j] / (geom.lengths[i] * geom.lengths[j])
-                                    for i, j in components(n, 2)])
-
-    return BundleData(geom=geom, chern=chern, theta0=theta0, f0=f0)
+    f0 = np.reshape([2.0 * np.pi * chern[i, j] / (geom.lengths[i] * geom.lengths[j]) for i, j in components(n, 2)],
+                    (-1,) + (1,) * n)
+    return BundleData(geom=geom, chern=chern, theta0=theta0, f0=Cochain(geom, 2, np.broadcast_to(f0, geom.shape(2))))
 
 
 def holonomy_residuals(b: BundleData) -> np.ndarray:
@@ -216,13 +220,8 @@ def covariant_difference(u: Section, A: Cochain, b: BundleData) -> np.ndarray:
 
         (D_A u)_e = (u(x + e_i) exp(-i(theta0_e + h_i A_e)) - u(x)) / h_i
     """
-    return _difference(u, (fwd for _, fwd in link_transport(u, A, b)))
-
-
-def _difference(u: Section, fwds) -> np.ndarray:
-    """covariant_difference from the transported neighbours, axis by axis."""
     h = u.geom.spacings
-    for i, fwd in enumerate(fwds):
+    for i, (_, fwd) in enumerate(link_transport(u, A, b)):
         if i == 0:  # after the first link, so after a missed link slot is dropped
             out = np.empty((u.geom.dim, *u.geom.sites), dtype=np.complex128)
         _by_rows(u.geom.sites, lambda lo, hi: np.multiply(

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .bundle import _difference, build_background, curvature, link_transport
+from .bundle import build_background, curvature, link_transport
 from .fields import _energy_and_density
 from .lattice import TorusGeometry, components, write_field
 from .solve import (
@@ -208,14 +208,11 @@ def _write_fields(outdir, b, u, A, eps):
     geom = b.geom
     F = curvature(A, b)
     fwds = tuple(fwd for _, fwd in link_transport(u, A, b))
-    delta, D = _increments(u, fwds), _difference(u, fwds)
-    # each array is dropped once read, so the peak memory stays that of one
-    # observable at a time
+    # the increments are dropped once read, so the peak memory stays that of
+    # one observable at a time
+    v = _vorticity(u, _increments(u, fwds), F)
+    energy, mu = _energy_and_density(u, fwds, F, eps)
     del fwds
-    v = _vorticity(u, delta, F)
-    del delta
-    energy, mu = _energy_and_density(D, u, F, eps)
-    del D
     os.makedirs(outdir, exist_ok=True)
     write_field(os.path.join(outdir, "u.field"), geom, 0, np.stack([u.values.real, u.values.imag]))
     write_field(os.path.join(outdir, "A.field"), geom, 1, A.values)

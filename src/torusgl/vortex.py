@@ -195,9 +195,10 @@ def london_residual(u: Section, A: Cochain, b: BundleData) -> float:
     As dF = 0 and 2J = dj + F, the defect is d(d*F - j): zero where d*F = j.
     """
     F = curvature(A, b)
-    residual = codifferential(F).values
+    residual, scale = codifferential(F).values, 1.0 + norm(F)
+    del F  # not held through the current and d
     residual -= supercurrent(u, A, b).values
-    return norm(exterior_derivative(Cochain(b.geom, 1, residual))) / (1.0 + norm(F))
+    return norm(exterior_derivative(Cochain(b.geom, 1, residual))) / scale
 
 
 def sparse_windings(v: VorticityField):

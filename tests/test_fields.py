@@ -433,6 +433,138 @@ def test_energy_density_ground_state(t2_trivial):
     assert np.abs(mu.values).max() == 0.0
 
 
+def _old_forms(u, A, b, eps) -> dict:
+    """The bytes of theta0, curvature, g_energy and energy_density as formed
+    with np.indices, a dense F0 and |covariant_difference|^2."""
+    from dataclasses import replace
+
+    from torusgl.fields import _abs2, _energy, _mu
+
+    g, n = b.geom, b.geom.dim
+    theta0, idx = np.zeros((n, *g.sites)), np.indices(g.sites)
+    for i, j in components(n, 2):
+        if b.chern[i, j]:
+            phi = 2.0 * np.pi * int(b.chern[i, j]) / (g.sites[i] * g.sites[j])
+            theta0[j] += phi * idx[i]
+            seam = [slice(None)] * n
+            seam[i] = g.sites[i] - 1
+            theta0[(i, *seam)] += -phi * g.sites[i] * idx[j][tuple(seam)]
+    f0 = tg.constant_cochain(g, 2, [2.0 * np.pi * b.chern[i, j] / (g.lengths[i] * g.lengths[j])
+                                    for i, j in components(n, 2)])
+    F = tg.curvature(A, replace(b, f0=f0)).values
+    densities = (_abs2(tg.covariant_difference(u, A, b)), np.square(1.0 - _abs2(u.values)), np.square(F))
+    energy = _energy(densities, g.cell_volume, eps)
+    return dict(theta0=theta0, f0=f0.values, curvature=F, mu=_mu(densities, g, eps).values,
+                energy=np.array([energy.kinetic, energy.potential, energy.curvature, energy.total]))
+
+
+def _new_forms(u, A, b, eps) -> dict:
+    """The forms of _old_forms as the package forms them, the local model's
+    energy included; its F_A must come back unchanged."""
+    model = linearize(u, A, b, eps)
+    F_before = model.F.values.tobytes()
+    breakdowns = (g_energy(u, A, b, eps), model.energy())
+    assert model.F.values.tobytes() == F_before
+    out = dict(theta0=b.theta0, f0=b.f0.values, curvature=tg.curvature(A, b).values,
+               mu=energy_density(u, A, b, eps).values)
+    for name, e in zip(("energy", "model_energy"), breakdowns):
+        out[name] = np.array([e.kinetic, e.potential, e.curvature, e.total])
+    return out
+
+
+@pytest.mark.parametrize(
+    "sites, lengths, entries",
+    [
+        ((12, 10), (1.0, 1.3), {(0, 1): 2}),
+        ((8, 6, 5), (1.0, 1.3, 2.0), {(0, 1): 1, (0, 2): 2, (1, 2): -1}),
+        ((4, 5, 4, 6), (1.0, 1.1, 1.2, 1.3), {(0, 1): 1, (0, 2): -1, (2, 3): 1}),
+        ((50, 36, 36), (1.0, 1.3, 2.0), {(0, 1): 1}),
+    ],
+    ids=["t2", "t3", "t4", "t3-50x36x36-row-split"],
+)
+def test_broadcast_f0_and_axis_densities_keep_the_dense_bits(monkeypatch, sites, lengths, entries):
+    """F0 is a read-only broadcast of one value per component, equal to the
+    dense constant_cochain, and theta0 from per-axis index broadcasts equals
+    its np.indices form; curvature, g_energy, energy_density and the local
+    model's energy equal, bit for bit, their forms from a dense F0 and
+    |covariant_difference|^2.  The 50 x 36 x 36 lattice, the cutoff lowered
+    so that every kernel splits, runs on 1, 2 and 3 CPUs and keeps the
+    one-CPU bits."""
+    from torusgl import bundle, lattice
+
+    g = tg.TorusGeometry(sites, lengths)
+    chern = np.zeros((g.dim, g.dim), dtype=int)
+    for (i, j), c in entries.items():
+        chern[i, j], chern[j, i] = c, -c
+    b = tg.build_background(g, chern)
+    assert not b.f0.values.flags.writeable
+    assert b.f0.values.strides[1:] == (0,) * g.dim
+    with pytest.raises(ValueError):
+        b.f0.values[0] += 1.0
+    rng = np.random.default_rng(39)
+    u, A, eps = random_section(g, rng), tg.random_cochain(g, 1, rng), 0.3
+
+    def run():
+        monkeypatch.setattr(bundle, "_slot", (None, ()))
+        old, new = _old_forms(u, A, b, eps), _new_forms(u, A, b, eps)
+        assert [k for k in old if old[k].tobytes() != new[k].tobytes()] == []
+        assert new["model_energy"].tobytes() == old["energy"].tobytes()
+        return {k: v.tobytes() for k, v in new.items()}
+
+    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    ref = run()
+    if sites == (50, 36, 36):
+        monkeypatch.setattr(lattice, "_SPLIT_ENTRIES", 1)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(lattice, "_cpus", lambda: cpus)
+            assert run() == ref, cpus
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        ("g_energy", 4.5),
+        ("energy_density", 4.5),
+        ("london_residual", 5.2),
+        ("build_background", 1.5),
+    ],
+)
+def test_observable_peak_memory_in_one_forms(monkeypatch, call, bound):
+    """The tracemalloc peak of one observable above its start, in units of
+    one real 1-form, on T^3 24^3 (c_01 = 1; nothing splits there, so the
+    peak repeats), the link slot emptied first.  They read 4.35 (g_energy,
+    energy_density), 5.02 (london_residual) and 1.20 (build_background).
+    They were 5.02, 6.01 and 3.01 while F0 was stored dense, theta0 was
+    graded by np.indices, the energies squared a whole complex covariant
+    difference beside a separate |F_A|^2, and london_residual held F_A
+    through the current."""
+    import tracemalloc
+
+    from torusgl import bundle
+
+    g = tg.TorusGeometry((24, 24, 24), (1.0, 1.0, 1.0))
+    chern = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+    b = tg.build_background(g, chern)
+    rng = np.random.default_rng(5)
+    u, A = random_section(g, rng), tg.random_cochain(g, 1, rng)
+    calls = dict(
+        g_energy=lambda: g_energy(u, A, b, 0.1),
+        energy_density=lambda: energy_density(u, A, b, 0.1),
+        london_residual=lambda: tg.london_residual(u, A, b),
+        build_background=lambda: tg.build_background(g, chern),
+    )
+    monkeypatch.setattr(bundle, "_slot", (None, ()))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        calls[call]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (8 * g.n_cells(1)) <= bound
+
+
 @pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,

@@ -889,6 +889,23 @@ def test_self_dual_normal_state_below_bradlow_area(n):
     assert np.abs(res.section.values).max() <= 1e-8
 
 
+@pytest.mark.parametrize("side", [3.45, 3.50, 3.59, 3.65])
+def test_bradlow_area_splits_normal_and_vortex_states(side):
+    """The Bradlow area 4 pi |c| is, in the continuum, the threshold eps^2 =
+    1/lambda_1 of test_normal_state_threshold at eps = sqrt 2.  On 32^2 with c = 1 the sides
+    3.45 and 3.50 (area / 4 pi 0.947, 0.975) end in the normal state (max|u|
+    1.1e-10, 3.7e-12) at its exact energy (relative error 0, 2.8e-16), and
+    3.59 and 3.65 (1.026, 1.060) with a vortex (max|u| 0.207, 0.308)."""
+    res, area = _self_dual_minimum(side, 1, 32), side * side
+    modulus = np.abs(res.section.values).max()
+    if area < 4.0 * np.pi:
+        assert modulus < 1e-6, modulus
+        normal = 2.0 * np.pi**2 / area + area / 8.0
+        assert abs(res.energy.total - normal) <= 1e-12 * normal, (res.energy.total, normal)
+    else:
+        assert modulus > 0.05, modulus
+
+
 def test_self_dual_two_vortices_energy_is_two_pi():
     """c = 2 on L = 6: two vortices cost 2 pi up to O(h^2) and lattice
     pinning, wherever they sit in their flat moduli space."""
