@@ -47,12 +47,16 @@ def apply_gauge(u: Section, A: Cochain, theta: GaugePhase) -> tuple[Section, Coc
     """(u, A) -> (e^{i theta} u, A + d theta)."""
     if u.geom != theta.geom or A.geom != theta.geom:
         raise ValueError("geometry mismatch between fields and gauge phase")
-    # phase * u, as numpy's complex product is not bitwise commutative and
-    # `u * phase` takes this order only where numpy elides the temporary
+    return _rotate(u, theta), A + exterior_derivative(Cochain(theta.geom, 0, theta.theta[np.newaxis]))
+
+
+def _rotate(u: Section, theta: GaugePhase) -> Section:
+    """e^{i theta} u, formed as phase * u, as numpy's complex product is not
+    bitwise commutative and `u * phase` takes this order only where numpy
+    elides the temporary."""
     phase = _cis(theta.theta, 1)
     _by_rows(u.geom.sites, lambda lo, hi: np.multiply(phase[lo:hi], u.values[lo:hi], out=phase[lo:hi]))
-    dtheta = exterior_derivative(Cochain(theta.geom, 0, theta.theta[np.newaxis]))
-    return Section(u.geom, phase), A + dtheta
+    return Section(u.geom, phase)
 
 
 def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
@@ -77,7 +81,4 @@ def coulomb_fix(u: Section, A: Cochain) -> tuple[Section, Cochain, GaugePhase]:
         vals[i] -= 2.0 * np.pi * m / L
         winding = winding - (2.0 * np.pi * m / L) * geom.coordinates(i)
     theta = GaugePhase(geom, -phi + winding)
-    # one rotation by the whole phase, in apply_gauge's operand order
-    phase = _cis(theta.theta, 1)
-    _by_rows(geom.sites, lambda lo, hi: np.multiply(phase[lo:hi], u.values[lo:hi], out=phase[lo:hi]))
-    return Section(geom, phase), Cochain(geom, 1, vals), theta
+    return _rotate(u, theta), Cochain(geom, 1, vals), theta

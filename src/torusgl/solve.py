@@ -779,7 +779,7 @@ def default_initial_pair(
         return Section(geom, np.ones(geom.sites, dtype=np.complex128) + noise), zero_cochain(geom, 1)
     factors = []
     for i, j in np.argwhere(np.triu(b.chern)):
-        c = b.chern_entry(i, j)
+        c = int(b.chern[i, j])
         count = abs(c)
         entry = np.zeros_like(b.chern)
         entry[i, j], entry[j, i] = c, -c
@@ -994,18 +994,18 @@ def _prescribed_vorticity(spec: AnsatzSpec, b: BundleData) -> tuple[VorticityFie
         raise WindingMismatchError(
             f"an ansatz axis names a line along 0, 1 or 2 on T^3, got axis {spec.axis} on T^{geom.dim}"
         )
-    nonzero = [(a, bb) for a, bb in components(geom.dim, 2) if b.chern_entry(a, bb) != 0]
+    nonzero = [(a, bb) for a, bb in components(geom.dim, 2) if int(b.chern[a, bb]) != 0]
     i, j = (nonzero or [(0, 1)])[0] if spec.axis is None else sorted({0, 1, 2} - {spec.axis})
     for a, bb in nonzero:
         if (a, bb) != (i, j):
             raise WindingMismatchError(
-                f"chern[{a},{bb}] = {b.chern_entry(a, bb)} cannot be carried by "
+                f"chern[{a},{bb}] = {int(b.chern[a, bb])} cannot be carried by "
                 f"the ansatz in the ({i},{j}) plane"
             )
     total = sum(spec.windings)
-    if total != b.chern_entry(i, j):
+    if total != int(b.chern[i, j]):
         raise WindingMismatchError(
-            f"total winding {total} != chern[{i},{j}] = {b.chern_entry(i, j)}"
+            f"total winding {total} != chern[{i},{j}] = {int(b.chern[i, j])}"
         )
     pair_pos = components(geom.dim, 2).index((i, j))
     W = np.zeros(geom.shape(2), dtype=np.int64)

@@ -15,7 +15,7 @@ from math import prod, sqrt
 import numpy as np
 
 from . import hodge
-from .bundle import BundleData, Section, _current, curvature, link_transport
+from .bundle import BundleData, Section, _hopping, curvature, link_transport
 from .lattice import (
     Cochain,
     TorusGeometry,
@@ -80,7 +80,7 @@ def supercurrent(u: Section, A: Cochain, b: BundleData) -> Cochain:
     Exactly gauge invariant; equals minus the gauge-field derivative of the
     kinetic energy density, so critical points satisfy d*F = j.
     """
-    return Cochain(b.geom, 1, _current(u, (fwd for _, fwd in link_transport(u, A, b))))
+    return Cochain(b.geom, 1, _hopping(u, (fwd for _, fwd in link_transport(u, A, b)), np.imag))
 
 
 def jacobian(u: Section, A: Cochain, b: BundleData) -> Cochain:
@@ -102,26 +102,15 @@ def vorticity(u: Section, A: Cochain, b: BundleData) -> VorticityField:
     angle(conj(u(x)) u(x + e_i) U_e), U_e the link variable.
     """
     # the links are formed and dropped before F_A is formed
-    return _vorticity(u, _increments(u, (fwd for _, fwd in link_transport(u, A, b))), curvature(A, b))
+    return _vorticity(u, _hopping(u, (fwd for _, fwd in link_transport(u, A, b)), np.angle), curvature(A, b))
 
 
-def _increments(u: Section, fwds) -> Cochain:
-    """The gauge-invariant wrapped phase increment per edge, over h, from the
-    transported neighbours of link_transport, axis by axis: the oriented sum
-    of the increments around an (i,j)-plaquette is h_i h_j d(delta)_ij."""
-    h = u.geom.spacings
-    delta = np.empty(u.geom.shape(1))
-    for i, fwd in enumerate(fwds):
-        _by_rows(u.geom.sites, lambda lo, hi: np.divide(
-            np.angle(np.conj(u.values[lo:hi]) * fwd[lo:hi]), h[i], out=delta[i, lo:hi]))
-    return Cochain(u.geom, 1, delta)
-
-
-def _vorticity(u: Section, delta: Cochain, F: Cochain) -> VorticityField:
-    """vorticity from the increments delta (see _increments) and the
-    curvature F."""
+def _vorticity(u: Section, delta: np.ndarray, F: Cochain) -> VorticityField:
+    """vorticity from the curvature F and delta, the wrapped phase increment
+    angle(conj(u) T) / h_i per edge (bundle._hopping with np.angle): the
+    oriented sum of the increments around an (i,j)-plaquette is h_i h_j d(delta)_ij."""
     geom = u.geom
-    raw, F, areas = exterior_derivative(delta).values, F.values, geom.plaquette_areas
+    raw, F, areas = exterior_derivative(Cochain(geom, 1, delta)).values, F.values, geom.plaquette_areas
     zero_sites, windings, residues = np.empty(geom.sites, dtype=bool), np.empty(raw.shape, np.int64), []
 
     def work(lo, hi):

@@ -334,6 +334,43 @@ def test_concurrent_splits_drain_one_queue(monkeypatch):
         assert len(_workers()) <= max(len(before), cpus - 1)
 
 
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller-range", "queued-range"])
+def test_split_reraises_after_every_range_has_finished(monkeypatch, failing):
+    """At 2 CPUs, the cutoff lowered so that 8 units split into [0, 4) for
+    the caller and [4, 8) queued, a range that raises (the caller's own or
+    the queued one) re-raises in the caller, and only once the other range,
+    which sleeps first, has finished.  The next split on the same workers
+    gives the one-CPU bits of _cis."""
+    import time
+
+    from torusgl import lattice
+
+    class RangeError(Exception):
+        pass
+
+    x = np.random.default_rng(5).uniform(-40.0, 40.0, 4096)
+    monkeypatch.setattr(lattice, "_cpus", lambda: 1)
+    ref = bundle._cis(x, -1).tobytes()
+    monkeypatch.setattr(lattice, "_cpus", lambda: 2)
+    monkeypatch.setattr(lattice, "_SPLIT_ENTRIES", 1)
+    finished = []
+
+    def work(lo, hi):
+        if lo == 4 * failing:
+            raise RangeError(lo)
+        time.sleep(0.05)
+        finished.append((lo, hi))
+
+    with pytest.raises(RangeError) as raised:
+        lattice._split(8, 1, work)
+    assert raised.value.args == (4 * failing,)
+    assert finished == [(4 - 4 * failing, 8 - 4 * failing)]
+    workers = _workers()
+    assert workers
+    assert bundle._cis(x, -1).tobytes() == ref
+    assert _workers() == workers
+
+
 def _row_split_kernels(b, u, A, cochains, theta, spec, eps) -> dict:
     """The bytes of every kernel split by axis-0 rows, at one state."""
     out = {f"d{c.degree}": tg.exterior_derivative(c).values for c in cochains[:-1]}
@@ -499,10 +536,11 @@ def test_link_slot_follows_in_place_changes(sites):
 
 
 def test_kept_links_are_read_only(t2_bundle):
+    """Every link is read-only: those of a state linked once, which the slot
+    does not keep, and those of its second linking, which it keeps."""
     g = t2_bundle.geom
     u, A = constant_section(g), zero_cochain(g, 1)
-    _links(u, A, t2_bundle)
-    for link in _links(u, A, t2_bundle):
+    for link in _links(u, A, t2_bundle) + _links(u, A, t2_bundle):
         with pytest.raises(ValueError):
             link[0, 0] = 0.0
 

@@ -6,7 +6,7 @@ import pytest
 import torusgl as tg
 from torusgl.bundle import constant_section
 from torusgl.fields import linearize
-from torusgl.lattice import codifferential, exterior_derivative, norm, zero_cochain
+from torusgl.lattice import codifferential, components, exterior_derivative, norm, zero_cochain
 from torusgl.solve import (
     AnsatzSpec,
     MinimizeOptions,
@@ -969,6 +969,81 @@ def test_torus_shape_term_matches_the_image_sum():
     assert abs(gaps[-1]) < 0.02, gaps
 
 
+@pytest.mark.parametrize(
+    "sites, axis, eps, axes",
+    [((32, 32), None, 0.2, (0, 1)), ((16, 16, 12), 2, 0.3, (0, 2))],
+    ids=["t2-32x32", "t3-16x16x12-line"],
+)
+def test_envelope_identities_of_the_minimal_energy(sites, axis, eps, axes):
+    """The envelope theorem at a minimizer (tol 1e-10) gives two derivatives
+    of the minimal energy E from its own parts: dE/d log eps = -2V, V the
+    potential energy, and, at fixed site counts and link phases theta0 +
+    h A, dE/dL_k = (E - 2 K_k - 2 C_k)/L_k, with K_k the kinetic energy of
+    the k-edges and C_k the curvature energy of the plaquettes containing
+    axis k.  Central differences with delta 1e-4, each side re-solved from
+    the minimizer, agree within 1e-6 relative (they read 2.5e-9 to 1.0e-8,
+    1.5e-13 along the line)."""
+    opts, delta = MinimizeOptions(tol=1e-10, max_iter=20000), 1e-4
+    lengths = (1.0,) * len(sites)
+    chern = np.zeros((len(sites),) * 2, dtype=int)
+    chern[0, 1], chern[1, 0] = 1, -1
+    b = tg.build_background(tg.TorusGeometry(sites, lengths), chern)
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=axis)
+    res = tg.minimize(*vortex_ansatz(spec, b, b.geom, eps), b, eps, opts)
+    assert res.converged
+    u, A, E = res.section, res.gauge_field, res.energy.total
+
+    def minimal(b2, A2, eps2):
+        r = tg.minimize(tg.Section(b2.geom, u.values), A2, b2, eps2, opts)
+        assert r.converged
+        return r.energy.total
+
+    slope = (minimal(b, A, eps * np.exp(delta)) - minimal(b, A, eps * np.exp(-delta))) / (2.0 * delta)
+    assert slope == pytest.approx(-2.0 * res.energy.potential, rel=1e-6)
+
+    w, D = b.geom.cell_volume, tg.covariant_difference(u, A, b)
+    F = tg.curvature(A, b).values
+    for k in axes:
+        K = 0.5 * w * float(np.sum(D[k].real ** 2 + D[k].imag ** 2))
+        C = 0.5 * w * sum(float(np.sum(F[p] ** 2)) for p, ij in enumerate(components(len(sites), 2)) if k in ij)
+        ends = []
+        for side in (1.0, -1.0):
+            stretched = tg.TorusGeometry(sites, tuple(L + side * delta * (m == k) for m, L in enumerate(lengths)))
+            A2 = A.values.copy()
+            A2[k] *= b.geom.spacings[k] / stretched.spacings[k]  # the same link phases
+            ends.append(minimal(tg.build_background(stretched, chern), tg.Cochain(stretched, 1, A2), eps))
+        stress = (ends[0] - ends[1]) / (2.0 * delta)
+        assert stress == pytest.approx((E - 2.0 * K - 2.0 * C) / lengths[k], rel=1e-6), k
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fixture", ["min_t2_64", "min_t3_28", "sweep_quarter"])
+def test_rounding_noise_keeps_counts_and_energies(request, fixture):
+    """Convergence does not hinge on the last bits of the start: from 8
+    starts, the fixture's vortex ansatz (sweep_quarter's first level) with
+    u perturbed by 1e-13 relative complex noise (A is zero there), each
+    solve converges within 10% of the fixture's evaluation count and within
+    tol of its energy.  They read 37 -> 39-40, 53 -> 53-54 and 38 -> 38-39
+    evaluations, with energies within 3.6e-15."""
+    opts = MinimizeOptions(tol=1e-8, max_iter=200000)
+    if fixture == "sweep_quarter":
+        first = request.getfixturevalue(fixture)[0]
+        b, eps, ref = tg.build_background(first.geom, [[0, 1], [-1, 0]]), first.epsilon, first.result
+    else:
+        _, b, eps, ref = request.getfixturevalue(fixture)
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=2 if b.geom.dim == 3 else None)
+    u, A = vortex_ansatz(spec, b, b.geom, eps)
+    counts = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(b.geom.sites) + 1j * rng.standard_normal(b.geom.sites)
+        res = tg.minimize(tg.Section(b.geom, u.values * (1.0 + 1e-13 * noise)), A, b, eps, opts)
+        counts.append(res.iterations)
+        assert res.converged, (seed, res.stop_reason)
+        assert abs(res.energy.total - ref.energy.total) <= opts.tol, seed
+    assert all(abs(c - ref.iterations) <= 0.1 * ref.iterations for c in counts), (ref.iterations, counts)
+
+
 def test_straight_line_is_the_t2_minimizer_extended():
     """A line along axis 3 is the T^2 minimizer extended along it, so its
     energy is L_3 times the T^2 one, to rounding, for L_3 below and above
@@ -1150,7 +1225,6 @@ def test_slide_rebuilds_the_translations_bit_for_bit(monkeypatch):
     slide's rows equal the rows built here as they were kept before, bit
     for bit, with the direction along the line dropped; Q from those rows is
     orthonormal, and the model's projection writes v - Q^T Q v into v."""
-    from torusgl.lattice import components
     from torusgl.solve import _dot, _flat
 
     slides = []
