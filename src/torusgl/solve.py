@@ -30,11 +30,12 @@ longer grows with 1/eps^2 (see _phase_aligned_preconditioner);
 (h^n(-Delta + 1))^-1.  Three module constants fix the backtracking:
 _ARMIJO_C (sufficient-decrease constant, 1e-4), _SHRINK (backtracking
 factor, 0.5) and _MAX_BACKTRACKS (trials per step, 60).  Where lattice
-pinning is strong (see `minimize`), vortex cores also slide along their
-covariant translations.  Convergence is declared on the sup-norm of the
-scale-free gradient (the variational derivative, i.e. the raw gradient
-divided by the cell volume), which makes the London residual bound at
-critical points mesh-independent.
+pinning is strong (see `minimize`), a round may slide vortex cores along
+their covariant translations; the later rounds of the same loop settle
+the slide, which is then kept or undone.  Convergence is declared on the
+sup-norm of the scale-free gradient (the variational derivative, i.e. the
+raw gradient divided by the cell volume), which makes the London residual
+bound at critical points mesh-independent.
 
 A run ends unconverged in one of two ways, named by its stop reason
 (MinimizerResult.stop_reason, or the second value `relax_connection`
@@ -46,7 +47,7 @@ state by at most eps_mach times its norm, or a slide too short to move it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import isfinite, log, pi, sqrt
 
@@ -56,6 +57,7 @@ from .bundle import BundleData, Section, _cis, _cis_into, build_background, link
 from .fields import (
     EnergyBreakdown,
     LocalModel,
+    _check_epsilon,
     g_energy,
     g_gradient,  # not called here; perfbench's harness test names solve.g_gradient
     linearize,
@@ -348,13 +350,15 @@ def _newton(at, x, scale, opts, on_step=None):
     x, and on_step, when given, sees (x, g) after each accepted step.
 
     While the gradient outside the soft modes is above tolerance, each round
-    is one Newton step confined to their complement (newton_round).  Once
-    only the soft modes' share keeps g above tolerance (a vortex held off
-    its lattice-pinned position), the round slides along them instead: a
-    move downhill by a length in lattice cells, then Newton steps until the
-    rest of g meets the tolerance again.  The slide is kept, and its length
-    doubled up to half a cell, when the summed energy change is negative;
-    otherwise it is undone and its length halved.  Every accepted step
+    is one Newton step confined to their complement.  Once only the soft
+    modes' share keeps g above tolerance (a vortex held off its
+    lattice-pinned position), the round slides along them instead: a move
+    downhill by a length in lattice cells, from a checkpoint of x, its model
+    and the energy change summed since; ordinary rounds follow.  Once the
+    rest of g meets the tolerance, a round finds no certified decrease or
+    fewer than two evaluations are left, the slide is kept, and its length
+    doubled up to half a cell, if the summed change is negative; otherwise
+    the checkpoint is restored and the length halved.  Every accepted step
     certifies a negative change, so no decision rests on a float64 tie.
     `scale` divides the sup-norm of the raw gradient to form the scale-free
     convergence metric.
@@ -367,9 +371,8 @@ def _newton(at, x, scale, opts, on_step=None):
     "converged", "budget" (fewer than the two evaluations of a Newton step
     left of opts.max_iter), or "stalled" when no certified decrease is left
     (a Newton step without one, or with one that moves x by at most
-    eps_mach ||x||, or a slide too short to move x).  Models
-    built after the first, one held at a time outside a slide, and
-    Hessian-vector products count as evaluations.
+    eps_mach ||x||, or a slide too short to move x).  Models built after the
+    first and Hessian-vector products count as evaluations.
     """
     m = at(x)
     budget = opts.max_iter
@@ -377,80 +380,74 @@ def _newton(at, x, scale, opts, on_step=None):
     cells = 0.125
     floor = _CG_FLOOR * opts.tol * scale
     last = None  # (projected gradient 2-norm, forcing) of the previous round
-
-    def newton_round(m, x, project):
-        """One Newton step from x, whose model is m, in the range of
-        `project`: CG to the round's forcing or `floor`, on at most one product
-        fewer than the budget left, then halved until the summed energy
-        change certifies an Armijo decrease with the exact slope g.s.
-        Returns (new x, change, products), new x None if no step certifies
-        one or the one that does moves x by at most eps_mach ||x||."""
-        nonlocal last
-        gnorm2 = _norm(project(m.g.copy()))
-        last = (gnorm2, _forcing(gnorm2, last))
-        s, n = _projected_cg(
-            m.hessvec, m.g, m.precond, project, last[1], min(400, budget - used - 1), floor
-        )
-        slope = float(_dot(m.g, s))
-        if slope < 0.0:
-            step = 1.0
-            for _ in range(_MAX_BACKTRACKS):
-                delta = m.change(step * s)
-                if delta <= _ARMIJO_C * step * slope:
-                    if step * _norm(s) <= _EPS_MACH * _norm(x):
-                        break  # a rounding-level move: no decrease is left
-                    return x + step * s, delta, n
-                step *= _SHRINK
-        return None, 0.0, n
-
+    held = None  # [x, model, summed change] from a slide until it is kept or undone
     while True:
         gnorm = float(np.abs(m.g).max()) / scale
+        rows, project = m.soft_modes or (None, lambda v: v)
+        rest = gnorm if rows is None else float(np.abs(project(m.g.copy())).max()) / scale
+        if held is not None and (x_new is None or rest <= opts.tol or budget - used < 2):
+            if x_new is None or not held[2] < 0.0:
+                x, m, _ = held
+                held = None
+                cells *= 0.5
+                continue
+            held = None
+            cells = min(2.0 * cells, 0.5)
+            if on_step is not None:
+                on_step(x, m.g)
         if gnorm <= opts.tol:
             return x, m, gnorm, used, "converged"
         if budget - used < 2:
             return x, m, gnorm, used, "budget"
-        rows, project = m.soft_modes or (None, lambda v: v)
-        if rows is None or float(np.abs(project(m.g.copy())).max()) / scale > opts.tol:
-            x_new, delta, n = newton_round(m, x, project)
+        if rest > opts.tol:
+            # One Newton step from x in the range of `project`: CG to the round's
+            # forcing or `floor`, on at most one product fewer than the budget left,
+            # then halved until the summed energy change certifies an Armijo decrease
+            # with the exact slope g.s.  x_new stays None if no step certifies one or
+            # the one that does moves x by at most eps_mach ||x||.
+            gnorm2 = _norm(project(m.g.copy()))
+            last = (gnorm2, _forcing(gnorm2, last))
+            s, n = _projected_cg(
+                m.hessvec, m.g, m.precond, project, last[1], min(400, budget - used - 1), floor
+            )
             used += n
+            x_new, slope = None, float(_dot(m.g, s))
+            if slope < 0.0:
+                step = 1.0
+                for _ in range(_MAX_BACKTRACKS):
+                    delta = m.change(step * s)
+                    if delta <= _ARMIJO_C * step * slope:
+                        if step * _norm(s) > _EPS_MACH * _norm(x):
+                            x_new = x + step * s
+                        break  # otherwise a rounding-level move: no decrease is left
+                    step *= _SHRINK
             if x_new is None:
-                return x, m, gnorm, used, "stalled"
-            m = rows = project = None  # drop x's model, its projection too, before building x_new's
+                if held is None:
+                    return x, m, gnorm, used, "stalled"
+                continue  # the slide is undone above
+            m = rows = project = s = None  # none is held through at(x_new)
             m = at(x_new)
             used += 1
+            x = x_new
+            if held is not None:
+                held[2] += delta
+            elif on_step is not None:
+                on_step(x, m.g)
         else:
             R = rows()
             force = -_dot(R, m.g)
             s = (cells / _norm(force)) * np.einsum("k,ki", force, R)
-            R = None  # neither R nor s (below) is held through at(x_new) and the settle rounds
+            R = None  # neither R nor s (below) is held through at(x_new)
             if _norm(s) <= _EPS_MACH * _norm(x):
                 return x, m, gnorm, used, "stalled"
             last = None
             x_new, delta = x + s, m.change(s)
-            s = None
-            m_new = at(x_new)
+            # a restored state slides again or ends the run: it runs no product or preconditioner
+            held = [x, replace(m, hessvec=None, precond=None), delta]
+            m = rows = project = s = None
+            x = x_new
+            m = at(x)
             used += 1
-            while budget - used >= 2:
-                _, proj_new = m_new.soft_modes or (None, lambda v: v)
-                if float(np.abs(proj_new(m_new.g.copy())).max()) / scale <= opts.tol:
-                    break
-                x_new, d_new, n = newton_round(m_new, x_new, proj_new)
-                used += n
-                if x_new is None:
-                    break
-                delta += d_new
-                m_new = proj_new = None
-                m_new = at(x_new)
-                used += 1
-            if x_new is None or not delta < 0.0:
-                m_new = None
-                cells *= 0.5
-                continue
-            m = m_new
-            cells = min(2.0 * cells, 0.5)
-        x = x_new
-        if on_step is not None:
-            on_step(x, m.g)
 
 
 def _covariant_translations(lin: LocalModel, x: np.ndarray):
@@ -697,12 +694,13 @@ def vortex_ansatz(
     eps: float = 0.1,
 ) -> tuple[Section, Cochain]:
     """Section with prescribed vortex points/lines in the background frame,
-    paired with A = 0.
+    paired with A = 0; raises ValueError unless eps > 0, as g_energy does.
 
     The gauge-invariant phase is built from a discrete Poisson solve so the
     plaquette windings equal the prescription exactly; the modulus is the
     linear core profile min(dist/eps, 1).
     """
+    eps = _check_epsilon(eps)
     geom = geom or b.geom
     if geom != b.geom:
         raise ValueError("ansatz geometry must match the bundle geometry")

@@ -157,6 +157,30 @@ def test_budget_is_never_exceeded(t2_bundle, monkeypatch, max_iter):
     assert calls["linearize"] - 1 + calls["hessvec"] <= max_iter
 
 
+def test_budget_inside_a_slide_resolves_it():
+    """A point off the centre of T^2 32^2 (eps 0.0625 = 2 h) slides once:
+    the slide starts at 77 evaluations and is kept at 115.  A budget that
+    runs out while it settles still ends "budget" within max_iter, on the
+    slide kept or undone, and the energy does not rise as the budget grows:
+    at 78 and 90 the slide is undone, and the result is the state before
+    it, bit for bit; at 100 and 114 it is kept, at a lower energy."""
+    geom = tg.TorusGeometry((32, 32), (1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1], [-1, 0]])
+    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.31, 0.67),)), b, geom, 0.0625)
+    before = tg.minimize(u, A, b, 0.0625, MinimizeOptions(tol=1e-8, max_iter=77))
+    energies = [before.energy.total]
+    for max_iter in (78, 90, 100, 114):
+        res = tg.minimize(u, A, b, 0.0625, MinimizeOptions(tol=1e-8, max_iter=max_iter))
+        assert (res.converged, res.stop_reason) == (False, "budget")
+        assert res.iterations <= max_iter
+        if max_iter < 100:
+            assert np.array_equal(res.section.values, before.section.values)
+            assert np.array_equal(res.gauge_field.values, before.gauge_field.values)
+        energies.append(res.energy.total)
+    assert energies == sorted(energies, reverse=True)
+    assert energies[-2] < energies[0]
+
+
 def _count_translation_builds(monkeypatch):
     """Count minimize's builds of the covariant translations."""
     built = []
@@ -185,15 +209,38 @@ def _count_forcing_restarts(monkeypatch):
     return restarts
 
 
+def _record_slides(monkeypatch, states):
+    """Record each slide, one call of its model's rows() each, as the number
+    of accepted states in `states` before it."""
+    slides = []
+    translations = tg.solve._covariant_translations
+
+    def recording(lin, x):
+        rows, project = translations(lin, x)
+
+        def recorded():
+            slides.append(len(states))
+            return rows()
+
+        return recorded, project
+
+    monkeypatch.setattr(tg.solve, "_covariant_translations", recording)
+    return slides
+
+
 def test_minimize_slides_pinned_line(monkeypatch):
     """A coarse core stays held by lattice pinning with a force above
     tolerance once the rest of the gradient is resolved; the terminal phase
     slides it along the covariant translations, monotonically, to a
     converged state.  Inputs: a line on 12^3 (h = 0.56 eps), and a point off
-    the centre of T^2 32^2 (h = 0.5 eps), whose run slides once."""
+    the centre of T^2 32^2 (h = 0.5 eps), whose run slides once.  A kept
+    slide reports one accepted state, the settled one; an undone slide
+    reports none, and the next slide starts from the restored state.  The
+    line's run keeps 5 slides and undoes 4, so both branches run."""
     built = _count_translation_builds(monkeypatch)
     restarts = _count_forcing_restarts(monkeypatch)
     states = _accepted_states(monkeypatch)
+    slides = _record_slides(monkeypatch, states)
     cases = (  # sites, eps, core position, line axis, evaluation bound
         ((12, 12, 12), 0.15, (0.52, 0.51), 2, 330),
         ((32, 32), 0.0625, (0.31, 0.67), None, 125),
@@ -207,11 +254,15 @@ def test_minimize_slides_pinned_line(monkeypatch):
         u, A = vortex_ansatz(spec, b, geom, eps)
         states.clear()
         restarts.clear()
+        slides.clear()
         res = tg.minimize(u, A, b, eps, MinimizeOptions(tol=1e-8, max_iter=20000))
         assert res.converged
         _assert_each_step_descends(states, b, eps)
+        kept = sum(after > before for before, after in zip(slides, [*slides[1:], len(states)]))
+        assert kept >= 1
         if axis is not None:
             assert single_dual_loop(vorticity(res.section, res.gauge_field, b))[0]
+            assert len(slides) - kept >= 1, "the line's run undoes a slide"
         assert res.london_residual <= 1e-6
         assert len(restarts) > 1, "the run slides"
         assert res.iterations <= bound
@@ -554,6 +605,23 @@ def test_ansatz_winding_validation(t2_bundle, t3_bundle):
     for windings in ((1.5, -0.5), (float("inf"), 1)):
         with pytest.raises(ValueError, match="integers"):
             AnsatzSpec(windings=windings, positions=((0.2, 0.2), (0.7, 0.7)))
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+def test_ansatz_rejects_eps_that_is_not_positive(eps):
+    """vortex_ansatz, and through it default_initial_pair, checks eps as
+    g_energy does.  On 8^2 with c = 1, eps = -0.1 gave moduli up to 6.19,
+    NaN gave NaN at every site, and 0 divided by zero into modulus 1
+    everywhere, with no core.  The self-dual eps = sqrt 2 still builds."""
+    geom = tg.TorusGeometry((8, 8), (1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1], [-1, 0]])
+    spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
+    for build in (lambda e: vortex_ansatz(spec, b, geom, e), lambda e: default_initial_pair(b, e, 0)):
+        with pytest.raises(ValueError, match="epsilon > 0 required"):
+            build(eps)
+        u, _ = build(np.sqrt(2.0))
+        assert np.abs(u.values).max() <= 1.0
+        assert np.abs(u.values).min() < 1.0
 
 
 def test_ansatz_t3_line(t3_bundle):
@@ -1277,33 +1345,80 @@ def test_slide_rebuilds_the_translations_bit_for_bit(monkeypatch):
         assert np.array_equal(v, expected)
 
 
-@pytest.mark.parametrize("eps, bound", [(0.125, 18.0), (0.3, 16.0)])
-def test_minimize_peak_memory_in_state_sizes(eps, bound):
+@pytest.mark.parametrize("side, eps, position, bound", [
+    pytest.param(16, 0.125, (0.5, 0.5), 18.0, id="0.125-18.0"),
+    pytest.param(16, 0.3, (0.5, 0.5), 16.0, id="0.3-16.0"),
+    pytest.param(12, 0.15, (0.52, 0.51), 26.5, id="slide_t3_12-26.5"),
+])
+def test_minimize_peak_memory_in_state_sizes(side, eps, position, bound):
     """The tracemalloc peak of one minimize above its start, in state sizes
-    (one packed (Re u, Im u, A) vector), on a T^3 16^3 c_01 = 1 line: with
-    the covariant translations projected out (eps 0.125 = 2 h, 49
+    (one packed (Re u, Im u, A) vector), on a T^3 c_01 = 1 line.  On 16^3:
+    with the covariant translations projected out (eps 0.125 = 2 h, 49
     evaluations) and without (eps 0.3, 43 evaluations).  The peaks read
     17.04 and 15.02.  They were 19.05 and 17.03 while the preconditioner
     kept a rotation buffer beside each apply's result and a model kept
     conj(u) and Re(conj(u) T) per axis, and 24.93 and 19.84 while a model
     also kept the raw translations beside their orthonormal rows,
     conj(link) per axis, and Re(conj(u) T) as views pinning complex
-    products.  Nothing splits at 16^3, so the peak repeats to 0.01."""
+    products.  Nothing splits at 16^3, so the peak repeats to 0.01.  The
+    slide_t3_12 line on 12^3 (eps 0.15, 323 evaluations) slides, keeping
+    the model of the state before each slide while it settles.  Its second
+    solve reads 24.94; it read 27.43 while that model kept its product array
+    and preconditioner and each settle round held the previous round's
+    translations through the next model's build.  A 12^3 state is 69 KB,
+    and the interpreter's first-use allocations, about 100 KB, would read
+    as 1.4 state sizes, so only the second solve is measured there."""
     import tracemalloc
 
-    geom = tg.TorusGeometry((16, 16, 16), (1.0, 1.0, 1.0))
+    geom = tg.TorusGeometry((side,) * 3, (1.0, 1.0, 1.0))
     b = tg.build_background(geom, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.5, 0.5),), axis=2), b, geom, eps)
+    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=(position,), axis=2), b, geom, eps)
+    opts = MinimizeOptions(tol=1e-8, max_iter=20000)
+    if side == 12:
+        tg.minimize(u, A, b, eps, opts)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        res = tg.minimize(u, A, b, eps, MinimizeOptions(tol=1e-8, max_iter=20000))
+        res = tg.minimize(u, A, b, eps, opts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.converged
     assert (peak - start) / (8 * 5 * geom.n_sites) <= bound
+
+
+def test_newton_undoes_a_slide_whose_settle_round_finds_no_decrease():
+    """A Newton round that finds no certified decrease while a slide settles
+    undoes the slide, where outside a slide it ends the run "stalled": the
+    loop restores the state before the slide, without building its model
+    again, and slides from it at half the length.  On a fake model on R^2,
+    the start carries gradient only along its soft mode (axis 1), and every
+    slid state has gradient on axis 0 but no step that certifies a decrease.
+    Each slide and its failed round cost two evaluations, so 19 end
+    "budget" after nine slides, at the start, with no state accepted."""
+    from torusgl.solve import _Model, _newton
+
+    def project(v):
+        v[1] = 0.0
+        return v
+
+    built = []
+
+    def at(x):
+        built.append(x.copy())
+        if x[1] == 0.0:
+            return _Model(np.array([0.0, 1.0]), None, lambda s: s[1], None,
+                          (lambda: np.array([[0.0, 1.0]]), project))
+        return _Model(np.array([1.0, 1.0]), lambda v: v.copy(), lambda s: 1.0, lambda v: v.copy())
+
+    accepted = []
+    x, _, _, used, reason = _newton(at, np.zeros(2), 1.0, MinimizeOptions(tol=1e-8, max_iter=19),
+                                    lambda x, g: accepted.append(x))
+    assert (reason, used) == ("budget", 18)
+    assert np.array_equal(x, np.zeros(2))
+    assert not accepted
+    assert [y[1] for y in built] == [0.0] + [-0.125 / 2**k for k in range(9)]
 
 
 def test_forcing_follows_eisenstat_walker_choice_2():

@@ -32,7 +32,8 @@ Then, for each
 test fixture solve (tests/conftest.py) and each case that reaches the slide
 of the Newton loop, prints the evaluation count, the stop reason, the energy
 as a float hex string and sha1 digests of the final (u, A) and of its
-vorticity windings.
+vorticity windings; the same line follows for the solves of `BUDGET_CUTS`,
+whose budgets run out while a slide settles.
 Then runs `torusgl minimize`, `ansatz` and `sweep` on one T^2 quarter-rule
 config and two T^3 line configs, one along axis 2 and one along axis 0, and
 prints the sha1 of every file they write and, for each `.field` file, of the
@@ -128,6 +129,11 @@ SOLVES = (
     ("slide_t3_20", (20, 20, 20), 0.08, (0.5, 0.5)),
     ("slide_t2_32", (32, 32), 0.0625, (0.31, 0.67)),
 )
+
+# max_iter of the solves cut while a slide settles: slide_t2_32 slides once,
+# from 77 evaluations until it is kept at 115, and a budget of 90 ends it
+# undone, one of 100 kept
+BUDGET_CUTS = {"slide_t2_32": (90, 100)}
 
 # lattice side and epsilon of the T^4 crossing-class solve
 CROSSING_SITES = 12
@@ -310,6 +316,9 @@ def main() -> None:
                              axis=2 if len(sites) == 3 else None)
         u, A = tg.vortex_ansatz(spec, b, geom, eps=eps)
         print(line(label, tg.minimize(u, A, b, eps, OPTS), b), flush=True)
+        for cut in BUDGET_CUTS.get(label, ()):
+            res = tg.minimize(u, A, b, eps, tg.MinimizeOptions(tol=OPTS.tol, max_iter=cut))
+            print(line(f"{label}[max_iter={cut}]", res, b), flush=True)
 
     for label, sites, eps_list, rule in SWEEPS:
         geom = tg.TorusGeometry(sites, (1.0, 1.0))
