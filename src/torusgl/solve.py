@@ -58,7 +58,6 @@ from .fields import (
     EnergyBreakdown,
     LocalModel,
     _check_epsilon,
-    g_energy,
     g_gradient,  # not called here; perfbench's harness test names solve.g_gradient
     linearize,
     truncate,
@@ -347,7 +346,7 @@ def _projected_cg(hv, g, precond, project, forcing, max_steps, floor=0.0):
 
 def _newton(at, x, scale, opts, on_step=None):
     """Minimize from x by inexact Newton steps; at(x) builds the _Model at
-    x, and on_step, when given, sees (x, g) after each accepted step.
+    x, and on_step, when given, sees (x, its model) after each accepted step.
 
     While the gradient outside the soft modes is above tolerance, each round
     is one Newton step confined to their complement.  Once only the soft
@@ -384,7 +383,9 @@ def _newton(at, x, scale, opts, on_step=None):
     while True:
         gnorm = float(np.abs(m.g).max()) / scale
         rows, project = m.soft_modes or (None, lambda v: v)
-        rest = gnorm if rows is None else float(np.abs(project(m.g.copy())).max()) / scale
+        pg = m.g if rows is None else project(m.g.copy())  # g outside the soft modes
+        rest = gnorm if rows is None else float(np.abs(pg).max()) / scale
+        gnorm2, pg = _norm(pg), None  # the copy is not held through CG, rows() or at(x)
         if held is not None and (x_new is None or rest <= opts.tol or budget - used < 2):
             if x_new is None or not held[2] < 0.0:
                 x, m, _ = held
@@ -394,7 +395,7 @@ def _newton(at, x, scale, opts, on_step=None):
             held = None
             cells = min(2.0 * cells, 0.5)
             if on_step is not None:
-                on_step(x, m.g)
+                on_step(x, m)
         if gnorm <= opts.tol:
             return x, m, gnorm, used, "converged"
         if budget - used < 2:
@@ -405,7 +406,6 @@ def _newton(at, x, scale, opts, on_step=None):
             # then halved until the summed energy change certifies an Armijo decrease
             # with the exact slope g.s.  x_new stays None if no step certifies one or
             # the one that does moves x by at most eps_mach ||x||.
-            gnorm2 = _norm(project(m.g.copy()))
             last = (gnorm2, _forcing(gnorm2, last))
             s, n = _projected_cg(
                 m.hessvec, m.g, m.precond, project, last[1], min(400, budget - used - 1), floor
@@ -432,7 +432,7 @@ def _newton(at, x, scale, opts, on_step=None):
             if held is not None:
                 held[2] += delta
             elif on_step is not None:
-                on_step(x, m.g)
+                on_step(x, m)
         else:
             R = rows()
             force = -_dot(R, m.g)
@@ -512,7 +512,7 @@ def minimize(
     iterate, which has the lowest energy, with converged=False and
     stop_reason "budget" when max_iter runs out, or "stalled" when no
     certified energy decrease is left.  It evaluates g_energy only for the
-    result and for the log_every lines.
+    result and for the log_every lines, each from its iterate's model.
     """
     opts = opts or MinimizeOptions()
     geom = b.geom
@@ -554,16 +554,16 @@ def minimize(
 
     steps = 0
 
-    def report(x, g):
-        """Runs after every accepted step: prints every log_every-th."""
+    def report(x, m):
+        """Runs after every accepted step: prints every log_every-th from its model."""
         nonlocal steps
         steps += 1
         if steps % opts.log_every == 0:
-            e = g_energy(*_unpack(x, geom), b, eps)
+            e = m.local.energy()
             print(
                 f"iteration {steps} kinetic {e.kinetic:.17g} "
                 f"potential {e.potential:.17g} curvature {e.curvature:.17g} "
-                f"total {e.total:.17g} grad_norm {float(np.abs(g).max()) / w:.17g}"
+                f"total {e.total:.17g} grad_norm {float(np.abs(m.g).max()) / w:.17g}"
             )
 
     x, m, gnorm, iters, reason = _newton(

@@ -59,10 +59,10 @@ def _accepted_states(monkeypatch):
     def recording(at, x, scale, opts, on_step=None):
         states.append(x)
 
-        def step(x, g):
+        def step(x, m):
             states.append(x)
             if on_step is not None:
-                on_step(x, g)
+                on_step(x, m)
 
         return newton(at, x, scale, opts, step)
 
@@ -431,7 +431,8 @@ def test_truncated_state_gets_a_fresh_model(t2_bundle, monkeypatch, max_iter):
 @pytest.mark.parametrize("option", [{}, {"log_every": 2}])
 def test_minimize_log_every_counts_accepted_steps(t2_bundle, capsys, monkeypatch, option):
     """With and without log_every set every accepted step descends, and
-    log_every counts the accepted steps: one line per log_every of them."""
+    log_every counts the accepted steps: one line per log_every of them,
+    whose energy parts are g_energy's at that step's state, bit for bit."""
     g = t2_bundle.geom
     spec = AnsatzSpec(windings=(1,), positions=((0.5, 0.5),))
     u, A = vortex_ansatz(spec, t2_bundle, g, 0.25)
@@ -448,6 +449,8 @@ def test_minimize_log_every_counts_accepted_steps(t2_bundle, capsys, monkeypatch
         words = line.split()
         assert words[:2] == ["iteration", str(cadence * n)]
         assert words[2::2] == ["kinetic", "potential", "curvature", "total", "grad_norm"]
+        e = tg.g_energy(*_unpack(states[cadence * n], g), t2_bundle, 0.25)
+        assert [float(v) for v in words[3:11:2]] == [e.kinetic, e.potential, e.curvature, e.total]
 
 
 def _aux_energy(u, B, b):
@@ -1286,6 +1289,61 @@ def test_cg_leaves_its_gradient_unchanged():
         assert np.array_equal(g, keep)
 
 
+def test_pinned_newton_round_projects_its_gradient_twice(monkeypatch):
+    """A pinned Newton round projects its gradient once for both the
+    rest-of-gradient test and the forcing's 2-norm, and CG projects its own
+    copy as the first residual: two calls of the model's project on an
+    argument equal to the model's gradient, bit for bit, per round.  Input:
+    the slide_t3_12 line (12^3, eps 0.15 = 1.8 h), whose every model above
+    tolerance is pinned."""
+    from dataclasses import replace
+
+    newton, cg = tg.solve._newton, tg.solve._projected_cg
+    events = []  # ("g", gradient) per projection of a model's gradient; ("cg", g), ("end",) per round
+
+    def counting(at, x, scale, opts, on_step=None):
+        def counted_at(x):
+            m = at(x)
+            if m.soft_modes is None:
+                return m
+            rows, project = m.soft_modes
+
+            def counted(v):
+                if np.array_equal(v, m.g):
+                    events.append(("g", m.g))
+                return project(v)
+
+            return replace(m, soft_modes=(rows, counted))
+
+        return newton(counted_at, x, scale, opts, on_step)
+
+    def newton_round(hv, g, *args):
+        events.append(("cg", g))
+        out = cg(hv, g, *args)
+        events.append(("end",))
+        return out
+
+    monkeypatch.setattr(tg.solve, "_newton", counting)
+    monkeypatch.setattr(tg.solve, "_projected_cg", newton_round)
+    geom = tg.TorusGeometry((12, 12, 12), (1.0, 1.0, 1.0))
+    b = tg.build_background(geom, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    u, A = vortex_ansatz(AnsatzSpec(windings=(1,), positions=((0.52, 0.51),), axis=2), b, geom, 0.15)
+    assert tg.minimize(u, A, b, 0.15, MinimizeOptions(tol=1e-8, max_iter=20000)).converged
+
+    counts = []
+    for i, event in enumerate(events):
+        if event[0] != "cg":
+            continue
+        mine = lambda e: e[0] == "g" and e[1] is event[1]  # noqa: E731
+        before = 0
+        while i - before > 0 and mine(events[i - 1 - before]):
+            before += 1
+        during = events[i + 1:events.index(("end",), i)]
+        counts.append(before + sum(map(mine, during)))
+    assert len(counts) > 10
+    assert set(counts) == {2}
+
+
 def test_slide_rebuilds_the_translations_bit_for_bit(monkeypatch):
     """A model keeps only the orthonormal rows Q of its covariant
     translations; the slide forms the raw rows again from the model's links,
@@ -1414,7 +1472,7 @@ def test_newton_undoes_a_slide_whose_settle_round_finds_no_decrease():
 
     accepted = []
     x, _, _, used, reason = _newton(at, np.zeros(2), 1.0, MinimizeOptions(tol=1e-8, max_iter=19),
-                                    lambda x, g: accepted.append(x))
+                                    lambda x, m: accepted.append(x))
     assert (reason, used) == ("budget", 18)
     assert np.array_equal(x, np.zeros(2))
     assert not accepted

@@ -56,7 +56,9 @@ observables in the order of perfbench's observe-large body (`g_energy`,
 component, so links kept for the state before the change would show.
 Finally, the observables line follows for a seeded random state on
 50 x 36 x 36, whose per-site kernels split by axis-0 rows of 1296 entries,
-not a whole number of 64-entry blocks.
+not a whole number of 64-entry blocks.  After it, for the solves of
+`LOGGED_SOLVES`, one that slides and one whose core is resolved, it prints
+the line count and sha1 of the stdout of `minimize` with `log_every = 1`.
 Two checkouts whose outputs agree byte for byte compute the same numbers, so
 a refactor that claims bit-identical results shows an empty diff.
 """
@@ -130,6 +132,10 @@ SOLVES = (
     ("slide_t2_32", (32, 32), 0.0625, (0.31, 0.67)),
 )
 
+# the single solves whose log_every = 1 stdout is digested: a line that
+# slides (eps/h = 1.8) and a point whose core is resolved (eps/h = 6.4)
+LOGGED_SOLVES = ("slide_t3_12", "min_t2_64")
+
 # max_iter of the solves cut while a slide settles: slide_t2_32 slides once,
 # from 77 evaluations until it is kept at 115, and a budget of 90 ends it
 # undone, one of 100 kept
@@ -192,6 +198,14 @@ def line(label: str, res, b) -> str:
 def bundle_for(sites):
     geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
     return tg.build_background(geom, CHERN_T2 if len(sites) == 2 else CHERN_T3)
+
+
+def solve_start(sites, eps, position):
+    """The bundle and ansatz (u, A) of a `SOLVES` entry: one vortex, a line
+    along axis 2 on T^3."""
+    b = bundle_for(sites)
+    spec = tg.AnsatzSpec(windings=(1,), positions=(position,), axis=2 if len(sites) == 3 else None)
+    return (b, *tg.vortex_ansatz(spec, b, b.geom, eps=eps))
 
 
 def observables(u, A, b) -> str:
@@ -310,11 +324,7 @@ def main() -> None:
                   f"{plaquettes(u, A, b)}", flush=True)
 
     for label, sites, eps, position in SOLVES:
-        geom = tg.TorusGeometry(sites, (1.0,) * len(sites))
-        b = tg.build_background(geom, CHERN_T2 if len(sites) == 2 else CHERN_T3)
-        spec = tg.AnsatzSpec(windings=(1,), positions=(position,),
-                             axis=2 if len(sites) == 3 else None)
-        u, A = tg.vortex_ansatz(spec, b, geom, eps=eps)
+        b, u, A = solve_start(sites, eps, position)
         print(line(label, tg.minimize(u, A, b, eps, OPTS), b), flush=True)
         for cut in BUDGET_CUTS.get(label, ()):
             res = tg.minimize(u, A, b, eps, tg.MinimizeOptions(tol=OPTS.tol, max_iter=cut))
@@ -368,6 +378,17 @@ def main() -> None:
     b = bundle_for(ROW_SPLIT_SITES)
     u = tg.Section(b.geom, rng.standard_normal(ROW_SPLIT_SITES) + 1j * rng.standard_normal(ROW_SPLIT_SITES))
     print(observables(u, tg.random_cochain(b.geom, 1, rng), b), flush=True)
+
+    logged = tg.MinimizeOptions(tol=OPTS.tol, max_iter=OPTS.max_iter, log_every=1)
+    for label, sites, eps, position in SOLVES:
+        if label in LOGGED_SOLVES:
+            b, u, A = solve_start(sites, eps, position)
+            stream = io.StringIO()
+            with contextlib.redirect_stdout(stream):
+                tg.minimize(u, A, b, eps, logged)
+            text = stream.getvalue()
+            print(f"log {label} lines {text.count(chr(10))} "
+                  f"stdout {hashlib.sha1(text.encode()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
